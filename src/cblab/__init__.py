@@ -5,6 +5,9 @@ Monte Carlo VaR with full repricing, and an explicit finite-difference solver of
 the underlying coupled PDE system for cross-validation.
 """
 
+# the one version string: reports' file headers and the package metadata read it
+__version__ = "0.1.0"
+
 from .errors import (
     CBLabError,
     ConfigurationError,
@@ -54,5 +57,3 @@ from .var import (
     var_quantile,
 )
 from .fd import FDGrid, FDSolution, fd_profile, solve_tf_fd
-
-__version__ = "0.1.0"

@@ -4,22 +4,22 @@ emission of plot-ready CSV / text artifacts.
 Subcommands: price | surface | greeks | hedge-stress | var | compare.
 All outputs are data files (no rendered images); files embed their full
 configuration and its hash so identical runs produce identical bytes.
-Set CBLAB_THREADS to evaluate surface rows concurrently.
+CBLAB_THREADS sets how many threads every lattice batch runs on (default:
+the cores this process may use); the output bytes do not depend on it.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 
 from . import fd, hedge, lattice, sensitivities, var
-from .errors import CBLabError
+from .errors import CBLabError, ConfigurationError
 from .reports import Report, write_lines, write_rows
 from .termsheet import (
     MarketParams,
@@ -37,6 +37,12 @@ def _parse_date(s: str) -> date:
 
 
 def _spot_grid(args) -> np.ndarray:
+    if not all(map(math.isfinite, (args.s_min, args.s_max, args.s_step))):
+        raise ConfigurationError("--s-min, --s-max and --s-step must be finite")
+    if args.s_step <= 0:
+        raise ConfigurationError(f"--s-step must be > 0, got {args.s_step:g}")
+    if args.s_max < args.s_min:
+        raise ConfigurationError(f"--s-max {args.s_max:g} is below --s-min {args.s_min:g}")
     n = int(round((args.s_max - args.s_min) / args.s_step))
     return args.s_min + args.s_step * np.arange(n + 1)
 
@@ -81,23 +87,13 @@ def cmd_price(args) -> int:
 
 
 def _surface_rows(terms, mkt, t_grid, spots, steps) -> list[tuple]:
-    workers = int(os.environ.get("CBLAB_THREADS", "1"))
-
-    def one_row(t):
-        return sensitivities.surface(terms, mkt, [t], spots, steps)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one_row, t_grid))
-    else:
-        parts = [one_row(t) for t in t_grid]
-
+    srf = sensitivities.surface(terms, mkt, t_grid, spots, steps)
     rows = []
-    for t, part in zip(t_grid, parts):
+    for i, t in enumerate(t_grid):
         t_years = year_fraction(terms.issue, t)
         ai = accrued_interest(terms, t)
         for j, s in enumerate(spots):
-            p = part.point(0, j)
+            p = srf.point(i, j)
             rows.append((f"{t_years:.10g}", t.isoformat(), float(s), p.value, p.value - ai,
                          p.equity, p.debt, p.delta, p.delta_pct, p.gamma))
     return rows
@@ -110,6 +106,8 @@ _SURFACE_COLUMNS = ["t_years", "t_date", "S", "V_dirty", "V_clean", "E", "B",
 def cmd_surface(args) -> int:
     terms = load_terms(args.terms)
     mkt = _market(args)
+    if args.t_points < 1:
+        raise ConfigurationError(f"--t-points must be >= 1, got {args.t_points}")
     life_days = (terms.maturity - terms.issue).days
     offsets = [round(i * life_days / args.t_points) for i in range(args.t_points)]
     t_grid = [date.fromordinal(terms.issue.toordinal() + o) for o in offsets]

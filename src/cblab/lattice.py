@@ -10,12 +10,17 @@ value in B, which is what couples the credit spread to the exercise decisions.
 
 The rollback kernel is vectorized over a batch of root spot prices: every spot
 still gets its own full tree, and batch results are bit-identical to pricing
-each spot alone (all operations are elementwise).
+each spot alone (all operations are elementwise).  A batch runs in blocks of
+BLOCK spots on up to CBLAB_THREADS threads (default: the usable cores), so its
+memory is bounded by the blocks in flight and its output does not depend on
+the thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date
 
@@ -34,9 +39,11 @@ __all__ = [
     "price_tf_crr",
     "price_profile_raw",
     "rollback_batch",
+    "engine_threads",
 ]
 
 _COUPON_EPS = 1e-12
+BLOCK = 128  # spots per kernel block: the workspace is bounded whatever the batch size
 
 
 @dataclass(frozen=True)
@@ -148,14 +155,168 @@ class BatchResult:
     equity: np.ndarray        # (m,) root E per spot
     debt: np.ndarray          # (m,) root B per spot
     params: LatticeParams
-    conv_binds: np.ndarray    # (m,) node counts per spot
-    call_binds: np.ndarray
-    put_binds: np.ndarray
+    conv_binds: np.ndarray | None  # (m,) node counts per spot; None unless asked for
+    call_binds: np.ndarray | None
+    put_binds: np.ndarray | None
     fronts: list[np.ndarray]  # constrained V at layers 0..front_layers, (m, k+1) each
 
     @property
     def value(self) -> np.ndarray:
         return self.equity + self.debt
+
+
+def engine_threads() -> int:
+    """Worker threads for batch rollbacks: CBLAB_THREADS when set, else the
+    cores this process may run on."""
+    raw = os.environ.get("CBLAB_THREADS", "").strip()
+    if not raw:
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # platforms without CPU affinity
+            return os.cpu_count() or 1
+    if not raw.isdigit() or int(raw) < 1:
+        raise ConfigurationError(f"CBLAB_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
+class _Workspace:
+    """One worker's reusable (rows, N+1) buffers: the E/B split, V (also the
+    rollback scratch), V*, conversion values, and four node masks."""
+
+    def __init__(self, rows: int, width: int):
+        self.E, self.B, self.V, self.vs, self.conv = (np.empty((rows, width)) for _ in range(5))
+        self.ncont, self.convb, self.tmp, self.aux = (
+            np.empty((rows, width), dtype=bool) for _ in range(4)
+        )
+
+
+class _Rollback:
+    """Per-layer inputs of one rollback, shared read-only by every block, and
+    the output arrays each block fills in its own rows."""
+
+    def __init__(self, timeline: Timeline, mkt: MarketParams, lp: LatticeParams,
+                 spots: np.ndarray, front_layers: int, binds: bool):
+        N = self.N = lp.steps
+        taus = timeline.tau_maturity * np.arange(N + 1) / N
+        self.call_levels = timeline.call_dirty(taus)
+        self.put_levels = timeline.put_dirty(taus)
+        self.conv_active = timeline.conversion_active(taus)
+        self.redemption = timeline.redemption
+
+        # cash coupons: attach each to the first layer at-or-after its pay date,
+        # compounded over the sub-step gap at the risky rate so the present value
+        # at every earlier layer is exact; the final coupon rides on redemption
+        risky = mkt.rate + mkt.credit_spread
+        self.inject = np.zeros(N + 1)
+        for tau_c in timeline.coupon_taus:
+            if tau_c <= _COUPON_EPS or tau_c >= timeline.tau_maturity - _COUPON_EPS:
+                continue
+            j = int(np.searchsorted(taus, tau_c - _COUPON_EPS, side="left"))
+            self.inject[j] += timeline.coupon_amount * math.exp(risky * (taus[j] - tau_c))
+
+        # node conversion value at layer i, node j: ratio * spot * u^(2j-i);
+        # the powers u^-N..u^N are tabulated once, layer i reads pw[N-i : N+i+1 : 2]
+        self.pw = lp.up ** np.arange(-N, N + 1, dtype=float)
+        self.rs = timeline.ratio * spots
+        self.disc_E = math.exp(-mkt.rate * lp.dt)
+        self.disc_B = math.exp(-risky * lp.dt)
+        self.p, self.q = lp.p_up, 1.0 - lp.p_up
+        self.front_layers = front_layers
+
+        m = spots.size
+        self.equity = np.empty(m)
+        self.debt = np.empty(m)
+        self.fronts = [np.empty((m, k + 1)) for k in range(front_layers + 1)]
+        # rows: conversion, call, put
+        self.binds = np.zeros((3, m), dtype=np.int64) if binds else None
+
+    def run_blocks(self, ws: _Workspace, blocks) -> None:
+        for lo, hi in blocks:
+            self._roll_block(ws, lo, hi)
+
+    def _roll_block(self, ws: _Workspace, lo: int, hi: int) -> None:
+        N, pw, p, q = self.N, self.pw, self.p, self.q
+        rows = hi - lo
+        E, B, V, VS, C = ws.E[:rows], ws.B[:rows], ws.V[:rows], ws.vs[:rows], ws.conv[:rows]
+        NC, CB, TMP, AUX = ws.ncont[:rows], ws.convb[:rows], ws.tmp[:rows], ws.aux[:rows]
+        rs = self.rs[lo:hi, None]
+        binds = None if self.binds is None else self.binds[:, lo:hi]
+        fronts = [f[lo:hi] for f in self.fronts]
+
+        if self.conv_active[N]:
+            np.multiply(rs, pw[0::2], out=C)
+        else:
+            C.fill(0.0)
+        np.greater(C, self.redemption, out=CB)
+        E.fill(0.0)
+        np.copyto(E, C, where=CB)
+        B.fill(self.redemption)
+        np.copyto(B, 0.0, where=CB)
+        if self.inject[N] != 0.0:
+            # a coupon paid strictly before maturity that buckets into the terminal
+            # layer (coarse trees only) is received cash either way: conversion at
+            # expiry forfeits the final coupon, not this one
+            B += self.inject[N]
+        if binds is not None:
+            binds[0] += np.count_nonzero(CB, axis=1)
+        if self.front_layers >= N:
+            np.add(E, B, out=fronts[N])
+
+        for i in range(N - 1, -1, -1):
+            w = i + 1
+            Ew, Bw, Vw, vs, conv = E[:, :w], B[:, :w], V[:, :w], VS[:, :w], C[:, :w]
+            ncont, convb = NC[:, :w], CB[:, :w]
+            # in-place rollback: X <- disc * (p * X_up + q * X_down), V as scratch
+            for X, Xw, disc in ((E, Ew, self.disc_E), (B, Bw, self.disc_B)):
+                np.multiply(X[:, 1 : w + 1], p, out=Vw)
+                np.multiply(Xw, q, out=Xw)
+                np.add(Xw, Vw, out=Xw)
+                np.multiply(Xw, disc, out=Xw)
+            if self.inject[i] != 0.0:
+                Bw += self.inject[i]
+            if self.conv_active[i]:
+                np.multiply(rs, pw[N - i : N + i + 1 : 2], out=conv)
+            else:
+                conv.fill(0.0)
+
+            # V* = max(min(V, call), put, conv); ties resolve continuation >
+            # conversion > call > put.  A binding call or put sets V* to its
+            # level exactly, so every decided node takes V*: into E when
+            # conversion binds (shares), into B otherwise (cash).
+            call_level, put_level = self.call_levels[i], self.put_levels[i]
+            np.add(Ew, Bw, out=Vw)
+            np.minimum(Vw, call_level, out=vs)
+            np.maximum(vs, put_level, out=vs)
+            np.maximum(vs, conv, out=vs)
+            np.greater(Vw, call_level, out=ncont)
+            np.not_equal(vs, Vw, out=TMP[:, :w])
+            np.logical_or(ncont, TMP[:, :w], out=ncont)
+            np.equal(vs, conv, out=convb)
+            np.logical_and(convb, ncont, out=convb)
+            np.copyto(Ew, 0.0, where=ncont)
+            np.copyto(Ew, vs, where=convb)
+            np.copyto(Bw, vs, where=ncont)
+            np.copyto(Bw, 0.0, where=convb)
+
+            if binds is not None:
+                # cash = decided, not converted; the call bound where the
+                # value was clipped to exactly the call level, the put elsewhere
+                cash, callb = AUX[:, :w], TMP[:, :w]
+                np.logical_xor(ncont, convb, out=cash)
+                n_cash = np.count_nonzero(cash, axis=1)
+                np.greater(Vw, call_level, out=callb)
+                np.logical_and(callb, cash, out=callb)
+                np.equal(vs, call_level, out=cash)
+                np.logical_and(callb, cash, out=callb)
+                n_call = np.count_nonzero(callb, axis=1)
+                binds[0] += np.count_nonzero(convb, axis=1)
+                binds[1] += n_call
+                binds[2] += n_cash - n_call
+            if i <= self.front_layers:
+                np.add(Ew, Bw, out=fronts[i])
+
+        self.equity[lo:hi] = E[:, 0]
+        self.debt[lo:hi] = B[:, 0]
 
 
 def rollback_batch(
@@ -165,11 +326,15 @@ def rollback_batch(
     spots: np.ndarray,
     steps: int,
     front_layers: int = 0,
+    binds: bool = False,
 ) -> BatchResult:
     """Roll the split-value tree back to t0 for a whole vector of root spots.
 
     `front_layers` > 0 additionally records the constrained node values V of
-    the first few layers (needed for lattice delta/gamma).
+    the first few layers (needed for lattice delta/gamma); `binds` counts the
+    nodes decided by conversion, call and put.  Spots run in blocks of BLOCK
+    on up to `engine_threads()` threads; every spot gets its own full tree,
+    so results do not depend on the batch, the blocking or the threads.
     """
     spots = np.asarray(spots, dtype=float)
     if spots.ndim != 1 or spots.size == 0:
@@ -181,112 +346,31 @@ def rollback_batch(
     if front_layers > steps:
         raise ConfigurationError("front_layers cannot exceed the step count")
 
-    N = steps
-    taus = timeline.tau_maturity * np.arange(N + 1) / N
-    call_levels = timeline.call_dirty(taus)
-    put_levels = timeline.put_dirty(taus)
-    conv_active = timeline.conversion_active(taus)
-    ratio = timeline.ratio
-
-    # cash coupons: attach each to the first layer at-or-after its pay date,
-    # compounded over the sub-step gap at the risky rate so the present value
-    # at every earlier layer is exact; the final coupon rides on redemption
-    risky = mkt.rate + mkt.credit_spread
-    inject = np.zeros(N + 1)
-    for tau_c in timeline.coupon_taus:
-        if tau_c <= _COUPON_EPS or tau_c >= timeline.tau_maturity - _COUPON_EPS:
-            continue
-        j = int(np.searchsorted(taus, tau_c - _COUPON_EPS, side="left"))
-        inject[j] += timeline.coupon_amount * math.exp(risky * (taus[j] - tau_c))
-
     m = spots.size
-    rs = ratio * spots  # shares-per-bond times root spot; node conv = rs * u^(2j-i)
-    E = np.empty((m, N + 1))
-    B = np.empty((m, N + 1))
-    scratch = np.empty((m, N + 1))
-    v_buf = np.empty((m, N + 1))
-    vstar_buf = np.empty((m, N + 1))
-    conv_buf = np.empty((m, N + 1))
-
-    j_idx = np.arange(N + 1)
-    if conv_active[N]:
-        np.multiply(rs[:, None], lp.up ** (2.0 * j_idx - N)[None, :], out=conv_buf)
+    blocks = [(lo, min(lo + BLOCK, m)) for lo in range(0, m, BLOCK)]
+    workers = min(engine_threads(), len(blocks))
+    job = _Rollback(timeline, mkt, lp, spots, front_layers, binds)
+    # the caller allocates every workspace: worker threads allocating their
+    # own would each grow a separate malloc arena
+    spaces = [_Workspace(min(BLOCK, m), steps + 1) for _ in range(workers)]
+    if workers == 1:
+        job.run_blocks(spaces[0], blocks)
     else:
-        conv_buf.fill(0.0)
-    red = timeline.redemption
-    take_conv = conv_buf > red
-    np.copyto(E, 0.0)
-    np.copyto(E, conv_buf, where=take_conv)
-    np.copyto(B, red)
-    np.copyto(B, 0.0, where=take_conv)
-    if inject[N] != 0.0:
-        # a coupon paid strictly before maturity that buckets into the terminal
-        # layer (coarse trees only) is received cash either way: conversion at
-        # expiry forfeits the final coupon, not this one
-        B += inject[N]
-    conv_binds = take_conv.sum(axis=1)
-    call_binds = np.zeros(m, dtype=np.int64)
-    put_binds = np.zeros(m, dtype=np.int64)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(job.run_blocks, ws, blocks[k::workers])
+                       for k, ws in enumerate(spaces)]
+            for f in futures:
+                f.result()
 
-    disc_E = math.exp(-mkt.rate * lp.dt)
-    disc_B = math.exp(-risky * lp.dt)
-    p, q = lp.p_up, 1.0 - lp.p_up
-
-    fronts: dict[int, np.ndarray] = {}
-    if front_layers >= N:
-        fronts[N] = E + B
-    for i in range(N - 1, -1, -1):
-        w = i + 1
-        Ew, Bw = E[:, :w], B[:, :w]
-        # in-place rollback: X <- disc * (p * X_up + q * X_down)
-        for X, disc in ((E, disc_E), (B, disc_B)):
-            Xw = X[:, :w]
-            np.multiply(X[:, 1 : w + 1], p, out=scratch[:, :w])
-            np.multiply(Xw, q, out=Xw)
-            np.add(Xw, scratch[:, :w], out=Xw)
-            np.multiply(Xw, disc, out=Xw)
-        if inject[i] != 0.0:
-            Bw += inject[i]
-
-        conv = conv_buf[:, :w]
-        if conv_active[i]:
-            np.multiply(rs[:, None], lp.up ** (2.0 * np.arange(w) - i)[None, :], out=conv)
-        else:
-            conv.fill(0.0)
-        call_level, put_level = call_levels[i], put_levels[i]
-        V = v_buf[:, :w]
-        np.add(Ew, Bw, out=V)
-        v_star = vstar_buf[:, :w]
-        np.minimum(V, call_level, out=v_star)
-        np.maximum(v_star, put_level, out=v_star)
-        np.maximum(v_star, conv, out=v_star)
-        no_clip = V <= call_level
-        cont = no_clip & (v_star == V)
-        not_cont = ~cont
-        convb = not_cont & (v_star == conv)
-        callb = not_cont & ~convb & ~no_clip & (v_star == call_level)
-        putb = not_cont & ~(convb | callb)
-        np.copyto(Ew, 0.0, where=not_cont)
-        np.copyto(Ew, conv, where=convb)
-        np.copyto(Bw, 0.0, where=not_cont)
-        if callb.any():
-            np.copyto(Bw, call_level, where=callb)
-        if putb.any():
-            np.copyto(Bw, put_level, where=putb)
-        conv_binds += convb.sum(axis=1)
-        call_binds += callb.sum(axis=1)
-        put_binds += putb.sum(axis=1)
-        if i <= front_layers:
-            fronts[i] = Ew + Bw
-
+    counts = (None, None, None) if job.binds is None else job.binds
     return BatchResult(
-        equity=E[:, 0].copy(),
-        debt=B[:, 0].copy(),
+        equity=job.equity,
+        debt=job.debt,
         params=lp,
-        conv_binds=conv_binds,
-        call_binds=call_binds,
-        put_binds=put_binds,
-        fronts=[fronts[k] for k in sorted(fronts)],
+        conv_binds=counts[0],
+        call_binds=counts[1],
+        put_binds=counts[2],
+        fronts=job.fronts,
     )
 
 
@@ -297,7 +381,7 @@ def price_tf_crr(
     root value split into its equity and debt parts."""
     if spot <= 0:
         raise DomainError("spot must be > 0")
-    res = rollback_batch(terms, mkt, t0, np.array([spot]), steps)
+    res = rollback_batch(terms, mkt, t0, np.array([spot]), steps, binds=True)
     return PriceResult(
         node=NodeValue(equity=float(res.equity[0]), debt=float(res.debt[0])),
         params=res.params,

@@ -13,10 +13,11 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import __version__ as VERSION
+
 __all__ = ["Report", "config_hash", "format_number", "write_rows", "write_lines"]
 
 TOOL = "cblab"
-VERSION = "0.1.0"
 
 
 def config_hash(config: dict) -> str:

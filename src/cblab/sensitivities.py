@@ -14,7 +14,7 @@ from datetime import date
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import CBLabError, ConfigurationError, DomainError
 from .lattice import rollback_batch
 from .termsheet import ConvertibleTerms, MarketParams, accrued_interest
 
@@ -147,7 +147,7 @@ def surface(
     for i, t in enumerate(t_grid):
         try:
             eq, db, v0, dlt, gma = _greek_arrays(terms, mkt, t, spots, steps)
-        except Exception as exc:
+        except CBLabError as exc:
             raise type(exc)(f"surface row t={t}: {exc}") from exc
         out["value"][i] = v0
         out["equity"][i] = eq

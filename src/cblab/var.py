@@ -33,8 +33,6 @@ __all__ = [
     "run_var",
 ]
 
-_REVALUE_CHUNK = 500
-
 # Philox-2x64 constants (multiplier and Weyl key increment)
 _PHILOX_M = np.uint64(0xD2B74407B1CE6E93)
 _PHILOX_W = np.uint64(0x9E3779B97F4A7C15)
@@ -180,15 +178,7 @@ def revalue(
     scenarios = np.asarray(scenarios, dtype=float)
     if np.any(scenarios <= 0):
         raise DomainError("scenario spots must be > 0")
-    out = np.empty_like(scenarios)
-    for lo in range(0, scenarios.size, _REVALUE_CHUNK):
-        hi = min(lo + _REVALUE_CHUNK, scenarios.size)
-        try:
-            res = rollback_batch(terms, mkt, spec.horizon_date, scenarios[lo:hi], spec.steps)
-        except Exception as exc:
-            raise type(exc)(f"repricing scenarios [{lo}, {hi}): {exc}") from exc
-        out[lo:hi] = res.value
-    return out
+    return rollback_batch(terms, mkt, spec.horizon_date, scenarios, spec.steps).value
 
 
 def var_quantile(pnl, alpha: float) -> float:

@@ -60,6 +60,34 @@ class TestPrice:
         assert "error:" in capsys.readouterr().err
 
 
+class TestGridValidation:
+    @pytest.mark.parametrize("grid", [
+        ["--s-step", 0],
+        ["--s-step", -1],
+        ["--s-min", 120, "--s-max", 100],
+        ["--s-step", "nan"],
+    ])
+    def test_bad_spot_grid_exits_2(self, tmp_path, capsys, grid):
+        rc = run(["greeks", "--date", "2004-01-02", "--steps", 20, "--out", tmp_path] + grid)
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "greeks.csv").exists()
+
+    @pytest.mark.parametrize("t_points", [0, -3])
+    def test_bad_time_grid_exits_2(self, tmp_path, capsys, t_points):
+        rc = run(["surface", "--t-points", t_points, "--s-min", 100, "--s-max", 100,
+                  "--steps", 20, "--out", tmp_path])
+        assert rc == 2
+        assert "--t-points" in capsys.readouterr().err
+        assert not (tmp_path / "surface.csv").exists()
+
+    def test_bad_thread_setting_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CBLAB_THREADS", "0")
+        rc = run(["price", "--steps", 20, "--out", tmp_path])
+        assert rc == 2
+        assert "CBLAB_THREADS" in capsys.readouterr().err
+
+
 class TestGreeksAndSurface:
     def test_greeks_profile_columns(self, tmp_path):
         out = tmp_path / "o"
@@ -81,7 +109,8 @@ class TestGreeksAndSurface:
         assert all(float(t) < 1826 / 365 for t in t_years)
 
     def test_thread_override_is_deterministic(self, tmp_path, monkeypatch):
-        args = ["surface", "--s-min", 95, "--s-max", 105, "--s-step", 5,
+        # 301 spots per row: three kernel blocks, so the threads share every row
+        args = ["surface", "--s-min", 50, "--s-max", 200, "--s-step", 0.5,
                 "--t-points", 3, "--steps", 60]
         out1, out2 = tmp_path / "seq", tmp_path / "par"
         monkeypatch.setenv("CBLAB_THREADS", "1")

@@ -1,0 +1,209 @@
+"""Rollback-kernel identities: threaded = serial, chunked = unchunked, and the
+current kernel = the kernel it replaced, all bit for bit (`np.array_equal`).
+
+The reference digests were recorded with the previous, unblocked single-thread
+kernel on the input sweeps of acceptance criteria 1-4 plus a putable variant
+that makes every constraint bind.  A digest is sha256 over the raw float64 /
+int64 bytes, so any last-bit change in any output fails here.
+"""
+
+import hashlib
+import os
+import sys
+import tracemalloc
+from dataclasses import replace
+from datetime import date
+
+import numpy as np
+import pytest
+
+from cblab import (
+    ConfigurationError,
+    PutTerms,
+    VaRSpec,
+    lattice,
+    reference_market,
+    reference_terms,
+    rollback_batch,
+    simulate_stock,
+)
+
+TABLE1 = reference_terms()
+MARKET = reference_market()
+ISSUE = date(2002, 1, 2)
+JAN2004 = date(2004, 1, 2)
+
+
+def _sweeps():
+    """name -> (terms, t0, spots, steps, front_layers)."""
+    c4 = VaRSpec(eval_date=JAN2004, spot=100.0, n_scenarios=1000, seed=0, steps=500)
+    putable = replace(TABLE1, put=PutTerms(98.0, date(2003, 1, 2), date(2005, 1, 2)))
+    c3_grid = np.arange(50.0, 200.0 + 1e-9, 0.5)
+    return {
+        "c1_n500": (TABLE1, JAN2004, np.round(np.arange(105.0, 112.0001, 0.1), 6), 500, 0),
+        "c1_n750": (TABLE1, JAN2004, np.round(np.arange(105.0, 112.0001, 0.1), 6), 750, 0),
+        "c2_greeks": (TABLE1, JAN2004, np.round(np.arange(90.0, 120.0001, 0.1), 6), 500, 2),
+        "c3_base": (TABLE1, ISSUE, c3_grid, 500, 1),
+        "c3_bumped": (TABLE1, ISSUE, c3_grid + 0.5, 500, 0),
+        "c4_scenarios": (TABLE1, c4.horizon_date, simulate_stock(c4), 500, 0),
+        "putable": (putable, JAN2004, np.arange(40.0, 200.0 + 1e-9, 1.0), 300, 2),
+    }
+
+
+def _digests(res) -> dict:
+    def sha(*arrays):
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(np.ascontiguousarray(a).tobytes())
+        return h.hexdigest()[:24]
+
+    binds = [np.asarray(b, dtype=np.int64) for b in (res.conv_binds, res.call_binds, res.put_binds)]
+    return {
+        "equity": sha(res.equity),
+        "debt": sha(res.debt),
+        "binds": sha(*binds),
+        "fronts": sha(*res.fronts),
+    }
+
+
+# recorded with the previous kernel; see the module docstring
+REFERENCE = {
+    "c1_n500": {
+        "equity": "bdfd97b9c51ff9a75986518a",
+        "debt": "06f7d432730e77bd40b0c469",
+        "binds": "3d3bbcbcac19c1a92bbed5e7",
+        "fronts": "1471d7e96dbb533919861f38",
+    },
+    "c1_n750": {
+        "equity": "66fd982bb160a3434f858b54",
+        "debt": "bf9b09c7c691561dd76e0f4b",
+        "binds": "2421cb5fd38289ab833c170a",
+        "fronts": "816a5af53d73c32513abaf93",
+    },
+    "c2_greeks": {
+        "equity": "3ed765c2d0674463afefbe61",
+        "debt": "4603f83c0fc4b4202bb8cba2",
+        "binds": "9a4d388282e6c027f068acc1",
+        "fronts": "13ae38261783e938d66f9c7a",
+    },
+    "c3_base": {
+        "equity": "2909df0008e3722066920ade",
+        "debt": "9644b09ca24a5f4b0767ba43",
+        "binds": "ee72bb86a4b5bd03d06eec95",
+        "fronts": "f6a2803d3937400462f814d9",
+    },
+    "c3_bumped": {
+        "equity": "baa662cb3a7f9cfcc92149fd",
+        "debt": "1f1d952e16df228723800593",
+        "binds": "e71454cf124fa0765fd64cf9",
+        "fronts": "d587c811162267b9ccb20ad7",
+    },
+    "c4_scenarios": {
+        "equity": "5978cad5b0849e5b0d3074f4",
+        "debt": "0a42dc33348f37ae36d730eb",
+        "binds": "909ae8889fd197bc76398101",
+        "fronts": "2879374ad75a1d732c0abbf5",
+    },
+    "putable": {
+        "equity": "46bcd26130c6886b81de3a03",
+        "debt": "485e611ea611fec26e97790d",
+        "binds": "af89f38f32d1ff7ed76afee8",
+        "fronts": "2934047296189845038d2351",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def sweeps():
+    return _sweeps()
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_matches_previous_kernel(sweeps, name):
+    terms, t0, spots, steps, front_layers = sweeps[name]
+    res = rollback_batch(terms, MARKET, t0, spots, steps, front_layers=front_layers, binds=True)
+    assert _digests(res) == REFERENCE[name]
+
+
+def test_putable_sweep_binds_every_constraint(sweeps):
+    terms, t0, spots, steps, front_layers = sweeps["putable"]
+    res = rollback_batch(terms, MARKET, t0, spots, steps, binds=True)
+    assert res.conv_binds.sum() > 0 and res.call_binds.sum() > 0 and res.put_binds.sum() > 0
+
+
+def test_bind_counts_do_not_change_values(sweeps):
+    terms, t0, spots, steps, front_layers = sweeps["putable"]
+    with_binds = rollback_batch(terms, MARKET, t0, spots, steps, front_layers=2, binds=True)
+    without = rollback_batch(terms, MARKET, t0, spots, steps, front_layers=2)
+    assert without.conv_binds is None and without.call_binds is None and without.put_binds is None
+    assert np.array_equal(with_binds.equity, without.equity)
+    assert np.array_equal(with_binds.debt, without.debt)
+    assert all(np.array_equal(a, b) for a, b in zip(with_binds.fronts, without.fronts))
+
+
+def _assert_same(a, b):
+    assert np.array_equal(a.equity, b.equity)
+    assert np.array_equal(a.debt, b.debt)
+    for x, y in ((a.conv_binds, b.conv_binds), (a.call_binds, b.call_binds), (a.put_binds, b.put_binds)):
+        assert np.array_equal(x, y)
+    assert len(a.fronts) == len(b.fronts)
+    assert all(np.array_equal(x, y) for x, y in zip(a.fronts, b.fronts))
+
+
+def test_threaded_equals_serial(monkeypatch):
+    """More threads than cores, switching threads as often as the interpreter
+    allows: a lost or misplaced block write would change the output."""
+    spots = np.linspace(60.0, 160.0, 700)
+    monkeypatch.setenv("CBLAB_THREADS", "1")
+    serial = rollback_batch(TABLE1, MARKET, JAN2004, spots, 100, front_layers=2, binds=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in ("2", "5"):
+            monkeypatch.setenv("CBLAB_THREADS", threads)
+            threaded = rollback_batch(TABLE1, MARKET, JAN2004, spots, 100, front_layers=2, binds=True)
+            _assert_same(serial, threaded)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("m", [1, 127, 128, 129, 257, 500])
+def test_chunked_equals_unchunked(monkeypatch, m):
+    spots = np.linspace(80.0, 140.0, m)
+    chunked = rollback_batch(TABLE1, MARKET, JAN2004, spots, 60, front_layers=2, binds=True)
+    monkeypatch.setattr(lattice, "BLOCK", m)
+    whole = rollback_batch(TABLE1, MARKET, JAN2004, spots, 60, front_layers=2, binds=True)
+    _assert_same(chunked, whole)
+
+
+def test_default_threads_are_the_usable_cores(monkeypatch):
+    monkeypatch.delenv("CBLAB_THREADS", raising=False)
+    assert lattice.engine_threads() == len(os.sched_getaffinity(0))
+    monkeypatch.setenv("CBLAB_THREADS", "3")
+    assert lattice.engine_threads() == 3
+
+
+@pytest.mark.parametrize("bad", ["0", "-2", "two"])
+def test_bad_thread_setting_rejected(monkeypatch, bad):
+    monkeypatch.setenv("CBLAB_THREADS", bad)
+    with pytest.raises(ConfigurationError):
+        rollback_batch(TABLE1, MARKET, JAN2004, np.array([100.0]), 10)
+
+
+def test_memory_bounded_by_blocks_not_batch(monkeypatch):
+    """A 2,000-spot, N=200 rollback holds O(workers * BLOCK * (N+1)) doubles of
+    workspace, not O(m * (N+1)): the whole-batch buffers would need 6 * 2000 *
+    201 doubles (19 MB)."""
+    m, n = 2000, 200
+    spots = np.linspace(50.0, 200.0, m)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CBLAB_THREADS", threads)
+        workers = int(threads)
+        tracemalloc.start()
+        try:
+            rollback_batch(TABLE1, MARKET, JAN2004, spots, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10 * workers * lattice.BLOCK * (n + 1) + 2**20
+        assert peak < 8 * 6 * m * (n + 1) / 2

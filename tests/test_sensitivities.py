@@ -19,6 +19,7 @@ from cblab import (
     rollback_batch,
     surface,
 )
+from cblab import sensitivities
 from cblab.sensitivities import (
     delta_pct,
     local_extrema_count,
@@ -133,6 +134,27 @@ class TestSurface:
     def test_value_equals_component_sum(self, table1, market, jan2004):
         srf = surface(table1, market, [jan2004], np.arange(90.0, 111.0, 5.0), 200)
         assert np.array_equal(srf.value, srf.equity + srf.debt)
+
+    def test_row_context_on_cblab_errors(self, table1, market, jan2004):
+        with pytest.raises(ConfigurationError, match="surface row t=2004-01-02") as info:
+            surface(table1, market, [jan2004], [100.0], 2)
+        assert isinstance(info.value.__cause__, ConfigurationError)
+
+    def test_foreign_exception_propagates_unchanged(self, table1, market, jan2004, monkeypatch):
+        class Foreign(Exception):
+            def __init__(self, code, detail):
+                super().__init__(code, detail)
+                self.code = code
+
+        raised = Foreign(7, "kernel fault")
+
+        def fail(*args, **kwargs):
+            raise raised
+
+        monkeypatch.setattr(sensitivities, "rollback_batch", fail)
+        with pytest.raises(Foreign) as info:
+            surface(table1, market, [jan2004], [100.0], 200)
+        assert info.value is raised and info.value.code == 7
 
 
 class TestPathologies:
