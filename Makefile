@@ -1,5 +1,8 @@
 .PHONY: test acceptance figures clean
 
+# run from the source tree: no install step needed
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 test:
 	pytest -q
 

@@ -4,6 +4,9 @@
 set -e
 OUT="${1:-out/figures}"
 
+# run from the source tree; `make figures` puts src/ on PYTHONPATH
+cblab() { python3 -m cblab.cli "$@"; }
+
 cblab price        --spot 100 --date 2002-01-02 --steps 500 --out "$OUT"
 cblab surface      --t-points 61 --s-min 50 --s-max 200 --s-step 1 --steps 500 --out "$OUT"
 cblab greeks       --date 2004-01-02 --s-min 50 --s-max 200 --s-step 0.5 --steps 500 --out "$OUT"

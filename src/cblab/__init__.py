@@ -46,7 +46,7 @@ from .lattice import (
     rollback_batch,
 )
 from .sensitivities import GreekPoint, Surface, delta, delta_pct, gamma, greek_point, surface
-from .hedge import HedgeStressSpec, hedge_increment, hedged_position, stress_curve
+from .hedge import HedgeStressSpec, hedge_increment, hedged_position, stress_curve, stress_increments
 from .var import (
     VaRResult,
     VaRSpec,

@@ -143,13 +143,10 @@ def cmd_hedge_stress(args) -> int:
         t=t, shock=args.shock, spot_grid=_spot_grid(args),
         steps=args.steps, contract_size=args.contract_size,
     )
-    curve = hedge.stress_curve(spec, terms, mkt)
-    value, dlt = hedge._value_and_delta(terms, mkt, t, spec.spot_grid, args.steps)
-    positions = value - dlt * spec.spot_grid
-    rows = []
-    for (s, inc, scaled), pos in zip(curve, positions):
-        rel = inc / abs(pos) if pos != 0 else np.inf
-        rows.append((s, inc, scaled, rel))
+    increments, positions = hedge.stress_increments(spec, terms, mkt)
+    scale = spec.scaling(terms)
+    rows = [(float(s), float(inc), float(inc * scale), inc / abs(pos) if pos != 0 else np.inf)
+            for s, inc, pos in zip(spec.spot_grid, increments, positions)]
     cfg = _config(args, ["s_min", "s_max", "s_step", "shock", "contract_size"])
     cfg["date"] = t.isoformat()
     report = Report(

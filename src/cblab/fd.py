@@ -8,8 +8,9 @@ Marches the pair of equations
 backward from expiry with central differences in S and forward Euler in time,
 re-imposing the contract constraints (put floor, conversion floor, call cap)
 and the S=0 / S=S_max boundary rows after every layer.  The node decision and
-the E/B classification are shared with the lattice module so the two methods
-are directly comparable; only the discretization differs.
+the E/B classification are `lattice.decide`, the one node rule, applied at
+expiry and at every interior layer, so the two methods are directly
+comparable; only the discretization differs.
 
 Stability of the explicit march is enforced by construction:
 dt <= dS^2 / (sigma^2 S_max^2 + (r + r_c) dS^2).
@@ -24,7 +25,7 @@ from datetime import date
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericalError
-from .lattice import _constrain
+from .lattice import decide
 from .termsheet import ConvertibleTerms, MarketParams, Timeline, year_fraction
 
 __all__ = ["FDGrid", "FDSolution", "solve_tf_fd", "fd_profile", "stable_time_layers"]
@@ -143,21 +144,19 @@ def solve_tf_fd(
     put_levels = timeline.put_dirty(taus)
     conv_active = timeline.conversion_active(taus)
     ratio = timeline.ratio
+    inject = timeline.coupon_injections(taus, risky)
 
-    # coupons: first layer at-or-after the pay date, compounded over the gap
-    inject = np.zeros(n_t)
-    for tau_c in timeline.coupon_taus:
-        if tau_c <= 1e-12 or tau_c >= span - 1e-12:
-            continue
-        j = int(np.searchsorted(taus, tau_c - 1e-12, side="left"))
-        inject[j] += timeline.coupon_amount * math.exp(risky * (taus[j] - tau_c))
+    # node-rule buffers for the whole march: full width for the expiry layer,
+    # their [1:-1] views for the interior of every layer after it
+    E, held, v_star = (np.empty(n_s) for _ in range(3))
+    masks = [np.empty(n_s, dtype=bool) for _ in range(3)]  # decided, converted, scratch
+    conv_on, conv_off = ratio * S, np.zeros(n_s)
 
-    # expiry layer
-    red = timeline.redemption
-    conv_T = ratio * S if conv_active[n_t - 1] else np.zeros_like(S)
-    take_conv = conv_T > red
-    V = np.where(take_conv, conv_T, red)
-    B = np.where(take_conv, 0.0, red)
+    # expiry layer: redeem or convert, i.e. the node rule with no call and no put
+    E.fill(0.0)
+    B = np.full(n_s, timeline.redemption)
+    decide(E, B, held, v_star, conv_on if conv_active[n_t - 1] else conv_off, np.inf, 0.0, *masks)
+    V = E + B
     if inject[n_t - 1] != 0.0:
         # pre-expiry coupon bucketing into the final layer: received either way
         V = V + inject[n_t - 1]
@@ -177,6 +176,10 @@ def solve_tf_fd(
         stored[n_t - 1] = (V.copy(), B.copy())
 
     conv_top = ratio * grid.s_max if conv_active[n_t - 1] else 0.0
+    E_in, held_in, v_star_in, conv_on_in, conv_off_in = (
+        x[1:-1] for x in (E, held, v_star, conv_on, conv_off)
+    )
+    masks_in = [x[1:-1] for x in masks]
     for m in range(n_t - 2, -1, -1):
         V_new = np.empty_like(V)
         B_new = np.empty_like(B)
@@ -202,12 +205,11 @@ def solve_tf_fd(
             V[-1] = debt_pv
             B[-1] = debt_pv
 
-        conv = ratio * S_int if conv_active[m] else np.zeros_like(S_int)
-        E_int, B_int, _, _, _ = _constrain(
-            V[1:-1] - B[1:-1], B[1:-1], call_levels[m], put_levels[m], conv
-        )
-        V[1:-1] = E_int + B_int
-        B[1:-1] = B_int
+        B_in = B[1:-1]
+        np.subtract(V[1:-1], B_in, out=E_in)
+        decide(E_in, B_in, held_in, v_star_in, conv_on_in if conv_active[m] else conv_off_in,
+               call_levels[m], put_levels[m], *masks_in)
+        np.add(E_in, B_in, out=V[1:-1])
 
         if m % _FINITE_CHECK_EVERY == 0 and not (np.isfinite(V).all() and np.isfinite(B).all()):
             raise NumericalError(f"non-finite values at layer {m} (tau={tau_m:.6f})")

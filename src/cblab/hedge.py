@@ -16,9 +16,10 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .lattice import rollback_batch
+from .sensitivities import _front_greeks
 from .termsheet import ConvertibleTerms, MarketParams
 
-__all__ = ["HedgeStressSpec", "hedged_position", "hedge_increment", "stress_curve"]
+__all__ = ["HedgeStressSpec", "hedged_position", "hedge_increment", "stress_increments", "stress_curve"]
 
 
 def _default_grid() -> np.ndarray:
@@ -49,20 +50,27 @@ class HedgeStressSpec:
         return self.contract_size / terms.nominal
 
 
-def _value_and_delta(terms, mkt, t, spots, steps):
-    res = rollback_batch(terms, mkt, t, spots, steps, front_layers=1)
-    lp = res.params
-    v1 = res.fronts[1]
-    dlt = (v1[:, 1] - v1[:, 0]) / ((lp.up - lp.down) * spots)
-    return res.value, dlt
-
-
 def hedged_position(terms: ConvertibleTerms, mkt: MarketParams, t: date, spot: float, steps: int) -> float:
     """Value of long bond / short delta*S, per bond of `nominal` face."""
     if spot <= 0:
         raise DomainError("spot must be > 0")
-    value, dlt = _value_and_delta(terms, mkt, t, np.array([float(spot)]), steps)
-    return float(value[0] - dlt[0] * spot)
+    spots = np.array([float(spot)])
+    res = rollback_batch(terms, mkt, t, spots, steps, front_layers=1)
+    dlt, _ = _front_greeks(res, spots)
+    return float(res.value[0] - dlt[0] * spot)
+
+
+def stress_increments(
+    spec: HedgeStressSpec, terms: ConvertibleTerms, mkt: MarketParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shock increments and pre-shock hedged positions over the spec's spot
+    grid, from one rollback of the base and the shocked spots together."""
+    spots, shock, m = spec.spot_grid, spec.shock, spec.spot_grid.size
+    both = np.concatenate([spots, spots + shock])
+    res = rollback_batch(terms, mkt, spec.t, both, spec.steps, front_layers=1)
+    value, bumped = res.value[:m], res.value[m:]
+    dlt = _front_greeks(res, both)[0][:m]
+    return bumped - value - shock * dlt, value - dlt * spots
 
 
 def hedge_increment(
@@ -74,18 +82,15 @@ def hedge_increment(
         raise DomainError("spot and shocked spot must be > 0")
     if shock == 0:
         return 0.0
-    value, dlt = _value_and_delta(terms, mkt, t, np.array([float(spot)]), steps)
-    bumped = rollback_batch(terms, mkt, t, np.array([float(spot + shock)]), steps)
-    return float(bumped.value[0] - value[0] - shock * dlt[0])
+    spec = HedgeStressSpec(t=t, shock=shock, spot_grid=np.array([float(spot)]), steps=steps)
+    inc, _ = stress_increments(spec, terms, mkt)
+    return float(inc[0])
 
 
 def stress_curve(
     spec: HedgeStressSpec, terms: ConvertibleTerms, mkt: MarketParams
 ) -> list[tuple[float, float, float]]:
     """Shock increments over the whole grid: (S, increment, scaled increment)."""
-    spots = spec.spot_grid
-    value, dlt = _value_and_delta(terms, mkt, spec.t, spots, spec.steps)
-    bumped = rollback_batch(terms, mkt, spec.t, spots + spec.shock, spec.steps)
-    inc = bumped.value - value - spec.shock * dlt
+    inc, _ = stress_increments(spec, terms, mkt)
     scale = spec.scaling(terms)
-    return [(float(s), float(x), float(x * scale)) for s, x in zip(spots, inc)]
+    return [(float(s), float(x), float(x * scale)) for s, x in zip(spec.spot_grid, inc)]

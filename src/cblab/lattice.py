@@ -8,6 +8,10 @@ Q3 the dirty put price and Q4 the conversion value.  Conversion is the only
 outcome settled in shares; cash outcomes (redemption, call, put) keep their
 value in B, which is what couples the credit spread to the exercise decisions.
 
+`decide` is the one implementation of that rule and its E/B split.  The tree's
+interior layers, its expiry layer (no call, no put: redeem or convert),
+`apply_constraints` and the finite-difference solver in `fd` all run it.
+
 The rollback kernel is vectorized over a batch of root spot prices: every spot
 still gets its own full tree, and batch results are bit-identical to pricing
 each spot alone (all operations are elementwise).  A batch runs in blocks of
@@ -36,13 +40,13 @@ __all__ = [
     "PriceResult",
     "build_crr_params",
     "apply_constraints",
+    "decide",
     "price_tf_crr",
     "price_profile_raw",
     "rollback_batch",
     "engine_threads",
 ]
 
-_COUPON_EPS = 1e-12
 BLOCK = 128  # spots per kernel block: the workspace is bounded whatever the batch size
 
 
@@ -115,25 +119,30 @@ def build_crr_params(sigma: float, rate: float, horizon: float, steps: int) -> L
     return LatticeParams(steps=steps, dt=dt, up=up, down=down, p_up=p_up)
 
 
-def _constrain(E, B, call_level, put_level, conv_value):
-    """Vectorized node decision: V* = max(min(E+B, call), put, conv).
+def decide(E, B, V, vs, conv, call, put, ncont, convb, tmp) -> None:
+    """The node rule, in place: V* = max(min(V, call), put, conv), V = E + B.
 
-    Ties resolve continuation > conversion > call > put.  Returns the new
-    (E, B) and the boolean masks of where conversion/call/put bound.
-
-    Classification: conversion pays shares (all equity); a binding call or put
-    pays contractual cash, so the proceeds sit in the credit-risky debt part.
+    Ties resolve continuation > conversion > call > put.  A continuing node
+    keeps its E/B split.  Every decided node takes V* (a binding call or put
+    sets V* to its level exactly): into E when conversion binds, since it pays
+    shares, and into B otherwise, since call and put proceeds are contractual
+    cash.  E and B are updated; V, vs, ncont and convb are left holding the
+    held value, V*, "decided" and "converted"; tmp is scratch.  All arrays
+    share one shape; `call` and `put` are scalars.
     """
-    V = E + B
-    v_star = np.maximum(np.maximum(np.minimum(V, call_level), put_level), conv_value)
-    no_clip = V <= call_level
-    cont = no_clip & (v_star == V)
-    convb = ~cont & (v_star == conv_value)
-    callb = ~cont & ~convb & ~no_clip & (v_star == call_level)
-    putb = ~(cont | convb | callb)
-    E_out = np.where(cont, E, np.where(convb, conv_value, 0.0))
-    B_out = np.where(cont, B, np.where(convb, 0.0, np.where(callb, call_level, put_level)))
-    return E_out, B_out, convb, callb, putb
+    np.add(E, B, out=V)
+    np.minimum(V, call, out=vs)
+    np.maximum(vs, put, out=vs)
+    np.maximum(vs, conv, out=vs)
+    np.greater(V, call, out=ncont)
+    np.not_equal(vs, V, out=tmp)
+    np.logical_or(ncont, tmp, out=ncont)
+    np.equal(vs, conv, out=convb)
+    np.logical_and(convb, ncont, out=convb)
+    np.copyto(E, 0.0, where=ncont)
+    np.copyto(E, vs, where=convb)
+    np.copyto(B, vs, where=ncont)
+    np.copyto(B, 0.0, where=convb)
 
 
 def apply_constraints(q1: NodeValue, q2: float, q3: float, q4: float) -> NodeValue:
@@ -142,9 +151,10 @@ def apply_constraints(q1: NodeValue, q2: float, q3: float, q4: float) -> NodeVal
     for name, v in (("q1.equity", q1.equity), ("q1.debt", q1.debt), ("q3", q3), ("q4", q4)):
         if not np.isfinite(v) or v < 0:
             raise DomainError(f"{name} must be finite and >= 0, got {v}")
-    E, B, _, _, _ = _constrain(
-        np.array([q1.equity]), np.array([q1.debt]), q2, q3, np.array([q4])
-    )
+    E, B, conv = (np.array([float(x)]) for x in (q1.equity, q1.debt, q4))
+    V, vs = np.empty(1), np.empty(1)
+    ncont, convb, tmp = (np.empty(1, dtype=bool) for _ in range(3))
+    decide(E, B, V, vs, conv, q2, q3, ncont, convb, tmp)
     return NodeValue(equity=float(E[0]), debt=float(B[0]))
 
 
@@ -203,16 +213,8 @@ class _Rollback:
         self.conv_active = timeline.conversion_active(taus)
         self.redemption = timeline.redemption
 
-        # cash coupons: attach each to the first layer at-or-after its pay date,
-        # compounded over the sub-step gap at the risky rate so the present value
-        # at every earlier layer is exact; the final coupon rides on redemption
         risky = mkt.rate + mkt.credit_spread
-        self.inject = np.zeros(N + 1)
-        for tau_c in timeline.coupon_taus:
-            if tau_c <= _COUPON_EPS or tau_c >= timeline.tau_maturity - _COUPON_EPS:
-                continue
-            j = int(np.searchsorted(taus, tau_c - _COUPON_EPS, side="left"))
-            self.inject[j] += timeline.coupon_amount * math.exp(risky * (taus[j] - tau_c))
+        self.inject = timeline.coupon_injections(taus, risky)
 
         # node conversion value at layer i, node j: ratio * spot * u^(2j-i);
         # the powers u^-N..u^N are tabulated once, layer i reads pw[N-i : N+i+1 : 2]
@@ -243,15 +245,14 @@ class _Rollback:
         binds = None if self.binds is None else self.binds[:, lo:hi]
         fronts = [f[lo:hi] for f in self.fronts]
 
+        # expiry: redeem or convert, i.e. the node rule with no call and no put
         if self.conv_active[N]:
             np.multiply(rs, pw[0::2], out=C)
         else:
             C.fill(0.0)
-        np.greater(C, self.redemption, out=CB)
         E.fill(0.0)
-        np.copyto(E, C, where=CB)
         B.fill(self.redemption)
-        np.copyto(B, 0.0, where=CB)
+        decide(E, B, V, VS, C, np.inf, 0.0, NC, CB, TMP)
         if self.inject[N] != 0.0:
             # a coupon paid strictly before maturity that buckets into the terminal
             # layer (coarse trees only) is received cash either way: conversion at
@@ -279,24 +280,8 @@ class _Rollback:
             else:
                 conv.fill(0.0)
 
-            # V* = max(min(V, call), put, conv); ties resolve continuation >
-            # conversion > call > put.  A binding call or put sets V* to its
-            # level exactly, so every decided node takes V*: into E when
-            # conversion binds (shares), into B otherwise (cash).
-            call_level, put_level = self.call_levels[i], self.put_levels[i]
-            np.add(Ew, Bw, out=Vw)
-            np.minimum(Vw, call_level, out=vs)
-            np.maximum(vs, put_level, out=vs)
-            np.maximum(vs, conv, out=vs)
-            np.greater(Vw, call_level, out=ncont)
-            np.not_equal(vs, Vw, out=TMP[:, :w])
-            np.logical_or(ncont, TMP[:, :w], out=ncont)
-            np.equal(vs, conv, out=convb)
-            np.logical_and(convb, ncont, out=convb)
-            np.copyto(Ew, 0.0, where=ncont)
-            np.copyto(Ew, vs, where=convb)
-            np.copyto(Bw, vs, where=ncont)
-            np.copyto(Bw, 0.0, where=convb)
+            call_level = self.call_levels[i]
+            decide(Ew, Bw, Vw, vs, conv, call_level, self.put_levels[i], ncont, convb, TMP[:, :w])
 
             if binds is not None:
                 # cash = decided, not converted; the call bound where the

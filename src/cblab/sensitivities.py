@@ -2,7 +2,9 @@
 
 Delta and gamma are read off the first two layers of the same tree that prices
 the bond: delta = (V+ - V-)/((u-d)S) from the step-1 nodes, gamma from the two
-step-1 deltas formed out of the step-2 node values.  The trader's delta
+step-1 deltas formed out of the step-2 node values.  `_front_greeks` is the one
+read-out: `surface` runs whole spot rows through it, and `greek_point`, `gamma`,
+`delta` and the `hedge` functions are views of it.  The trader's delta
 (delta_pct) rescales by the conversion ratio.  No smoothing or extrapolation is
 applied anywhere; oscillations in these numbers are signal, not noise.
 """
@@ -15,7 +17,7 @@ from datetime import date
 import numpy as np
 
 from .errors import CBLabError, ConfigurationError, DomainError
-from .lattice import rollback_batch
+from .lattice import BatchResult, rollback_batch
 from .termsheet import ConvertibleTerms, MarketParams, accrued_interest
 
 __all__ = ["GreekPoint", "Surface", "delta", "delta_pct", "gamma", "greek_point", "surface"]
@@ -65,29 +67,28 @@ class Surface:
         )
 
 
-def _greek_arrays(terms, mkt, t, spots, steps):
-    """One rollback per spot (batched): root split plus delta and gamma."""
-    if steps < 3:
-        raise ConfigurationError("greeks need at least 3 tree steps to maturity")
-    res = rollback_batch(terms, mkt, t, spots, steps, front_layers=2)
+def _front_greeks(res: BatchResult, spots: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Delta per spot from a rollback's step-1 nodes, and gamma from its step-2
+    nodes when the rollback recorded them (else None)."""
     lp = res.params
-    v0, v1, v2 = res.fronts  # constrained V at layers 0, 1, 2
     spread = (lp.up - lp.down) * spots
+    v1 = res.fronts[1]
     dlt = (v1[:, 1] - v1[:, 0]) / spread
+    if len(res.fronts) < 3:
+        return dlt, None
+    v2 = res.fronts[2]
     d_up = (v2[:, 2] - v2[:, 1]) / ((lp.up - lp.down) * spots * lp.up)
     d_dn = (v2[:, 1] - v2[:, 0]) / ((lp.up - lp.down) * spots * lp.down)
-    gma = (d_up - d_dn) / spread
-    return res.equity, res.debt, v0[:, 0], dlt, gma
+    return dlt, (d_up - d_dn) / spread
 
 
 def delta(terms: ConvertibleTerms, mkt: MarketParams, t: date, spot: float, steps: int) -> float:
     """Hedge ratio dV/dS read from the step-1 nodes of the tree rooted at (t, spot)."""
     if steps < 2:
         raise ConfigurationError("delta needs at least 2 tree steps")
-    res = rollback_batch(terms, mkt, t, np.array([float(spot)]), steps, front_layers=1)
-    lp = res.params
-    v1 = res.fronts[1]
-    return float((v1[0, 1] - v1[0, 0]) / ((lp.up - lp.down) * spot))
+    spots = np.array([float(spot)])
+    dlt, _ = _front_greeks(rollback_batch(terms, mkt, t, spots, steps, front_layers=1), spots)
+    return float(dlt[0])
 
 
 def delta_pct(terms: ConvertibleTerms, mkt: MarketParams, t: date, spot: float, steps: int) -> float:
@@ -103,24 +104,12 @@ def gamma(terms: ConvertibleTerms, mkt: MarketParams, t: date, spot: float, step
     """Second derivative estimate from the step-2 layer of the same tree."""
     if steps < 3:
         raise ConfigurationError("gamma needs at least 3 tree steps")
-    _, _, _, _, g = _greek_arrays(terms, mkt, t, np.array([float(spot)]), steps)
-    return float(g[0])
+    return greek_point(terms, mkt, t, spot, steps).gamma
 
 
 def greek_point(terms: ConvertibleTerms, mkt: MarketParams, t: date, spot: float, steps: int) -> GreekPoint:
     """Price split, delta, delta_pct and gamma at one (t, S), from one tree."""
-    eq, db, v0, dlt, gma = _greek_arrays(terms, mkt, t, np.array([float(spot)]), steps)
-    ratio = terms.conversion.ratio
-    return GreekPoint(
-        t=t,
-        spot=float(spot),
-        value=float(v0[0]),
-        equity=float(eq[0]),
-        debt=float(db[0]),
-        delta=float(dlt[0]),
-        delta_pct=float(dlt[0] / ratio) if ratio > 0 else np.nan,
-        gamma=float(gma[0]),
-    )
+    return surface(terms, mkt, (t,), np.array([float(spot)]), steps).point(0, 0)
 
 
 def surface(
@@ -146,12 +135,15 @@ def surface(
     out = {k: np.empty((nt, ns)) for k in ("value", "equity", "debt", "delta", "delta_pct", "gamma")}
     for i, t in enumerate(t_grid):
         try:
-            eq, db, v0, dlt, gma = _greek_arrays(terms, mkt, t, spots, steps)
+            if steps < 3:
+                raise ConfigurationError("greeks need at least 3 tree steps to maturity")
+            res = rollback_batch(terms, mkt, t, spots, steps, front_layers=2)
         except CBLabError as exc:
             raise type(exc)(f"surface row t={t}: {exc}") from exc
-        out["value"][i] = v0
-        out["equity"][i] = eq
-        out["debt"][i] = db
+        dlt, gma = _front_greeks(res, spots)
+        out["value"][i] = res.fronts[0][:, 0]
+        out["equity"][i] = res.equity
+        out["debt"][i] = res.debt
         out["delta"][i] = dlt
         out["delta_pct"][i] = dlt / ratio if ratio > 0 else np.nan
         out["gamma"][i] = gma

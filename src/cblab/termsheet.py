@@ -8,6 +8,7 @@ value, dirty call, dirty put).  Everything here is immutable and pure.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from enum import Enum
@@ -292,7 +293,7 @@ def dirty_put_price(terms: ConvertibleTerms, t: date) -> float:
 # Engine-facing timeline (year-fraction coordinates)
 # ---------------------------------------------------------------------------
 
-_WINDOW_EPS = 1e-12  # fp guard when grid times land on window boundaries
+_WINDOW_EPS = 1e-12  # fp guard when grid times land on window boundaries or pay dates
 
 
 class Timeline:
@@ -373,6 +374,22 @@ class Timeline:
         """Boolean mask: is conversion permitted at each tau."""
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
         return self._in_window(self._conv_window, tau)
+
+    def coupon_injections(self, taus: np.ndarray, risky_rate: float) -> np.ndarray:
+        """Cash coupons bucketed onto an ascending time grid that spans the life.
+
+        Each coupon paid strictly inside (0, maturity) attaches to the first
+        grid time at or after its pay date, compounded over the gap at the
+        risky rate, so its present value at every earlier grid time is exact.
+        The final coupon is part of the redemption amount.
+        """
+        inject = np.zeros(len(taus))
+        for tau_c in self.coupon_taus:
+            if tau_c <= _WINDOW_EPS or tau_c >= self.tau_maturity - _WINDOW_EPS:
+                continue
+            j = int(np.searchsorted(taus, tau_c - _WINDOW_EPS, side="left"))
+            inject[j] += self.coupon_amount * math.exp(risky_rate * (taus[j] - tau_c))
+        return inject
 
     def risky_cash_pv(self, tau: float, risky_rate: float) -> float:
         """PV at tau of all remaining contractual cash (coupons + nominal) at risky_rate.

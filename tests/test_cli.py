@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cblab import hedge, lattice, sensitivities, var
 from cblab.cli import main
 
 
@@ -129,6 +130,22 @@ class TestHedgeStress:
         assert lines[3] == "S,increment,increment_scaled,increment_relative"
         row = lines[4].split(",")
         assert float(row[2]) == pytest.approx(float(row[1]) * 10_000.0, rel=1e-10)
+
+    def test_at_most_two_grid_rollbacks(self, tmp_path, monkeypatch):
+        """Positions and increments come from the same engine work: the base
+        and the shocked grid, each rolled back once."""
+        seen = []
+        engine = lattice.rollback_batch
+
+        def counting(terms, mkt, t0, spots, *args, **kwargs):
+            seen.append(len(spots))
+            return engine(terms, mkt, t0, spots, *args, **kwargs)
+
+        for module in (lattice, sensitivities, hedge, var):
+            monkeypatch.setattr(module, "rollback_batch", counting)
+        assert run(["hedge-stress", "--s-min", 90, "--s-max", 92, "--s-step", 1,
+                    "--steps", 120, "--out", tmp_path]) == 0
+        assert 0 < sum(seen) <= 2 * 3
 
 
 class TestVar:

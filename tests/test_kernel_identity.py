@@ -3,8 +3,10 @@ current kernel = the kernel it replaced, all bit for bit (`np.array_equal`).
 
 The reference digests were recorded with the previous, unblocked single-thread
 kernel on the input sweeps of acceptance criteria 1-4 plus a putable variant
-that makes every constraint bind.  A digest is sha256 over the raw float64 /
-int64 bytes, so any last-bit change in any output fails here.
+that makes every constraint bind.  The FD digests were recorded with the
+explicit solver as it stood before it shared the lattice's decision kernel.
+A digest is sha256 over the raw float64 / int64 bytes, so any last-bit change
+in any output fails here.
 """
 
 import hashlib
@@ -19,6 +21,7 @@ import pytest
 
 from cblab import (
     ConfigurationError,
+    FDGrid,
     PutTerms,
     VaRSpec,
     lattice,
@@ -26,6 +29,8 @@ from cblab import (
     reference_terms,
     rollback_batch,
     simulate_stock,
+    solve_tf_fd,
+    year_fraction,
 )
 
 TABLE1 = reference_terms()
@@ -50,13 +55,14 @@ def _sweeps():
     }
 
 
-def _digests(res) -> dict:
-    def sha(*arrays):
-        h = hashlib.sha256()
-        for a in arrays:
-            h.update(np.ascontiguousarray(a).tobytes())
-        return h.hexdigest()[:24]
+def sha(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:24]
 
+
+def _digests(res) -> dict:
     binds = [np.asarray(b, dtype=np.int64) for b in (res.conv_binds, res.call_binds, res.put_binds)]
     return {
         "equity": sha(res.equity),
@@ -123,6 +129,32 @@ def test_matches_previous_kernel(sweeps, name):
     terms, t0, spots, steps, front_layers = sweeps[name]
     res = rollback_batch(terms, MARKET, t0, spots, steps, front_layers=front_layers, binds=True)
     assert _digests(res) == REFERENCE[name]
+
+
+# solve_tf_fd on a 101-node auto grid, default snapshots (41 stored layers)
+FD_REFERENCE = {
+    "reference_2004": {
+        "value": "e1a776652ac5dece884550ed",
+        "equity": "1ef4e59d74d3c9b6fbfa58cd",
+        "debt": "817065d1ec099b5d2f439a14",
+    },
+    "putable_2002": {
+        "value": "86bb837874cec39b6200017a",
+        "equity": "678512e79da0ff4c1331685c",
+        "debt": "265c4bc36aa4286b05d770ba",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(FD_REFERENCE))
+def test_fd_matches_previous_solver(sweeps, name):
+    terms, t0 = {
+        "reference_2004": (TABLE1, JAN2004),
+        "putable_2002": (sweeps["putable"][0], ISSUE),
+    }[name]
+    grid = FDGrid.auto(MARKET, year_fraction(t0, terms.maturity), n_s=101)
+    sol = solve_tf_fd(terms, MARKET, t0, grid)
+    assert {k: sha(getattr(sol, k)) for k in FD_REFERENCE[name]} == FD_REFERENCE[name]
 
 
 def test_putable_sweep_binds_every_constraint(sweeps):

@@ -92,6 +92,22 @@ class TestApplyConstraints:
         out = apply_constraints(NodeValue(80.0, 40.0), 110.0, 0.0, 110.0)
         assert (out.equity, out.debt) == (110.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "held, call, put, conv, expected",
+        [
+            # V == call, conv < call: the call does not clip, the holder continues
+            (NodeValue(70.0, 40.0), 110.0, 0.0, 100.0, (70.0, 40.0)),
+            # V == put: continuation wins the tie with the put
+            (NodeValue(50.0, 48.0), np.inf, 98.0, 20.0, (50.0, 48.0)),
+            # conv == put > V: conversion wins the tie with the put
+            (NodeValue(10.0, 60.0), np.inf, 98.0, 98.0, (98.0, 0.0)),
+        ],
+        ids=["held_equals_call", "held_equals_put", "conversion_equals_put"],
+    )
+    def test_exact_ties(self, held, call, put, conv, expected):
+        out = apply_constraints(held, call, put, conv)
+        assert (out.equity, out.debt) == expected
+
     def test_negative_component_rejected(self):
         with pytest.raises(DomainError):
             apply_constraints(NodeValue(-1.0, 0.0), np.inf, 0.0, 0.0)
