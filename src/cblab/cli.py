@@ -3,7 +3,8 @@ emission of plot-ready CSV / text artifacts.
 
 Subcommands: price | surface | greeks | hedge-stress | var | compare.
 All outputs are data files (no rendered images); files embed their full
-configuration and its hash so identical runs produce identical bytes.
+configuration, with the term sheet's contents rather than its path, and its
+hash, so identical runs produce identical bytes from any checkout.
 CBLAB_THREADS sets how many threads every lattice batch runs on (default:
 the cores this process may use); the output bytes do not depend on it.
 """
@@ -26,6 +27,7 @@ from .termsheet import (
     accrued_interest,
     load_terms,
     reference_terms_path,
+    terms_to_dict,
     year_fraction,
 )
 
@@ -51,8 +53,8 @@ def _market(args) -> MarketParams:
     return MarketParams(rate=args.rate, credit_spread=args.spread, sigma=args.vol)
 
 
-def _config(args, keys: list[str]) -> dict:
-    cfg = {"command": args.command, "terms": str(args.terms)}
+def _config(args, terms, keys: list[str]) -> dict:
+    cfg = {"command": args.command, "terms": terms_to_dict(terms)}
     for k in ("rate", "spread", "vol", "steps"):
         cfg[k] = getattr(args, k)
     for k in keys:
@@ -67,7 +69,7 @@ def cmd_price(args) -> int:
     t = args.date or terms.issue
     res = lattice.price_tf_crr(terms, mkt, t, args.spot, args.steps)
     ai = accrued_interest(terms, t)
-    cfg = _config(args, ["spot"])
+    cfg = _config(args, terms, ["spot"])
     cfg["date"] = t.isoformat()
     report = Report(
         config=cfg,
@@ -113,7 +115,7 @@ def cmd_surface(args) -> int:
     t_grid = [date.fromordinal(terms.issue.toordinal() + o) for o in offsets]
     spots = _spot_grid(args)
     rows = _surface_rows(terms, mkt, t_grid, spots, args.steps)
-    cfg = _config(args, ["s_min", "s_max", "s_step", "t_points"])
+    cfg = _config(args, terms, ["s_min", "s_max", "s_step", "t_points"])
     report = Report(config=cfg, columns=_SURFACE_COLUMNS, rows=rows, summary=[])
     out = Path(args.out) / f"surface.{_ext(args)}"
     write_rows(report, out, args.format)
@@ -126,7 +128,7 @@ def cmd_greeks(args) -> int:
     mkt = _market(args)
     spots = _spot_grid(args)
     rows = _surface_rows(terms, mkt, [args.date], spots, args.steps)
-    cfg = _config(args, ["s_min", "s_max", "s_step"])
+    cfg = _config(args, terms, ["s_min", "s_max", "s_step"])
     cfg["date"] = args.date.isoformat()
     report = Report(config=cfg, columns=_SURFACE_COLUMNS, rows=rows, summary=[])
     out = Path(args.out) / f"greeks.{_ext(args)}"
@@ -147,7 +149,7 @@ def cmd_hedge_stress(args) -> int:
     scale = spec.scaling(terms)
     rows = [(float(s), float(inc), float(inc * scale), inc / abs(pos) if pos != 0 else np.inf)
             for s, inc, pos in zip(spec.spot_grid, increments, positions)]
-    cfg = _config(args, ["s_min", "s_max", "s_step", "shock", "contract_size"])
+    cfg = _config(args, terms, ["s_min", "s_max", "s_step", "shock", "contract_size"])
     cfg["date"] = t.isoformat()
     report = Report(
         config=cfg,
@@ -176,8 +178,8 @@ def cmd_var(args) -> int:
         steps=args.steps,
     )
     result = var.run_var(spec, terms, mkt)
-    cfg = _config(args, ["spot", "holding_days", "confidence", "scenarios", "drift",
-                         "scen_vol", "seed"])
+    cfg = _config(args, terms, ["spot", "holding_days", "confidence", "scenarios", "drift",
+                                "scen_vol", "seed"])
     cfg["date"] = spec.eval_date.isoformat()
     out_dir = Path(args.out)
     write_lines(cfg, result.report_lines(), out_dir / "var_report.txt")
@@ -212,7 +214,7 @@ def cmd_compare(args) -> int:
         f"lattice_monotonicity_violations {lat_viol}",
         f"fd_monotonicity_violations {fd_viol}",
     ]
-    cfg = _config(args, ["s_min", "s_max", "s_step", "fd_s_max", "fd_nodes"])
+    cfg = _config(args, terms, ["s_min", "s_max", "s_step", "fd_s_max", "fd_nodes"])
     cfg["date"] = args.date.isoformat()
     rows = [(float(s), float(vl), float(vf), float(d))
             for s, vl, vf, d in zip(spots, v_lat, v_fd, diff)]

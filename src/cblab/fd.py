@@ -37,10 +37,18 @@ def _stability_limit(sigma: float, risky_rate: float, s_max: float, ds: float) -
     return ds * ds / (sigma * sigma * s_max * s_max + risky_rate * ds * ds)
 
 
+def _check_space(s_max: float, n_s: int) -> None:
+    if n_s < 3:
+        raise ConfigurationError(f"need at least 3 spot nodes, got {n_s}")
+    if not (math.isfinite(s_max) and s_max > 0):
+        raise ConfigurationError(f"s_max must be finite and > 0, got {s_max:g}")
+
+
 def stable_time_layers(
     sigma: float, risky_rate: float, horizon: float, s_max: float, n_s: int
 ) -> int:
     """Smallest layer count satisfying the explicit-scheme stability bound."""
+    _check_space(s_max, n_s)
     ds = s_max / (n_s - 1)
     dt_max = _stability_limit(sigma, risky_rate, s_max, ds)
     return int(math.ceil(horizon / dt_max)) + 1
@@ -55,12 +63,9 @@ class FDGrid:
     n_t: int
 
     def __post_init__(self) -> None:
-        if self.n_s < 3:
-            raise ConfigurationError("need at least 3 spot nodes")
+        _check_space(self.s_max, self.n_s)
         if self.n_t < 2:
             raise ConfigurationError("need at least 2 time layers")
-        if self.s_max <= 0:
-            raise ConfigurationError("s_max must be > 0")
 
     @property
     def ds(self) -> float:
@@ -145,6 +150,7 @@ def solve_tf_fd(
     conv_active = timeline.conversion_active(taus)
     ratio = timeline.ratio
     inject = timeline.coupon_injections(taus, risky)
+    debt_pvs = timeline.risky_cash_pv(taus, risky)
 
     # node-rule buffers for the whole march: full width for the expiry layer,
     # their [1:-1] views for the interior of every layer after it
@@ -186,14 +192,13 @@ def solve_tf_fd(
         V_new[1:-1] = cu * V[2:] + cm_v * V[1:-1] + cd * V[:-2] - (dt * rc) * B[1:-1]
         B_new[1:-1] = cu * B[2:] + cm_b * B[1:-1] + cd * B[:-2]
         V, B = V_new, B_new
-        tau_m = taus[m]
 
         if inject[m] != 0.0:
             B[1:-1] += inject[m]
             V[1:-1] += inject[m]
 
         # S = 0: equity worthless forever, claim is pure risky debt (put-floored)
-        debt_pv = timeline.risky_cash_pv(tau_m, risky)
+        debt_pv = debt_pvs[m]
         floor0 = max(put_levels[m], debt_pv)
         V[0] = floor0
         B[0] = floor0
@@ -212,7 +217,7 @@ def solve_tf_fd(
         np.add(E_in, B_in, out=V[1:-1])
 
         if m % _FINITE_CHECK_EVERY == 0 and not (np.isfinite(V).all() and np.isfinite(B).all()):
-            raise NumericalError(f"non-finite values at layer {m} (tau={tau_m:.6f})")
+            raise NumericalError(f"non-finite values at layer {m} (tau={taus[m]:.6f})")
         if m in want:
             stored[m] = (V.copy(), B.copy())
 

@@ -57,10 +57,6 @@ class Report:
     rows: list[tuple]
     summary: list[str]
 
-    @property
-    def hash(self) -> str:
-        return config_hash(self.config)
-
 
 def write_rows(report: Report, path: Path, fmt: str = "csv") -> None:
     """Write a report as CSV (default) or aligned structured text."""

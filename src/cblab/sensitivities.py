@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CBLabError, ConfigurationError, DomainError
 from .lattice import BatchResult, rollback_batch
-from .termsheet import ConvertibleTerms, MarketParams, accrued_interest
+from .termsheet import ConvertibleTerms, MarketParams
 
 __all__ = ["GreekPoint", "Surface", "delta", "delta_pct", "gamma", "greek_point", "surface"]
 
@@ -148,11 +148,6 @@ def surface(
         out["delta_pct"][i] = dlt / ratio if ratio > 0 else np.nan
         out["gamma"][i] = gma
     return Surface(t_grid=t_grid, spot_grid=spots, **out)
-
-
-def clean_value(terms: ConvertibleTerms, t: date, dirty: float) -> float:
-    """Clean price: dirty minus accrued interest at t."""
-    return dirty - accrued_interest(terms, t)
 
 
 def monotonicity_violations(values, tol: float = 0.0) -> int:

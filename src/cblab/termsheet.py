@@ -1,16 +1,20 @@
 """Convertible-bond contract representation.
 
-Term sheet types (coupon schedule, conversion/call/put windows), act/365 date
-arithmetic, accrued interest, and the contract-level price functions (conversion
-value, dirty call, dirty put).  Everything here is immutable and pure.
+Term sheet types (coupon schedule, conversion window, and one exercise-right
+type for the call and the put: a flat clean level inside [start, end]), act/365
+date arithmetic, accrued interest, and the contract-level price functions
+(conversion value, dirty call, dirty put).  Everything here is immutable and
+pure.  `Timeline` re-expresses the contract for the engines; every query it
+answers for them takes a whole grid of year-fraction times.
 """
 
 from __future__ import annotations
 
+import calendar
 import json
 import math
 from dataclasses import dataclass, replace
-from datetime import date, timedelta
+from datetime import date
 from enum import Enum
 from pathlib import Path
 
@@ -61,13 +65,7 @@ def _add_months(d: date, months: int) -> date:
     m = d.month - 1 + months
     y = d.year + m // 12
     m = m % 12 + 1
-    # clamp day for short months (31st -> 30th/28th etc.)
-    for day in range(d.day, 27, -1):
-        try:
-            return date(y, m, day)
-        except ValueError:
-            continue
-    return date(y, m, min(d.day, 28))
+    return date(y, m, min(d.day, calendar.monthrange(y, m)[1]))
 
 
 @dataclass(frozen=True)
@@ -126,51 +124,28 @@ class ConversionTerms:
 
 
 @dataclass(frozen=True)
-class CallTerms:
-    """Issuer redemption right at a clean level inside [start, end].
-
-    `schedule`, when nonempty, lists (effective-from date, clean price) steps and
-    overrides the flat `price`.
-    """
+class _ExerciseRight:
+    """Right to exercise at a flat clean level inside [start, end]."""
 
     price: float
     start: date
     end: date
-    schedule: tuple[tuple[date, float], ...] = ()
 
     def __post_init__(self) -> None:
-        levels = [self.price] + [p for _, p in self.schedule]
-        if any(p <= 0 for p in levels):
-            raise ConfigurationError("call price must be > 0 inside the window")
-
-    def clean_level(self, t: date) -> float:
-        level = self.price
-        for eff, p in sorted(self.schedule):
-            if eff <= t:
-                level = p
-        return level
+        if not self.price > 0:  # also refuses NaN
+            raise ConfigurationError(f"{self._name} price must be > 0 inside the window")
 
 
-@dataclass(frozen=True)
-class PutTerms:
+class CallTerms(_ExerciseRight):
+    """Issuer redemption right at a clean level inside [start, end]."""
+
+    _name = "call"
+
+
+class PutTerms(_ExerciseRight):
     """Holder sell-back right at a clean level inside [start, end]."""
 
-    price: float
-    start: date
-    end: date
-    schedule: tuple[tuple[date, float], ...] = ()
-
-    def __post_init__(self) -> None:
-        levels = [self.price] + [p for _, p in self.schedule]
-        if any(p <= 0 for p in levels):
-            raise ConfigurationError("put price must be > 0 inside the window")
-
-    def clean_level(self, t: date) -> float:
-        level = self.price
-        for eff, p in sorted(self.schedule):
-            if eff <= t:
-                level = p
-        return level
+    _name = "put"
 
 
 @dataclass(frozen=True)
@@ -202,18 +177,13 @@ class ConvertibleTerms:
 
     def with_nominal_scaled(self, factor: float) -> "ConvertibleTerms":
         """Scale nominal, coupon basis, conversion ratio and call/put levels together."""
-        scale_sched = lambda s: tuple((d, p * factor) for d, p in s)
         return replace(
             self,
             nominal=self.nominal * factor,
             coupon=replace(self.coupon, nominal=self.coupon.nominal * factor),
             conversion=replace(self.conversion, ratio=self.conversion.ratio * factor),
-            call=None
-            if self.call is None
-            else replace(self.call, price=self.call.price * factor, schedule=scale_sched(self.call.schedule)),
-            put=None
-            if self.put is None
-            else replace(self.put, price=self.put.price * factor, schedule=scale_sched(self.put.schedule)),
+            call=None if self.call is None else replace(self.call, price=self.call.price * factor),
+            put=None if self.put is None else replace(self.put, price=self.put.price * factor),
         )
 
 
@@ -271,22 +241,21 @@ def conversion_value(terms: ConvertibleTerms, S: float, t: date) -> float:
     return c.ratio * S if c.start <= t <= c.end else 0.0
 
 
+def _dirty_level(terms: ConvertibleTerms, right, t: date, outside: float) -> float:
+    _check_in_life(terms, t)
+    if right is None or not (right.start <= t <= right.end):
+        return outside
+    return right.price + accrued_interest(terms, t)
+
+
 def dirty_call_price(terms: ConvertibleTerms, t: date) -> float:
     """Clean call level plus accrued inside the call window; +inf when not callable."""
-    _check_in_life(terms, t)
-    c = terms.call
-    if c is None or not (c.start <= t <= c.end):
-        return np.inf
-    return c.clean_level(t) + accrued_interest(terms, t)
+    return _dirty_level(terms, terms.call, t, np.inf)
 
 
 def dirty_put_price(terms: ConvertibleTerms, t: date) -> float:
     """Clean put level plus accrued inside the put window; 0 when not puttable."""
-    _check_in_life(terms, t)
-    p = terms.put
-    if p is None or not (p.start <= t <= p.end):
-        return 0.0
-    return p.clean_level(t) + accrued_interest(terms, t)
+    return _dirty_level(terms, terms.put, t, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +288,7 @@ class Timeline:
         self._conv_window = (to_tau(terms.conversion.start), to_tau(terms.conversion.end))
         self._call_window = None if terms.call is None else (to_tau(terms.call.start), to_tau(terms.call.end))
         self._put_window = None if terms.put is None else (to_tau(terms.put.start), to_tau(terms.put.end))
-        # clean levels sampled per coupon-period boundary would be wrong for stepped
-        # schedules; sample lazily at query times instead
         self.redemption = terms.nominal + terms.coupon.amount if terms.coupon.dates else terms.nominal
-
-    def _clean_level(self, window, tau: float) -> float:
-        """Clean call/put level at tau; schedules step on dates, so map back."""
-        t = self.t0 + timedelta(days=round(tau * 365.0))
-        return window.clean_level(t)
 
     def accrued(self, tau) -> np.ndarray:
         """Accrued interest at year-fraction times tau (1-D); piecewise linear."""
@@ -347,17 +309,11 @@ class Timeline:
         lo, hi = window
         return (tau >= lo - _WINDOW_EPS) & (tau <= hi + _WINDOW_EPS)
 
-    def _dirty_levels(self, window, terms_side, tau: np.ndarray, outside: float) -> np.ndarray:
+    def _dirty_levels(self, window, right, tau: np.ndarray, outside: float) -> np.ndarray:
         levels = np.full(tau.shape, outside)
-        if window is None:
-            return levels
         inside = self._in_window(window, tau)
         if inside.any():
-            if terms_side.schedule:
-                clean = np.array([self._clean_level(terms_side, t) for t in tau[inside]])
-            else:
-                clean = terms_side.price
-            levels[inside] = clean + self.accrued(tau[inside])
+            levels[inside] = right.price + self.accrued(tau[inside])
         return levels
 
     def call_dirty(self, tau) -> np.ndarray:
@@ -391,16 +347,22 @@ class Timeline:
             inject[j] += self.coupon_amount * math.exp(risky_rate * (taus[j] - tau_c))
         return inject
 
-    def risky_cash_pv(self, tau: float, risky_rate: float) -> float:
-        """PV at tau of all remaining contractual cash (coupons + nominal) at risky_rate.
+    def risky_cash_pv(self, taus, risky_rate: float) -> np.ndarray:
+        """PV at each tau of all remaining contractual cash (coupons + nominal) at risky_rate.
 
-        A coupon falling exactly on tau counts as already paid.
+        A coupon falling exactly on tau counts as already paid.  Times are
+        grouped by how many coupons are still to come, so each row sums the
+        same terms in the same order as a single-time evaluation.
         """
-        pv = self.nominal * np.exp(-risky_rate * (self.tau_maturity - tau))
-        future = self.coupon_taus[self.coupon_taus > tau + _WINDOW_EPS]
-        if future.size:
-            pv += self.coupon_amount * np.exp(-risky_rate * (future - tau)).sum()
-        return float(pv)
+        taus = np.atleast_1d(np.asarray(taus, dtype=float))
+        pv = self.nominal * np.exp(-risky_rate * (self.tau_maturity - taus))
+        # coupon times ascend, so the coupons still to come are a suffix
+        first = np.searchsorted(self.coupon_taus, taus + _WINDOW_EPS, side="right")
+        for k in np.unique(first[first < len(self.coupon_taus)]):
+            rows = first == k
+            future = self.coupon_taus[k:]
+            pv[rows] += self.coupon_amount * np.exp(-risky_rate * (future - taus[rows, None])).sum(axis=1)
+        return pv
 
 
 # ---------------------------------------------------------------------------
@@ -421,18 +383,14 @@ def terms_to_dict(terms: ConvertibleTerms) -> dict:
             "end": terms.conversion.end.isoformat(),
         },
     }
-    if terms.call is not None:
-        out["call"] = {
-            "price": terms.call.price,
-            "start": terms.call.start.isoformat(),
-            "end": terms.call.end.isoformat(),
-        }
-    if terms.put is not None:
-        out["put"] = {
-            "price": terms.put.price,
-            "start": terms.put.start.isoformat(),
-            "end": terms.put.end.isoformat(),
-        }
+    for name in ("call", "put"):
+        right = getattr(terms, name)
+        if right is not None:
+            out[name] = {
+                "price": right.price,
+                "start": right.start.isoformat(),
+                "end": right.end.isoformat(),
+            }
     out["day_count"] = terms.day_count.value
     return out
 
@@ -448,21 +406,13 @@ def terms_from_dict(data: dict) -> ConvertibleTerms:
             start=date.fromisoformat(conv["start"]),
             end=date.fromisoformat(conv["end"]),
         )
-        call = None
-        if "call" in data and data["call"] is not None:
-            c = data["call"]
-            call = CallTerms(
-                price=float(c["price"]),
-                start=date.fromisoformat(c["start"]),
-                end=date.fromisoformat(c["end"]),
-            )
-        put = None
-        if "put" in data and data["put"] is not None:
-            p = data["put"]
-            put = PutTerms(
-                price=float(p["price"]),
-                start=date.fromisoformat(p["start"]),
-                end=date.fromisoformat(p["end"]),
+        rights = {}
+        for name, right in (("call", CallTerms), ("put", PutTerms)):
+            r = data.get(name)
+            rights[name] = None if r is None else right(
+                price=float(r["price"]),
+                start=date.fromisoformat(r["start"]),
+                end=date.fromisoformat(r["end"]),
             )
         coupon = CouponSchedule.generate(
             rate=float(data["coupon_rate"]),
@@ -477,8 +427,7 @@ def terms_from_dict(data: dict) -> ConvertibleTerms:
             maturity=maturity,
             coupon=coupon,
             conversion=conversion,
-            call=call,
-            put=put,
+            **rights,
             day_count=DayCount(data.get("day_count", "ACT_365")),
         )
     except (KeyError, ValueError, TypeError) as exc:

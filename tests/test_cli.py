@@ -6,6 +6,7 @@ import pytest
 
 from cblab import hedge, lattice, sensitivities, var
 from cblab.cli import main
+from cblab.termsheet import reference_terms_path
 
 
 def run(args):
@@ -37,6 +38,22 @@ class TestPrice:
         for out in (a, b):
             assert run(["price", "--spot", 95.5, "--steps", 150, "--out", out]) == 0
         assert (a / "price.csv").read_bytes() == (b / "price.csv").read_bytes()
+
+    def test_header_records_the_instrument_not_its_path(self, tmp_path):
+        sheet = json.loads(reference_terms_path().read_text())
+        repriced = dict(sheet, call=dict(sheet["call"], price=115.0))
+        texts = {}
+        for name, data in (("a", sheet), ("b", sheet), ("c", repriced)):
+            path = tmp_path / name / "terms.json"
+            path.parent.mkdir()
+            path.write_text(json.dumps(data, indent=2) + "\n")
+            assert run(["price", "--terms", path, "--steps", 50, "--out", tmp_path / name]) == 0
+            texts[name] = (tmp_path / name / "price.csv").read_text()
+        # the same sheet from two directories: identical files, no path recorded
+        assert texts["a"] == texts["b"]
+        assert str(tmp_path) not in texts["a"]
+        # an edited sheet is a different configuration
+        assert texts["a"].splitlines()[1] != texts["c"].splitlines()[1]
 
     def test_report_format(self, tmp_path):
         out = tmp_path / "o"
@@ -81,6 +98,19 @@ class TestGridValidation:
         assert rc == 2
         assert "--t-points" in capsys.readouterr().err
         assert not (tmp_path / "surface.csv").exists()
+
+    @pytest.mark.parametrize("grid", [
+        ["--fd-nodes", 1],
+        ["--fd-s-max", 0],
+        ["--fd-s-max", "nan"],
+        ["--fd-s-max", "inf"],
+    ])
+    def test_bad_fd_grid_exits_2(self, tmp_path, capsys, grid):
+        rc = run(["compare", "--date", "2004-01-02", "--s-min", 100, "--s-max", 101,
+                  "--s-step", 1, "--steps", 20, "--out", tmp_path] + grid)
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "compare.csv").exists()
 
     def test_bad_thread_setting_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CBLAB_THREADS", "0")

@@ -50,6 +50,9 @@ class TestGrid:
             FDGrid(s_max=400.0, n_s=2, n_t=100)
         with pytest.raises(ConfigurationError):
             FDGrid(s_max=0.0, n_s=11, n_t=100)
+        for s_max in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                FDGrid(s_max=s_max, n_s=11, n_t=100)
 
 
 class TestStraightBondReduction:
@@ -93,6 +96,7 @@ class TestZeroSpreadReduction:
                 continue
             j = int(np.searchsorted(taus, tc - 1e-12, side="left"))
             inject[j] += tl.coupon_amount * math.exp(0.05 * (taus[j] - tc))
+        debt = tl.risky_cash_pv(taus, 0.05)
         conv_T = np.where(conv_on[n_t - 1], S, 0.0)
         v = np.maximum(conv_T, tl.redemption)
         for m in range(n_t - 2, -1, -1):
@@ -101,8 +105,8 @@ class TestZeroSpreadReduction:
             v = v_new
             if inject[m] != 0.0:
                 v[1:-1] += inject[m]
-            v[0] = max(0.0, tl.risky_cash_pv(taus[m], 0.05))
-            v[-1] = max(400.0, tl.risky_cash_pv(taus[m], 0.05))
+            v[0] = max(0.0, debt[m])
+            v[-1] = max(400.0, debt[m])
             conv = np.where(conv_on[m], S[1:-1], 0.0)
             v[1:-1] = np.maximum(np.minimum(v[1:-1], call[m]), conv)
         # compare the t0 layer

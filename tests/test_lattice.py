@@ -137,7 +137,7 @@ class TestStraightBondReduction:
         # reproduce the discounted cash-flow sum at machine precision
         terms = straight_bond(rate=0.04, years=5)
         tl = Timeline(terms, terms.issue)
-        expected = tl.risky_cash_pv(0.0, market.rate + market.credit_spread)
+        expected = tl.risky_cash_pv(0.0, market.rate + market.credit_spread)[0]
         for steps in (1, 2, 7, 13, 100, 500):
             res = price_tf_crr(terms, market, terms.issue, 100.0, steps)
             assert res.price == pytest.approx(expected, rel=1e-10)

@@ -1,12 +1,14 @@
 """Term-sheet arithmetic: day counts, schedules, accrual, contract functions."""
 
 import json
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 from cblab import (
+    CallTerms,
     ConfigurationError,
     ConversionTerms,
     ConvertibleTerms,
@@ -172,6 +174,19 @@ class TestContractFunctions:
         assert dirty_put_price(terms, date(2002, 6, 1)) == 0.0
 
 
+class TestExerciseRights:
+    def test_call_never_equals_put(self):
+        args = (110.0, date(2004, 1, 2), date(2007, 1, 2))
+        assert CallTerms(*args) == CallTerms(*args)
+        assert CallTerms(*args) != PutTerms(*args)
+
+    @pytest.mark.parametrize("price", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("right, name", [(CallTerms, "call"), (PutTerms, "put")])
+    def test_bad_price_names_the_right(self, right, name, price):
+        with pytest.raises(ConfigurationError, match=f"^{name} price must be > 0"):
+            right(price, date(2004, 1, 2), date(2007, 1, 2))
+
+
 class TestMarketParams:
     def test_sigma_must_be_positive(self):
         with pytest.raises(ConfigurationError):
@@ -192,7 +207,10 @@ class TestTermSheetFile:
         assert load_terms(out) == parsed
 
     def test_dict_round_trip(self, table1):
-        assert terms_from_dict(terms_to_dict(table1)) == table1
+        callable_putable = replace(table1, put=PutTerms(98.0, date(2003, 1, 2), date(2005, 1, 2)))
+        assert callable_putable.call is not None and callable_putable.put is not None
+        for terms in (table1, callable_putable):
+            assert terms_from_dict(terms_to_dict(terms)) == terms
 
     def test_repo_tables_copy_matches_packaged(self, table1):
         # src/cblab/data/tf_table1.json -> repo root is four levels up
@@ -251,7 +269,23 @@ class TestTimeline:
         expected = 100.0 * np.exp(-rate * 1826 / 365)
         for d in table1.coupon.dates:
             expected += 2.0 * np.exp(-rate * (d - date(2002, 1, 2)).days / 365)
-        assert tl.risky_cash_pv(0.0, rate) == pytest.approx(expected, rel=1e-14)
+        assert tl.risky_cash_pv(0.0, rate)[0] == pytest.approx(expected, rel=1e-14)
+
+    def test_risky_cash_pv_grid_matches_single_time_formula(self, table1):
+        tl = Timeline(table1, date(2002, 1, 2))
+        rate = 0.07
+        c = tl.coupon_taus
+        # on coupon dates, between them, and after the last coupon before maturity
+        taus = np.concatenate([[0.0], c[:-1], (c[:-1] + c[1:]) / 2, [c[-2] + 0.1, c[-1] - 1e-3, tl.tau_maturity]])
+
+        def single(tau):
+            pv = tl.nominal * np.exp(-rate * (tl.tau_maturity - tau))
+            future = c[c > tau + 1e-12]
+            if future.size:
+                pv += tl.coupon_amount * np.exp(-rate * (future - tau)).sum()
+            return float(pv)
+
+        assert np.array_equal(tl.risky_cash_pv(taus, rate), [single(t) for t in taus])
 
     def test_anchor_must_be_in_life(self, table1):
         with pytest.raises(DomainError):
