@@ -1,13 +1,15 @@
 """Time the batch rollback kernel: ms per spot at N=500 for batch widths
-m in {1, 128, 500}, each at CBLAB_THREADS=1 and 2.
+m in {1, 128, 500}, each at CBLAB_THREADS=1 and 2; and the explicit FD march:
+seconds and layers/s for `solve_tf_fd` on the reference grid.
 
     PYTHONPATH=src python scripts/bench_kernel.py [--repeats 5] [--label after]
 
-Each cell is the best of `--repeats` timed calls after one warm-up call; the
-spots are spread over 60-160 at the reference instrument's 2004-01-02 date.
-Prints one JSON object with the machine record (nproc, numpy version, git sha)
-and the cells, so two checkouts measured back to back on the same machine can
-be compared.
+Each cell is the best of `--repeats` timed calls after one warm-up call, at the
+reference instrument's 2004-01-02 date; the rollback spots are spread over
+60-160, and the FD grid is `FDGrid.auto` (401 spot nodes, the minimal stable
+layer count).  Prints one JSON object with the machine record (nproc, numpy
+version, git sha) and the cells, so two checkouts measured back to back on the
+same machine can be compared.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import cblab
 WIDTHS = (1, 128, 500)
 THREADS = (1, 2)
 STEPS = 500
+T0 = date(2004, 1, 2)
 
 
 def _git_sha() -> str:
@@ -37,22 +40,35 @@ def _git_sha() -> str:
         return "unknown"
 
 
+def _best_of(repeats: int, call) -> float:
+    call()
+    best = float("inf")
+    for _ in range(repeats):
+        t = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - t)
+    return best
+
+
 def measure(repeats: int) -> list[dict]:
-    terms, mkt, t0 = cblab.reference_terms(), cblab.reference_market(), date(2004, 1, 2)
+    terms, mkt = cblab.reference_terms(), cblab.reference_market()
     cells = []
     for threads in THREADS:
         os.environ["CBLAB_THREADS"] = str(threads)
         for m in WIDTHS:
             spots = np.linspace(60.0, 160.0, m)
-            cblab.rollback_batch(terms, mkt, t0, spots, STEPS)
-            best = float("inf")
-            for _ in range(repeats):
-                t = time.perf_counter()
-                cblab.rollback_batch(terms, mkt, t0, spots, STEPS)
-                best = min(best, time.perf_counter() - t)
+            best = _best_of(repeats, lambda: cblab.rollback_batch(terms, mkt, T0, spots, STEPS))
             cells.append({"m": m, "N": STEPS, "threads": threads,
                           "ms_per_spot": round(1e3 * best / m, 4)})
     return cells
+
+
+def measure_fd(repeats: int) -> dict:
+    terms, mkt = cblab.reference_terms(), cblab.reference_market()
+    grid = cblab.FDGrid.auto(mkt, cblab.year_fraction(T0, terms.maturity))
+    best = _best_of(repeats, lambda: cblab.solve_tf_fd(terms, mkt, T0, grid))
+    return {"n_s": grid.n_s, "n_t": grid.n_t, "seconds": round(best, 4),
+            "layers_per_s": round((grid.n_t - 1) / best)}
 
 
 def main() -> None:
@@ -67,6 +83,7 @@ def main() -> None:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cells": measure(args.repeats),
+        "fd": measure_fd(args.repeats),
     }
     print(json.dumps(record))
 

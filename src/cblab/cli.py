@@ -200,10 +200,10 @@ def cmd_compare(args) -> int:
     terms = load_terms(args.terms)
     mkt = _market(args)
     spots = _spot_grid(args)
-    profile = lattice.price_profile_raw(terms, mkt, args.date, spots, args.steps)
-    v_lat = np.array([nv.value for _, nv in profile])
     grid = fd.FDGrid.auto(mkt, year_fraction(args.date, terms.maturity),
                           s_max=args.fd_s_max, n_s=args.fd_nodes)
+    profile = lattice.price_profile_raw(terms, mkt, args.date, spots, args.steps)
+    v_lat = np.array([nv.value for _, nv in profile])
     sol = fd.solve_tf_fd(terms, mkt, args.date, grid, snapshot_dates=[args.date])
     v_fd = np.array([v for _, v, _, _ in fd.fd_profile(sol, args.date, spots)])
     diff = v_lat - v_fd

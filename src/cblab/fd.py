@@ -12,6 +12,12 @@ the E/B classification are `lattice.decide`, the one node rule, applied at
 expiry and at every interior layer, so the two methods are directly
 comparable; only the discretization differs.
 
+The march holds V and B as one flat state Z = [V_0..V_{n-1}, B_0..B_{n-1}]
+in two preallocated buffers that swap roles every layer, so one five-call
+stencil updates both equations.  Every per-layer input (call and put levels,
+coupon injections, boundary rows) is computed for the whole time grid before
+the march; nothing is allocated per layer except the stored snapshots.
+
 Stability of the explicit march is enforced by construction:
 dt <= dS^2 / (sigma^2 S_max^2 + (r + r_c) dS^2).
 """
@@ -152,6 +158,28 @@ def solve_tf_fd(
     inject = timeline.coupon_injections(taus, risky)
     debt_pvs = timeline.risky_cash_pv(taus, risky)
 
+    # the S=0 row (put-floored risky debt) and whether conversion beats debt
+    # at S_max, for every layer at once
+    floors = np.maximum(put_levels, debt_pvs)
+    conv_top = ratio * grid.s_max if conv_active[n_t - 1] else 0.0
+    top_converts = conv_top > debt_pvs
+
+    # state: one flat vector Z = [V_0..V_{n-1}, B_0..B_{n-1}] in two buffers
+    # that swap roles every layer.  The stencil runs over Z[1:-1], both
+    # equations at once; its zero coefficients sit on the V[-1] and B[0]
+    # slots, which the boundary rows overwrite.
+    Z = np.empty(2 * n_s)
+    zero = np.zeros(2)
+    cu_z = np.concatenate((cu, zero, cu))
+    cm_z = np.concatenate((cm_v, zero, cm_b))
+    cd_z = np.concatenate((cd, zero, cd))
+    dt_rc = np.full(n_s - 2, dt * rc)
+    tmp = np.empty(2 * n_s - 2)
+    tmp_v = tmp[: n_s - 2]
+
+    def views(z):  # whole; up, middle, down; V interior, B interior
+        return z, z[2:], z[1:-1], z[:-2], z[1 : n_s - 1], z[n_s + 1 : -1]
+
     # node-rule buffers for the whole march: full width for the expiry layer,
     # their [1:-1] views for the interior of every layer after it
     E, held, v_star = (np.empty(n_s) for _ in range(3))
@@ -160,13 +188,13 @@ def solve_tf_fd(
 
     # expiry layer: redeem or convert, i.e. the node rule with no call and no put
     E.fill(0.0)
-    B = np.full(n_s, timeline.redemption)
+    B = Z[n_s:]
+    B.fill(timeline.redemption)
     decide(E, B, held, v_star, conv_on if conv_active[n_t - 1] else conv_off, np.inf, 0.0, *masks)
-    V = E + B
+    np.add(E, B, out=Z[:n_s])
     if inject[n_t - 1] != 0.0:
         # pre-expiry coupon bucketing into the final layer: received either way
-        V = V + inject[n_t - 1]
-        B = B + inject[n_t - 1]
+        Z += inject[n_t - 1]
 
     # snapshot bookkeeping
     want = {0, n_t - 1}
@@ -177,53 +205,55 @@ def solve_tf_fd(
             want.add(int(round(year_fraction(t0, d) / dt)))
     else:
         want.update(int(round(x)) for x in np.linspace(0, n_t - 1, 41))
-    stored: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    stored: dict[int, np.ndarray] = {}
     if (n_t - 1) in want:
-        stored[n_t - 1] = (V.copy(), B.copy())
+        stored[n_t - 1] = Z.copy()
 
-    conv_top = ratio * grid.s_max if conv_active[n_t - 1] else 0.0
     E_in, held_in, v_star_in, conv_on_in, conv_off_in = (
         x[1:-1] for x in (E, held, v_star, conv_on, conv_off)
     )
     masks_in = [x[1:-1] for x in masks]
+    old, new = views(Z), views(np.empty(2 * n_s))
     for m in range(n_t - 2, -1, -1):
-        V_new = np.empty_like(V)
-        B_new = np.empty_like(B)
-        V_new[1:-1] = cu * V[2:] + cm_v * V[1:-1] + cd * V[:-2] - (dt * rc) * B[1:-1]
-        B_new[1:-1] = cu * B[2:] + cm_b * B[1:-1] + cd * B[:-2]
-        V, B = V_new, B_new
+        _, up, mid, down, _, B_old = old
+        Z, _, out, _, V_in, B_in = new
+        # (cu*up + cm*mid) + cd*down on both halves, then V less (dt*rc)*B;
+        # the FD digests in the tests pin this evaluation order to the bit
+        np.multiply(cu_z, up, out=out)
+        np.multiply(cm_z, mid, out=tmp)
+        np.add(out, tmp, out=out)
+        np.multiply(cd_z, down, out=tmp)
+        np.add(out, tmp, out=out)
+        np.multiply(dt_rc, B_old, out=tmp_v)
+        np.subtract(V_in, tmp_v, out=V_in)
+        old, new = new, old
 
         if inject[m] != 0.0:
-            B[1:-1] += inject[m]
-            V[1:-1] += inject[m]
+            B_in += inject[m]
+            V_in += inject[m]
 
         # S = 0: equity worthless forever, claim is pure risky debt (put-floored)
-        debt_pv = debt_pvs[m]
-        floor0 = max(put_levels[m], debt_pv)
-        V[0] = floor0
-        B[0] = floor0
+        Z[0] = Z[n_s] = floors[m]
         # S = S_max: conversion dominates when there is anything to convert into
-        if conv_top > debt_pv:
-            V[-1] = conv_top
-            B[-1] = 0.0
+        if top_converts[m]:
+            Z[n_s - 1] = conv_top
+            Z[-1] = 0.0
         else:
-            V[-1] = debt_pv
-            B[-1] = debt_pv
+            Z[n_s - 1] = Z[-1] = debt_pvs[m]
 
-        B_in = B[1:-1]
-        np.subtract(V[1:-1], B_in, out=E_in)
+        np.subtract(V_in, B_in, out=E_in)
         decide(E_in, B_in, held_in, v_star_in, conv_on_in if conv_active[m] else conv_off_in,
                call_levels[m], put_levels[m], *masks_in)
-        np.add(E_in, B_in, out=V[1:-1])
+        np.add(E_in, B_in, out=V_in)
 
-        if m % _FINITE_CHECK_EVERY == 0 and not (np.isfinite(V).all() and np.isfinite(B).all()):
+        if m % _FINITE_CHECK_EVERY == 0 and not np.isfinite(Z).all():
             raise NumericalError(f"non-finite values at layer {m} (tau={taus[m]:.6f})")
         if m in want:
-            stored[m] = (V.copy(), B.copy())
+            stored[m] = Z.copy()
 
     idx = sorted(stored)
-    value = np.array([stored[i][0] for i in idx])
-    debt = np.array([stored[i][1] for i in idx])
+    value = np.array([stored[i][:n_s] for i in idx])
+    debt = np.array([stored[i][n_s:] for i in idx])
     return FDSolution(
         terms=terms,
         grid=grid,

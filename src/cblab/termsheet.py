@@ -134,6 +134,8 @@ class _ExerciseRight:
     def __post_init__(self) -> None:
         if not self.price > 0:  # also refuses NaN
             raise ConfigurationError(f"{self._name} price must be > 0 inside the window")
+        if self.start > self.end:
+            raise ConfigurationError(f"{self._name} window start is after its end")
 
 
 class CallTerms(_ExerciseRight):

@@ -112,6 +112,16 @@ class TestGridValidation:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "compare.csv").exists()
 
+    def test_bad_fd_grid_refused_before_lattice_work(self, tmp_path, capsys, monkeypatch):
+        def no_lattice_work(*args, **kwargs):
+            pytest.fail("lattice profile priced before the FD grid was checked")
+
+        monkeypatch.setattr(lattice, "rollback_batch", no_lattice_work)
+        rc = run(["compare", "--date", "2004-01-02", "--s-min", 100, "--s-max", 101,
+                  "--s-step", 1, "--steps", 20, "--fd-nodes", 1, "--out", tmp_path])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_bad_thread_setting_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CBLAB_THREADS", "0")
         rc = run(["price", "--steps", 20, "--out", tmp_path])

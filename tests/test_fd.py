@@ -2,6 +2,8 @@
 and agreement with the lattice."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -15,6 +17,8 @@ from cblab import (
     DomainError,
     FDGrid,
     MarketParams,
+    NumericalError,
+    fd,
     fd_profile,
     price_tf_crr,
     solve_tf_fd,
@@ -199,3 +203,37 @@ class TestGridRefinement:
         c1 = abs(vals[201] - vals[401])
         c2 = abs(vals[401] - vals[801])
         assert c1 < 4.0 * c2
+
+
+class TestMarchGuards:
+    def test_non_finite_values_name_the_layer(self, table1, market, jan2004):
+        huge = replace(table1, conversion=replace(table1.conversion, ratio=1e308))
+        grid = FDGrid.auto(market, year_fraction(jan2004, table1.maturity), n_s=101)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=r"^non-finite values at layer 2000 \(tau="):
+                solve_tf_fd(huge, market, jan2004, grid)
+
+    def test_memory_bounded_by_stored_layers_not_march(self, table1, market, issue, monkeypatch):
+        """From the expiry layer on, the march holds the stored layers, O(n_s)
+        buffers and a few O(n_t) float64 vectors.  The peak is taken from the
+        first node decision, so the Timeline queries' transients do not count;
+        a Python list per layer input, or a row kept per layer, exceeds it."""
+        grid = FDGrid.auto(market, year_fraction(issue, table1.maturity), n_s=101)
+        engine, started = fd.decide, []
+
+        def decide(*args):
+            if not started:
+                started.append(True)
+                tracemalloc.reset_peak()
+            engine(*args)
+
+        monkeypatch.setattr(fd, "decide", decide)
+        tracemalloc.start()
+        try:
+            sol = solve_tf_fd(table1, market, issue, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert started and grid.n_t > 40 * grid.n_s
+        # stored layers: the [V | B] copies, then value, debt and equity
+        assert peak < 5 * sol.value.nbytes + 8 * 64 * grid.n_s + 8 * 8 * grid.n_t

@@ -132,6 +132,10 @@ def test_matches_previous_kernel(sweeps, name):
 
 
 # solve_tf_fd on a 101-node auto grid, default snapshots (41 stored layers)
+# except "compare_2004", which stores only t0 and expiry as `cblab compare`
+# does; "conversion_ends_2006" has no conversion at expiry, so the S_max row
+# takes the debt value.  Those two were recorded with the solver that held V
+# and B as two rows allocated afresh every layer.
 FD_REFERENCE = {
     "reference_2004": {
         "value": "e1a776652ac5dece884550ed",
@@ -143,17 +147,30 @@ FD_REFERENCE = {
         "equity": "678512e79da0ff4c1331685c",
         "debt": "265c4bc36aa4286b05d770ba",
     },
+    "compare_2004": {
+        "value": "319c23a3a2311310b08ba2a4",
+        "equity": "e2002cb6d9574e66afb8f552",
+        "debt": "e17fb1f5cadd9a388479d8d6",
+    },
+    "conversion_ends_2006": {
+        "value": "38a08535f7c0cf45731111e5",
+        "equity": "57a2f2feea96a95913d302e3",
+        "debt": "3e5f8265327fe4ca0afc0264",
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(FD_REFERENCE))
 def test_fd_matches_previous_solver(sweeps, name):
-    terms, t0 = {
-        "reference_2004": (TABLE1, JAN2004),
-        "putable_2002": (sweeps["putable"][0], ISSUE),
+    early_end = replace(TABLE1, conversion=replace(TABLE1.conversion, end=date(2006, 1, 2)))
+    terms, t0, snapshots = {
+        "reference_2004": (TABLE1, JAN2004, None),
+        "putable_2002": (sweeps["putable"][0], ISSUE, None),
+        "compare_2004": (TABLE1, JAN2004, [JAN2004]),
+        "conversion_ends_2006": (early_end, ISSUE, None),
     }[name]
     grid = FDGrid.auto(MARKET, year_fraction(t0, terms.maturity), n_s=101)
-    sol = solve_tf_fd(terms, MARKET, t0, grid)
+    sol = solve_tf_fd(terms, MARKET, t0, grid, snapshot_dates=snapshots)
     assert {k: sha(getattr(sol, k)) for k in FD_REFERENCE[name]} == FD_REFERENCE[name]
 
 

@@ -186,6 +186,12 @@ class TestExerciseRights:
         with pytest.raises(ConfigurationError, match=f"^{name} price must be > 0"):
             right(price, date(2004, 1, 2), date(2007, 1, 2))
 
+    @pytest.mark.parametrize("right, name", [(CallTerms, "call"), (PutTerms, "put")])
+    def test_window_ending_before_it_starts_names_the_right(self, right, name):
+        with pytest.raises(ConfigurationError, match=f"^{name} window start is after its end"):
+            right(110.0, date(2006, 1, 2), date(2004, 1, 2))
+        right(110.0, date(2004, 1, 2), date(2004, 1, 2))  # a one-day window is valid
+
 
 class TestMarketParams:
     def test_sigma_must_be_positive(self):
