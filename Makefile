@@ -1,4 +1,4 @@
-.PHONY: test acceptance figures clean
+.PHONY: test acceptance figures demos clean
 
 # run from the source tree: no install step needed
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -11,6 +11,10 @@ acceptance:
 
 figures:
 	sh scripts/make_figures.sh
+
+# smoke-run every demo script from the source tree (about half a minute)
+demos:
+	@for f in demos/*.py; do echo "== $$f"; python3 $$f || exit 1; done
 
 clean:
 	rm -rf out build *.egg-info src/*.egg-info .pytest_cache

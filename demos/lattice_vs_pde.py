@@ -29,7 +29,7 @@ market = reference_market()
 t = date(2004, 1, 2)
 
 spots = np.round(np.arange(105.0, 112.0001, 0.1), 6)
-v_tree = np.array([nv.value for _, nv in price_profile_raw(terms, market, t, spots, 500)])
+v_tree = price_profile_raw(terms, market, t, spots, 500).value
 
 grid = FDGrid.auto(market, year_fraction(t, terms.maturity))
 print(f"PDE grid: {grid.n_s} spot nodes, {grid.n_t} time layers (stability-bound step)")

@@ -23,7 +23,7 @@ t = date(2004, 1, 2)  # two years after issue, first callable day
 grid = np.round(np.arange(105.0, 112.0001, 0.1), 6)
 
 for steps in (500, 750):
-    values = np.array([nv.value for _, nv in price_profile_raw(terms, market, t, grid, steps)])
+    values = price_profile_raw(terms, market, t, grid, steps).value
     drops = monotonicity_violations(values)
     flips = second_difference_sign_changes(values)
     print(f"--- {steps}-step tree, profile V(t=2y, S) on [105, 112] ---")

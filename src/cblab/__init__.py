@@ -24,9 +24,6 @@ from .termsheet import (
     MarketParams,
     PutTerms,
     accrued_interest,
-    conversion_value,
-    dirty_call_price,
-    dirty_put_price,
     dump_terms,
     load_terms,
     reference_market,
@@ -39,14 +36,13 @@ from .lattice import (
     LatticeParams,
     NodeValue,
     PriceResult,
-    apply_constraints,
     build_crr_params,
     price_profile_raw,
     price_tf_crr,
     rollback_batch,
 )
-from .sensitivities import GreekPoint, Surface, delta, delta_pct, gamma, greek_point, surface
-from .hedge import HedgeStressSpec, hedge_increment, hedged_position, stress_curve, stress_increments
+from .sensitivities import GreekPoint, Surface, greek_point, surface
+from .hedge import HedgeStressSpec, hedge_increment, stress_curve, stress_increments
 from .var import (
     VaRResult,
     VaRSpec,

@@ -202,8 +202,7 @@ def cmd_compare(args) -> int:
     spots = _spot_grid(args)
     grid = fd.FDGrid.auto(mkt, year_fraction(args.date, terms.maturity),
                           s_max=args.fd_s_max, n_s=args.fd_nodes)
-    profile = lattice.price_profile_raw(terms, mkt, args.date, spots, args.steps)
-    v_lat = np.array([nv.value for _, nv in profile])
+    v_lat = lattice.price_profile_raw(terms, mkt, args.date, spots, args.steps).value
     sol = fd.solve_tf_fd(terms, mkt, args.date, grid, snapshot_dates=[args.date])
     v_fd = np.array([v for _, v, _, _ in fd.fd_profile(sol, args.date, spots)])
     diff = v_lat - v_fd

@@ -158,11 +158,11 @@ def solve_tf_fd(
     inject = timeline.coupon_injections(taus, risky)
     debt_pvs = timeline.risky_cash_pv(taus, risky)
 
-    # the S=0 row (put-floored risky debt) and whether conversion beats debt
-    # at S_max, for every layer at once
+    # the S=0 row (put-floored risky debt), and whether conversion is allowed
+    # and beats debt at S_max, for every layer at once
     floors = np.maximum(put_levels, debt_pvs)
-    conv_top = ratio * grid.s_max if conv_active[n_t - 1] else 0.0
-    top_converts = conv_top > debt_pvs
+    conv_top = ratio * grid.s_max
+    top_converts = conv_active & (conv_top > debt_pvs)
 
     # state: one flat vector Z = [V_0..V_{n-1}, B_0..B_{n-1}] in two buffers
     # that swap roles every layer.  The stencil runs over Z[1:-1], both

@@ -19,7 +19,7 @@ from .lattice import rollback_batch
 from .sensitivities import _front_greeks
 from .termsheet import ConvertibleTerms, MarketParams
 
-__all__ = ["HedgeStressSpec", "hedged_position", "hedge_increment", "stress_increments", "stress_curve"]
+__all__ = ["HedgeStressSpec", "hedge_increment", "stress_increments", "stress_curve"]
 
 
 def _default_grid() -> np.ndarray:
@@ -48,16 +48,6 @@ class HedgeStressSpec:
     def scaling(self, terms: ConvertibleTerms) -> float:
         """Positions per bond of `nominal`: contract size / nominal."""
         return self.contract_size / terms.nominal
-
-
-def hedged_position(terms: ConvertibleTerms, mkt: MarketParams, t: date, spot: float, steps: int) -> float:
-    """Value of long bond / short delta*S, per bond of `nominal` face."""
-    if spot <= 0:
-        raise DomainError("spot must be > 0")
-    spots = np.array([float(spot)])
-    res = rollback_batch(terms, mkt, t, spots, steps, front_layers=1)
-    dlt, _ = _front_greeks(res, spots)
-    return float(res.value[0] - dlt[0] * spot)
 
 
 def stress_increments(

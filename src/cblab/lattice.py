@@ -9,15 +9,16 @@ outcome settled in shares; cash outcomes (redemption, call, put) keep their
 value in B, which is what couples the credit spread to the exercise decisions.
 
 `decide` is the one implementation of that rule and its E/B split.  The tree's
-interior layers, its expiry layer (no call, no put: redeem or convert),
-`apply_constraints` and the finite-difference solver in `fd` all run it.
+interior layers, its expiry layer (no call, no put: redeem or convert) and the
+finite-difference solver in `fd` all run it.
 
 The rollback kernel is vectorized over a batch of root spot prices: every spot
 still gets its own full tree, and batch results are bit-identical to pricing
 each spot alone (all operations are elementwise).  A batch runs in blocks of
 BLOCK spots on up to CBLAB_THREADS threads (default: the usable cores), so its
 memory is bounded by the blocks in flight and its output does not depend on
-the thread count.
+the thread count.  `rollback_batch` is the one engine: `price_tf_crr` and
+`price_profile_raw` are views of it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "BindCounts",
     "PriceResult",
     "build_crr_params",
-    "apply_constraints",
     "decide",
     "price_tf_crr",
     "price_profile_raw",
@@ -143,19 +143,6 @@ def decide(E, B, V, vs, conv, call, put, ncont, convb, tmp) -> None:
     np.copyto(E, vs, where=convb)
     np.copyto(B, vs, where=ncont)
     np.copyto(B, 0.0, where=convb)
-
-
-def apply_constraints(q1: NodeValue, q2: float, q3: float, q4: float) -> NodeValue:
-    """Decide one node given held value q1, dirty call q2, dirty put q3,
-    conversion value q4; classify the E/B split accordingly."""
-    for name, v in (("q1.equity", q1.equity), ("q1.debt", q1.debt), ("q3", q3), ("q4", q4)):
-        if not np.isfinite(v) or v < 0:
-            raise DomainError(f"{name} must be finite and >= 0, got {v}")
-    E, B, conv = (np.array([float(x)]) for x in (q1.equity, q1.debt, q4))
-    V, vs = np.empty(1), np.empty(1)
-    ncont, convb, tmp = (np.empty(1, dtype=bool) for _ in range(3))
-    decide(E, B, V, vs, conv, q2, q3, ncont, convb, tmp)
-    return NodeValue(equity=float(E[0]), debt=float(B[0]))
 
 
 @dataclass(frozen=True)
@@ -380,7 +367,7 @@ def price_tf_crr(
 
 def price_profile_raw(
     terms: ConvertibleTerms, mkt: MarketParams, t0: date, spot_grid, steps: int
-) -> list[tuple[float, NodeValue]]:
+) -> BatchResult:
     """Price a whole ascending spot grid at once; elementwise identical to
     calling price_tf_crr per point."""
     grid = np.asarray(spot_grid, dtype=float)
@@ -388,8 +375,4 @@ def price_profile_raw(
         raise DomainError("spot grid must be a nonempty 1-D array")
     if np.any(np.diff(grid) < 0):
         raise DomainError("spot grid must be ascending")
-    res = rollback_batch(terms, mkt, t0, grid, steps)
-    return [
-        (float(s), NodeValue(equity=float(e), debt=float(b)))
-        for s, e, b in zip(grid, res.equity, res.debt)
-    ]
+    return rollback_batch(terms, mkt, t0, grid, steps)

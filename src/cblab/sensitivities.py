@@ -3,10 +3,11 @@
 Delta and gamma are read off the first two layers of the same tree that prices
 the bond: delta = (V+ - V-)/((u-d)S) from the step-1 nodes, gamma from the two
 step-1 deltas formed out of the step-2 node values.  `_front_greeks` is the one
-read-out: `surface` runs whole spot rows through it, and `greek_point`, `gamma`,
-`delta` and the `hedge` functions are views of it.  The trader's delta
-(delta_pct) rescales by the conversion ratio.  No smoothing or extrapolation is
-applied anywhere; oscillations in these numbers are signal, not noise.
+read-out: `surface` runs whole spot rows through it, `greek_point` is a
+one-point `surface`, and `hedge.stress_increments` reads its deltas.  The
+trader's delta (delta_pct) rescales by the conversion ratio; it is NaN for a
+zero ratio.  No smoothing or extrapolation is applied anywhere; oscillations
+in these numbers are signal, not noise.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import CBLabError, ConfigurationError, DomainError
 from .lattice import BatchResult, rollback_batch
 from .termsheet import ConvertibleTerms, MarketParams
 
-__all__ = ["GreekPoint", "Surface", "delta", "delta_pct", "gamma", "greek_point", "surface"]
+__all__ = ["GreekPoint", "Surface", "greek_point", "surface"]
 
 
 @dataclass(frozen=True)
@@ -80,31 +81,6 @@ def _front_greeks(res: BatchResult, spots: np.ndarray) -> tuple[np.ndarray, np.n
     d_up = (v2[:, 2] - v2[:, 1]) / ((lp.up - lp.down) * spots * lp.up)
     d_dn = (v2[:, 1] - v2[:, 0]) / ((lp.up - lp.down) * spots * lp.down)
     return dlt, (d_up - d_dn) / spread
-
-
-def delta(terms: ConvertibleTerms, mkt: MarketParams, t: date, spot: float, steps: int) -> float:
-    """Hedge ratio dV/dS read from the step-1 nodes of the tree rooted at (t, spot)."""
-    if steps < 2:
-        raise ConfigurationError("delta needs at least 2 tree steps")
-    spots = np.array([float(spot)])
-    dlt, _ = _front_greeks(rollback_batch(terms, mkt, t, spots, steps, front_layers=1), spots)
-    return float(dlt[0])
-
-
-def delta_pct(terms: ConvertibleTerms, mkt: MarketParams, t: date, spot: float, steps: int) -> float:
-    """Delta rescaled by the conversion ratio; the market convention for equity
-    sensitivity.  Not clamped to [0, 1]: excursions outside are reportable."""
-    ratio = terms.conversion.ratio
-    if ratio == 0:
-        raise DomainError("delta_pct undefined for zero conversion ratio")
-    return delta(terms, mkt, t, spot, steps) / ratio
-
-
-def gamma(terms: ConvertibleTerms, mkt: MarketParams, t: date, spot: float, steps: int) -> float:
-    """Second derivative estimate from the step-2 layer of the same tree."""
-    if steps < 3:
-        raise ConfigurationError("gamma needs at least 3 tree steps")
-    return greek_point(terms, mkt, t, spot, steps).gamma
 
 
 def greek_point(terms: ConvertibleTerms, mkt: MarketParams, t: date, spot: float, steps: int) -> GreekPoint:

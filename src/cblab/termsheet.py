@@ -2,10 +2,11 @@
 
 Term sheet types (coupon schedule, conversion window, and one exercise-right
 type for the call and the put: a flat clean level inside [start, end]), act/365
-date arithmetic, accrued interest, and the contract-level price functions
-(conversion value, dirty call, dirty put).  Everything here is immutable and
-pure.  `Timeline` re-expresses the contract for the engines; every query it
-answers for them takes a whole grid of year-fraction times.
+date arithmetic and accrued interest at a date.  Everything here is immutable
+and pure.  `Timeline` is the one implementation of the contract queries
+(accrued interest, dirty call and put levels, the conversion window): it
+re-expresses the contract as year fractions from an anchor date, and every
+query takes a whole grid of times.
 """
 
 from __future__ import annotations
@@ -32,9 +33,6 @@ __all__ = [
     "MarketParams",
     "year_fraction",
     "accrued_interest",
-    "conversion_value",
-    "dirty_call_price",
-    "dirty_put_price",
     "load_terms",
     "dump_terms",
     "terms_to_dict",
@@ -51,12 +49,10 @@ class DayCount(Enum):
     ACT_365 = "ACT_365"
 
 
-def year_fraction(d1: date, d2: date, dc: DayCount = DayCount.ACT_365) -> float:
+def year_fraction(d1: date, d2: date) -> float:
     """Year fraction between two dates, exact day count over 365."""
     if d1 > d2:
         raise DomainError(f"year_fraction: {d1} is after {d2}")
-    if dc is not DayCount.ACT_365:
-        raise ConfigurationError(f"unsupported day count {dc}")
     return (d2 - d1).days / 365.0
 
 
@@ -208,21 +204,19 @@ class MarketParams:
 
 
 # ---------------------------------------------------------------------------
-# Contract functions
+# Accrued interest at a date
 # ---------------------------------------------------------------------------
-
-def _check_in_life(terms: ConvertibleTerms, t: date) -> None:
-    if t < terms.issue or t > terms.maturity:
-        raise DomainError(f"{t} is outside the bond life [{terms.issue}, {terms.maturity}]")
-
 
 def accrued_interest(terms: ConvertibleTerms, t: date) -> float:
     """Coupon accrued since the last coupon date (or issue), act/365 pro-rata.
 
     Zero exactly on coupon dates and at issue; grows linearly in day count up to
-    the full coupon amount just before the next payment.
+    the full coupon amount just before the next payment.  This is a ratio of
+    day counts; `Timeline.accrued` takes a ratio of tau differences and can
+    differ from it in the last bit, so the CLI's clean prices use this one.
     """
-    _check_in_life(terms, t)
+    if t < terms.issue or t > terms.maturity:
+        raise DomainError(f"{t} is outside the bond life [{terms.issue}, {terms.maturity}]")
     sched = terms.coupon
     if not sched.dates or sched.amount == 0.0:
         return 0.0
@@ -231,33 +225,8 @@ def accrued_interest(terms: ConvertibleTerms, t: date) -> float:
         return 0.0
     idx = max(i for i, b in enumerate(bounds) if b < t)
     prev, nxt = bounds[idx], bounds[idx + 1]
-    frac = year_fraction(prev, t, terms.day_count) / year_fraction(prev, nxt, terms.day_count)
+    frac = year_fraction(prev, t) / year_fraction(prev, nxt)
     return sched.amount * frac
-
-
-def conversion_value(terms: ConvertibleTerms, S: float, t: date) -> float:
-    """ratio * S inside the conversion window, 0 outside; carries no accrued."""
-    if S < 0:
-        raise DomainError("stock price must be >= 0")
-    c = terms.conversion
-    return c.ratio * S if c.start <= t <= c.end else 0.0
-
-
-def _dirty_level(terms: ConvertibleTerms, right, t: date, outside: float) -> float:
-    _check_in_life(terms, t)
-    if right is None or not (right.start <= t <= right.end):
-        return outside
-    return right.price + accrued_interest(terms, t)
-
-
-def dirty_call_price(terms: ConvertibleTerms, t: date) -> float:
-    """Clean call level plus accrued inside the call window; +inf when not callable."""
-    return _dirty_level(terms, terms.call, t, np.inf)
-
-
-def dirty_put_price(terms: ConvertibleTerms, t: date) -> float:
-    """Clean put level plus accrued inside the put window; 0 when not puttable."""
-    return _dirty_level(terms, terms.put, t, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +270,9 @@ class Timeline:
         idx = np.clip(np.searchsorted(b, tau + _WINDOW_EPS, side="right") - 1, 0, len(b) - 2)
         frac = (tau - b[idx]) / (b[idx + 1] - b[idx])
         out = self.coupon_amount * np.clip(frac, 0.0, 1.0)
-        # exact zero on boundaries (payment resets accrual)
-        on_bound = np.isclose(tau[:, None], b[None, :], rtol=0.0, atol=_WINDOW_EPS).any(axis=1)
+        # exact zero on boundaries (payment resets accrual); bounds are at least
+        # a day apart, so any bound within eps of tau is one of its neighbours
+        on_bound = (np.abs(tau - b[idx]) <= _WINDOW_EPS) | (np.abs(tau - b[idx + 1]) <= _WINDOW_EPS)
         return np.where(on_bound, 0.0, out)
 
     def _in_window(self, window, tau: np.ndarray) -> np.ndarray:

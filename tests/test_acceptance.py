@@ -51,7 +51,7 @@ def report(n: int, ok: bool, detail: str) -> None:
 
 
 def profile_values(t, grid, steps):
-    return np.array([nv.value for _, nv in price_profile_raw(TABLE1, MARKET, t, grid, steps)])
+    return price_profile_raw(TABLE1, MARKET, t, grid, steps).value
 
 
 def test_criterion_1_lattice_price_pathology():

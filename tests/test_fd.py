@@ -18,7 +18,6 @@ from cblab import (
     FDGrid,
     MarketParams,
     NumericalError,
-    fd,
     fd_profile,
     price_tf_crr,
     solve_tf_fd,
@@ -205,6 +204,24 @@ class TestGridRefinement:
         assert c1 < 4.0 * c2
 
 
+class TestBoundaryRows:
+    def test_s_max_row_follows_the_conversion_window(self, table1, market, issue):
+        """With conversion ending a year before maturity, the S_max row holds
+        the conversion value on every layer where conversion is allowed and
+        beats debt, and the risky debt value on the layers after it."""
+        terms = replace(table1, conversion=replace(table1.conversion, end=date(2006, 1, 2)))
+        grid = FDGrid.auto(market, year_fraction(issue, terms.maturity), n_s=101)
+        sol = solve_tf_fd(terms, market, issue, grid)
+        tl = Timeline(terms, issue)
+        taus = sol.layer_taus[:-1]  # the expiry layer redeems instead
+        debt = tl.risky_cash_pv(taus, market.rate + market.credit_spread)
+        conv = tl.ratio * grid.s_max
+        active = tl.conversion_active(taus)
+        assert active.any() and not active.all() and np.all(conv > debt)
+        assert np.array_equal(sol.value[:-1, -1], np.where(active, conv, debt))
+        assert np.array_equal(sol.debt[:-1, -1], np.where(active, 0.0, debt))
+
+
 class TestMarchGuards:
     def test_non_finite_values_name_the_layer(self, table1, market, jan2004):
         huge = replace(table1, conversion=replace(table1.conversion, ratio=1e308))
@@ -213,27 +230,18 @@ class TestMarchGuards:
             with pytest.raises(NumericalError, match=r"^non-finite values at layer 2000 \(tau="):
                 solve_tf_fd(huge, market, jan2004, grid)
 
-    def test_memory_bounded_by_stored_layers_not_march(self, table1, market, issue, monkeypatch):
-        """From the expiry layer on, the march holds the stored layers, O(n_s)
-        buffers and a few O(n_t) float64 vectors.  The peak is taken from the
-        first node decision, so the Timeline queries' transients do not count;
-        a Python list per layer input, or a row kept per layer, exceeds it."""
+    def test_memory_bounded_by_stored_layers_not_march(self, table1, market, issue):
+        """The whole solve, Timeline queries included, holds the stored layers,
+        O(n_s) buffers and a few O(n_t) float64 vectors; a Python list per
+        layer input, a row kept per layer, or an (n_t x coupon date) matrix
+        exceeds it."""
         grid = FDGrid.auto(market, year_fraction(issue, table1.maturity), n_s=101)
-        engine, started = fd.decide, []
-
-        def decide(*args):
-            if not started:
-                started.append(True)
-                tracemalloc.reset_peak()
-            engine(*args)
-
-        monkeypatch.setattr(fd, "decide", decide)
         tracemalloc.start()
         try:
             sol = solve_tf_fd(table1, market, issue, grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert started and grid.n_t > 40 * grid.n_s
+        assert grid.n_t > 40 * grid.n_s
         # stored layers: the [V | B] copies, then value, debt and equity
         assert peak < 5 * sol.value.nbytes + 8 * 64 * grid.n_s + 8 * 8 * grid.n_t

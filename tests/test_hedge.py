@@ -12,11 +12,11 @@ from cblab import (
     CouponSchedule,
     DomainError,
     HedgeStressSpec,
-    delta,
+    greek_point,
     hedge_increment,
-    hedged_position,
     price_tf_crr,
     stress_curve,
+    stress_increments,
 )
 
 
@@ -29,22 +29,29 @@ def straight_bond():
     )
 
 
+def one_spot_position(terms, market, t, spot, steps):
+    """The pre-shock hedged position that `stress_increments` reports for one spot."""
+    spec = HedgeStressSpec(t=t, spot_grid=np.array([spot]), steps=steps)
+    _, positions = stress_increments(spec, terms, market)
+    return positions[0]
+
+
 class TestHedgedPosition:
     def test_straight_bond_position_is_value(self, market, issue):
         terms = straight_bond()
         v = price_tf_crr(terms, market, issue, 100.0, 300).price
-        assert hedged_position(terms, market, issue, 100.0, 300) == v
+        assert one_spot_position(terms, market, issue, 100.0, 300) == v
 
     def test_recomposition_identity(self, table1, market, issue):
         v = price_tf_crr(table1, market, issue, 100.0, 500).price
-        d = delta(table1, market, issue, 100.0, 500)
-        assert hedged_position(table1, market, issue, 100.0, 500) == pytest.approx(
+        d = greek_point(table1, market, issue, 100.0, 500).delta
+        assert one_spot_position(table1, market, issue, 100.0, 500) == pytest.approx(
             v - d * 100.0, rel=1e-12
         )
 
     def test_deep_itm_position_near_zero_fraction(self, table1, market, issue):
         # pure equity limit: V ~ S and delta ~ 1, so the hedge nets out
-        pos = hedged_position(table1, market, issue, 10_000.0, 500)
+        pos = one_spot_position(table1, market, issue, 10_000.0, 500)
         assert abs(pos) < 0.02 * 10_000.0
 
 

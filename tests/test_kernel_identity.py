@@ -134,8 +134,10 @@ def test_matches_previous_kernel(sweeps, name):
 # solve_tf_fd on a 101-node auto grid, default snapshots (41 stored layers)
 # except "compare_2004", which stores only t0 and expiry as `cblab compare`
 # does; "conversion_ends_2006" has no conversion at expiry, so the S_max row
-# takes the debt value.  Those two were recorded with the solver that held V
-# and B as two rows allocated afresh every layer.
+# takes the conversion value up to 2006-01-02 and the debt value after it.
+# "compare_2004" was recorded with the solver that held V and B as two rows
+# allocated afresh every layer; "conversion_ends_2006" was re-recorded when
+# the S_max row began to follow the conversion window layer by layer.
 FD_REFERENCE = {
     "reference_2004": {
         "value": "e1a776652ac5dece884550ed",
@@ -153,9 +155,9 @@ FD_REFERENCE = {
         "debt": "e17fb1f5cadd9a388479d8d6",
     },
     "conversion_ends_2006": {
-        "value": "38a08535f7c0cf45731111e5",
-        "equity": "57a2f2feea96a95913d302e3",
-        "debt": "3e5f8265327fe4ca0afc0264",
+        "value": "d41f23f0062a059b7bbb7ef7",
+        "equity": "bb27b7aa4f11dd6639d70daa",
+        "debt": "10764cbdd99ac717cd0ecaed",
     },
 }
 

@@ -20,12 +20,13 @@ from cblab import (
     DomainError,
     MarketParams,
     NodeValue,
-    apply_constraints,
     build_crr_params,
+    greek_point,
     price_profile_raw,
     price_tf_crr,
     rollback_batch,
 )
+from cblab.lattice import decide
 from cblab.termsheet import Timeline
 
 
@@ -65,31 +66,41 @@ class TestBuildCrrParams:
             build_crr_params(0.3, 0.05, 0.0, 10)
 
 
+def decide_one(held: NodeValue, call: float, put: float, conv: float) -> NodeValue:
+    """`decide` on one node: held value, dirty call, dirty put, conversion value."""
+    E, B, c = (np.array([x]) for x in (held.equity, held.debt, conv))
+    V, vs = np.empty(1), np.empty(1)
+    decide(E, B, V, vs, c, call, put, *(np.empty(1, dtype=bool) for _ in range(3)))
+    return NodeValue(equity=float(E[0]), debt=float(B[0]))
+
+
 class TestApplyConstraints:
+    """The node rule, run through `decide` on one-element arrays."""
+
     def test_no_constraint_binds(self):
-        out = apply_constraints(NodeValue(50.0, 60.0), np.inf, 0.0, 105.0)
+        out = decide_one(NodeValue(50.0, 60.0), np.inf, 0.0, 105.0)
         assert (out.equity, out.debt) == (50.0, 60.0)
 
     def test_conversion_dominates(self):
-        out = apply_constraints(NodeValue(80.0, 40.0), 110.0, 0.0, 115.0)
+        out = decide_one(NodeValue(80.0, 40.0), 110.0, 0.0, 115.0)
         assert (out.equity, out.debt) == (115.0, 0.0)
 
     def test_call_binds_proceeds_are_cash(self):
         # max[min(120,110),0,100] = 110; call proceeds sit in the debt part
-        out = apply_constraints(NodeValue(80.0, 40.0), 110.0, 0.0, 100.0)
+        out = decide_one(NodeValue(80.0, 40.0), 110.0, 0.0, 100.0)
         assert (out.equity, out.debt) == (0.0, 110.0)
         assert out.value == 110.0
 
     def test_put_binds(self):
-        out = apply_constraints(NodeValue(10.0, 60.0), np.inf, 98.0, 20.0)
+        out = decide_one(NodeValue(10.0, 60.0), np.inf, 98.0, 20.0)
         assert (out.equity, out.debt) == (0.0, 98.0)
 
     def test_tie_prefers_continuation(self):
-        out = apply_constraints(NodeValue(70.0, 40.0), 110.0, 0.0, 110.0)
+        out = decide_one(NodeValue(70.0, 40.0), 110.0, 0.0, 110.0)
         assert (out.equity, out.debt) == (70.0, 40.0)
 
     def test_tie_conversion_over_call(self):
-        out = apply_constraints(NodeValue(80.0, 40.0), 110.0, 0.0, 110.0)
+        out = decide_one(NodeValue(80.0, 40.0), 110.0, 0.0, 110.0)
         assert (out.equity, out.debt) == (110.0, 0.0)
 
     @pytest.mark.parametrize(
@@ -105,12 +116,8 @@ class TestApplyConstraints:
         ids=["held_equals_call", "held_equals_put", "conversion_equals_put"],
     )
     def test_exact_ties(self, held, call, put, conv, expected):
-        out = apply_constraints(held, call, put, conv)
+        out = decide_one(held, call, put, conv)
         assert (out.equity, out.debt) == expected
-
-    def test_negative_component_rejected(self):
-        with pytest.raises(DomainError):
-            apply_constraints(NodeValue(-1.0, 0.0), np.inf, 0.0, 0.0)
 
 
 def straight_bond(rate: float = 0.0, years: int = 1) -> ConvertibleTerms:
@@ -143,11 +150,10 @@ class TestStraightBondReduction:
             assert res.price == pytest.approx(expected, rel=1e-10)
 
     def test_delta_gamma_are_zero(self, market):
-        from cblab import delta, gamma
-
         terms = straight_bond(rate=0.04, years=5)
-        assert delta(terms, market, terms.issue, 100.0, 500) == 0.0
-        assert gamma(terms, market, terms.issue, 100.0, 500) == 0.0
+        gp = greek_point(terms, market, terms.issue, 100.0, 500)
+        assert gp.delta == 0.0
+        assert gp.gamma == 0.0
 
     @pytest.mark.parametrize("t,spot,steps", [
         (date(2002, 1, 2), 37.0, 3),
@@ -155,10 +161,8 @@ class TestStraightBondReduction:
         (date(2006, 11, 1), 250.0, 120),
     ])
     def test_zero_ratio_gamma_zero_everywhere(self, market, t, spot, steps):
-        from cblab import gamma
-
         terms = straight_bond(rate=0.04, years=5)
-        assert gamma(terms, market, t, spot, steps) == 0.0
+        assert greek_point(terms, market, t, spot, steps).gamma == 0.0
 
 
 class TestReferenceInstrument:
@@ -311,23 +315,23 @@ class TestProfile:
     def test_singleton_matches_pointwise(self, table1, market, jan2004):
         prof = price_profile_raw(table1, market, jan2004, [100.0], 300)
         res = price_tf_crr(table1, market, jan2004, 100.0, 300)
-        assert prof[0][1] == res.node
+        assert NodeValue(prof.equity[0], prof.debt[0]) == res.node
 
     def test_batch_bitwise_equals_pointwise(self, table1, market, jan2004):
         grid = np.array([95.0, 100.0, 104.5, 108.2, 110.0, 118.0])
         prof = price_profile_raw(table1, market, jan2004, grid, 200)
-        for s, nv in prof:
+        for s, e, b in zip(grid, prof.equity, prof.debt):
             single = price_tf_crr(table1, market, jan2004, s, 200)
-            assert nv.equity == single.node.equity
-            assert nv.debt == single.node.debt
+            assert e == single.node.equity
+            assert b == single.node.debt
 
     def test_duplicated_points_equal(self, table1, market, jan2004):
         prof = price_profile_raw(table1, market, jan2004, [104.0, 104.0], 200)
-        assert prof[0][1] == prof[1][1]
+        assert (prof.equity[0], prof.debt[0]) == (prof.equity[1], prof.debt[1])
 
     def test_not_strictly_monotone_between_108_and_110(self, table1, market, jan2004):
         grid = np.round(np.arange(108.0, 110.0001, 0.25), 6)
-        values = [nv.value for _, nv in price_profile_raw(table1, market, jan2004, grid, 500)]
+        values = price_profile_raw(table1, market, jan2004, grid, 500).value
         assert any(b <= a for a, b in zip(values, values[1:]))
 
     def test_rejects_bad_grids(self, table1, market, jan2004):

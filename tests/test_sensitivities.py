@@ -12,8 +12,6 @@ from cblab import (
     ConvertibleTerms,
     CouponSchedule,
     DomainError,
-    delta,
-    gamma,
     greek_point,
     price_tf_crr,
     rollback_batch,
@@ -21,7 +19,6 @@ from cblab import (
 )
 from cblab import sensitivities
 from cblab.sensitivities import (
-    delta_pct,
     local_extrema_count,
     monotonicity_violations,
     second_difference_sign_changes,
@@ -34,44 +31,45 @@ class TestDeltaDefinition:
         lp = res.params
         v1 = res.fronts[1]
         expected = (v1[0, 1] - v1[0, 0]) / ((lp.up - lp.down) * 100.0)
-        assert delta(table1, market, jan2004, 100.0, 500) == expected
+        assert greek_point(table1, market, jan2004, 100.0, 500).delta == expected
 
     def test_deep_itm_delta_one(self, table1, market, issue):
-        assert delta(table1, market, issue, 10_000.0, 500) == pytest.approx(1.0, abs=1e-3)
+        gp = greek_point(table1, market, issue, 10_000.0, 500)
+        assert gp.delta == pytest.approx(1.0, abs=1e-3)
 
     def test_deep_itm_gamma_zero(self, table1, market, issue):
-        assert gamma(table1, market, issue, 10_000.0, 500) == pytest.approx(0.0, abs=1e-4)
+        gp = greek_point(table1, market, issue, 10_000.0, 500)
+        assert gp.gamma == pytest.approx(0.0, abs=1e-4)
 
     def test_minimum_steps_enforced(self, table1, market, jan2004):
         with pytest.raises(ConfigurationError):
-            delta(table1, market, jan2004, 100.0, 1)
+            greek_point(table1, market, jan2004, 100.0, 1)
         with pytest.raises(ConfigurationError):
-            gamma(table1, market, jan2004, 100.0, 2)
+            greek_point(table1, market, jan2004, 100.0, 2)
 
 
 class TestDeltaPct:
     def test_ratio_one_identity(self, table1, market, jan2004):
-        assert delta_pct(table1, market, jan2004, 100.0, 300) == delta(
-            table1, market, jan2004, 100.0, 300
-        )
+        gp = greek_point(table1, market, jan2004, 100.0, 300)
+        assert gp.delta_pct == gp.delta
 
     def test_rescales_by_ratio(self, table1, market, jan2004):
         quarter = table1.with_nominal_scaled(0.25)  # ratio 0.25, nominal 25
-        d = delta(quarter, market, jan2004, 100.0, 200)
-        assert delta_pct(quarter, market, jan2004, 100.0, 200) == pytest.approx(d / 0.25, rel=1e-12)
+        gp = greek_point(quarter, market, jan2004, 100.0, 200)
+        assert gp.delta_pct == pytest.approx(gp.delta / 0.25, rel=1e-12)
 
-    def test_zero_ratio_rejected(self, market, jan2004):
+    def test_zero_ratio_is_nan(self, market, jan2004):
         issue, maturity = date(2002, 1, 2), date(2007, 1, 2)
         terms = ConvertibleTerms(
             nominal=100.0, issue=issue, maturity=maturity,
             coupon=CouponSchedule.generate(0.04, 2, 100.0, issue, maturity),
             conversion=ConversionTerms(0.0, issue, maturity),
         )
-        with pytest.raises(DomainError):
-            delta_pct(terms, market, jan2004, 100.0, 200)
+        assert np.isnan(greek_point(terms, market, jan2004, 100.0, 200).delta_pct)
 
     def test_deep_itm_near_one(self, table1, market, issue):
-        assert delta_pct(table1, market, issue, 10_000.0, 500) == pytest.approx(1.0, abs=1e-3)
+        gp = greek_point(table1, market, issue, 10_000.0, 500)
+        assert gp.delta_pct == pytest.approx(1.0, abs=1e-3)
 
 
 class TestSmoothRegionAgreement:
@@ -85,7 +83,9 @@ class TestSmoothRegionAgreement:
         vp = price_tf_crr(table1, market, issue, 40.0 + h, 500).price
         vm = price_tf_crr(table1, market, issue, 40.0 - h, 500).price
         d_fd = (vp - vm) / (2 * h)
-        assert delta(table1, market, issue, 40.0, 500) == pytest.approx(d_fd, abs=1e-2)
+        assert greek_point(table1, market, issue, 40.0, 500).delta == pytest.approx(
+            d_fd, abs=1e-2
+        )
 
     def test_gamma_matches_central_difference(self, table1, market, issue):
         h = 5.0
@@ -93,14 +93,16 @@ class TestSmoothRegionAgreement:
         v0 = price_tf_crr(table1, market, issue, 40.0, 500).price
         vm = price_tf_crr(table1, market, issue, 40.0 - h, 500).price
         g_fd = (vp - 2 * v0 + vm) / h**2
-        assert gamma(table1, market, issue, 40.0, 500) == pytest.approx(g_fd, abs=1e-1)
+        assert greek_point(table1, market, issue, 40.0, 500).gamma == pytest.approx(
+            g_fd, abs=1e-1
+        )
 
 
 class TestPortfolioLinearity:
     def test_delta_scales_with_nominal(self, table1, market, jan2004):
         doubled = table1.with_nominal_scaled(2.0)
-        assert delta(doubled, market, jan2004, 100.0, 200) == pytest.approx(
-            2.0 * delta(table1, market, jan2004, 100.0, 200), rel=1e-12
+        assert greek_point(doubled, market, jan2004, 100.0, 200).delta == pytest.approx(
+            2.0 * greek_point(table1, market, jan2004, 100.0, 200).delta, rel=1e-12
         )
 
 

@@ -18,9 +18,6 @@ from cblab import (
     MarketParams,
     PutTerms,
     accrued_interest,
-    conversion_value,
-    dirty_call_price,
-    dirty_put_price,
     dump_terms,
     load_terms,
     reference_terms_path,
@@ -119,18 +116,21 @@ class TestAccruedInterest:
             accrued_interest(table1, date(2007, 1, 3))
 
 
+def at(terms: ConvertibleTerms, t: date) -> tuple[Timeline, float]:
+    """The engines' view of the contract at date t: a Timeline anchored at
+    issue and the year fraction of t within it."""
+    return Timeline(terms, terms.issue), year_fraction(terms.issue, t)
+
+
+def conversion(tl: Timeline, S: float, tau: float) -> float:
+    """ratio * S where the timeline allows conversion, 0 elsewhere."""
+    return float(np.where(tl.conversion_active(tau), tl.ratio * S, 0.0)[0])
+
+
 class TestContractFunctions:
     def test_conversion_value_inside_window(self, table1):
-        assert conversion_value(table1, 110.0, date(2004, 1, 2)) == 110.0
-
-    def test_zero_ratio(self, table1, jan2004):
-        terms = ConvertibleTerms(
-            nominal=100.0, issue=table1.issue, maturity=table1.maturity,
-            coupon=table1.coupon,
-            conversion=ConversionTerms(0.0, table1.issue, table1.maturity),
-        )
-        for s in (0.0, 55.0, 1e6):
-            assert conversion_value(terms, s, jan2004) == 0.0
+        tl, tau = at(table1, date(2004, 1, 2))
+        assert conversion(tl, 110.0, tau) == 110.0
 
     def test_outside_window(self, table1):
         terms = ConvertibleTerms(
@@ -138,29 +138,27 @@ class TestContractFunctions:
             coupon=table1.coupon,
             conversion=ConversionTerms(1.0, table1.issue, date(2004, 1, 2)),
         )
-        assert conversion_value(terms, 150.0, date(2004, 1, 3)) == 0.0
-
-    def test_positive_homogeneity(self, table1, jan2004):
-        lam, s = 3.5, 87.0
-        assert conversion_value(table1, lam * s, jan2004) == pytest.approx(
-            lam * conversion_value(table1, s, jan2004), rel=1e-15
-        )
+        tl, tau = at(terms, date(2004, 1, 3))
+        assert conversion(tl, 150.0, tau) == 0.0
 
     def test_dirty_call_on_coupon_date(self, table1):
         # coupon date inside the call window: accrued resets to zero
-        assert dirty_call_price(table1, date(2004, 1, 2)) == 110.0
+        tl, tau = at(table1, date(2004, 1, 2))
+        assert tl.call_dirty(tau)[0] == 110.0
 
     def test_dirty_call_before_window(self, table1):
-        assert dirty_call_price(table1, date(2003, 1, 2)) == np.inf
+        tl, tau = at(table1, date(2003, 1, 2))
+        assert tl.call_dirty(tau)[0] == np.inf
 
     def test_dirty_call_midperiod(self, table1):
-        t = date(2004, 1, 2) + timedelta(days=50)
+        tl, tau = at(table1, date(2004, 1, 2) + timedelta(days=50))
         # period 2-Jan-2004 .. 2-Jul-2004 is 182 days
-        assert dirty_call_price(table1, t) == pytest.approx(110.0 + 2.0 * 50 / 182, abs=1e-12)
+        assert tl.call_dirty(tau)[0] == pytest.approx(110.0 + 2.0 * 50 / 182, abs=1e-12)
 
     def test_no_put_means_zero(self, table1):
         for d in (table1.issue, date(2004, 1, 2), date(2006, 12, 31)):
-            assert dirty_put_price(table1, d) == 0.0
+            tl, tau = at(table1, d)
+            assert tl.put_dirty(tau)[0] == 0.0
 
     def test_put_levels(self, table1):
         terms = ConvertibleTerms(
@@ -168,10 +166,15 @@ class TestContractFunctions:
             coupon=table1.coupon, conversion=table1.conversion,
             put=PutTerms(98.0, date(2003, 1, 2), date(2005, 1, 2)),
         )
-        assert dirty_put_price(terms, date(2004, 1, 2)) == 98.0
+
+        def put_at(d):
+            tl, tau = at(terms, d)
+            return tl.put_dirty(tau)[0]
+
+        assert put_at(date(2004, 1, 2)) == 98.0
         t = date(2004, 1, 2) + timedelta(days=50)
-        assert dirty_put_price(terms, t) == pytest.approx(98.0 + 2.0 * 50 / 182, abs=1e-12)
-        assert dirty_put_price(terms, date(2002, 6, 1)) == 0.0
+        assert put_at(t) == pytest.approx(98.0 + 2.0 * 50 / 182, abs=1e-12)
+        assert put_at(date(2002, 6, 1)) == 0.0
 
 
 class TestExerciseRights:
@@ -259,6 +262,18 @@ class TestTimeline:
             assert tl.accrued(np.array([tau]))[0] == pytest.approx(
                 accrued_interest(table1, t), abs=1e-12
             )
+
+    def test_accrual_resets_within_eps_of_every_bound(self, table1):
+        """Zero within eps of each coupon date, maturity included; past eps it
+        is the tiny or the full accrual of the period on that side."""
+        tl = Timeline(table1, date(2003, 3, 10))
+        c = tl.coupon_taus[tl.coupon_taus > 0]
+        assert np.all(tl.accrued(c) == 0.0)
+        assert np.all(tl.accrued(c - 0.5e-12) == 0.0)
+        assert np.all(tl.accrued(c + 0.5e-12) == 0.0)
+        after = tl.accrued(c[:-1] + 3e-12)
+        assert np.all((after > 0.0) & (after < 1e-9))
+        assert tl.accrued(c - 3e-12) == pytest.approx(np.full(c.size, 2.0), abs=1e-9)
 
     def test_call_window_levels(self, table1):
         tl = Timeline(table1, date(2002, 1, 2))
