@@ -1,4 +1,4 @@
-.PHONY: test acceptance figures demos clean
+.PHONY: test acceptance figures demos same-outputs clean
 
 # run from the source tree: no install step needed
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -15,6 +15,10 @@ figures:
 # smoke-run every demo script from the source tree (about half a minute)
 demos:
 	@for f in demos/*.py; do echo "== $$f"; python3 $$f || exit 1; done
+
+# byte-compare figures, their stdout and demo stdout against a revision: make same-outputs REV=HEAD
+same-outputs:
+	sh scripts/same_outputs.sh $(REV)
 
 clean:
 	rm -rf out build *.egg-info src/*.egg-info .pytest_cache

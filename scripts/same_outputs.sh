@@ -1,0 +1,46 @@
+#!/bin/sh
+# Check that the working tree writes the same bytes as revision REV: every
+# `make figures` dataset, the stdout of make_figures.sh and the stdout of every
+# demo script.  Each tree runs from its own fresh working directory, so the
+# `wrote out/...` lines compare equal.  Exits 1 on any difference.
+#
+#   sh scripts/same_outputs.sh REV        (or: make same-outputs REV=...)
+#
+# Both trees regenerate the full figure set: about 3.5 minutes on two cores.
+set -eu
+rev="${1:?usage: scripts/same_outputs.sh REV}"
+root="$(cd "$(dirname "$0")/.." && pwd)"
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+trap 'exit 1' INT TERM
+
+mkdir "$tmp/rev-tree"
+git -C "$root" archive "$rev" | tar -x -C "$tmp/rev-tree"
+
+# run_tree TREE NAME: figures into $tmp/NAME/out, stdout logs next to them
+run_tree() {
+    work="$tmp/$2"
+    mkdir "$work"
+    echo "== $2: make_figures.sh"
+    (cd "$work" && PYTHONPATH="$1/src" sh "$1/scripts/make_figures.sh" out) > "$work/figures.log"
+    for demo in "$1"/demos/*.py; do
+        name="$(basename "$demo")"
+        echo "== $2: $name"
+        echo "== $name" >> "$work/demos.log"
+        (cd "$work" && PYTHONPATH="$1/src" python3 "$demo") >> "$work/demos.log"
+    done
+}
+
+run_tree "$tmp/rev-tree" rev
+run_tree "$root" work
+
+status=0
+diff -r "$tmp/rev/out" "$tmp/work/out" || status=1
+diff "$tmp/rev/figures.log" "$tmp/work/figures.log" || status=1
+diff "$tmp/rev/demos.log" "$tmp/work/demos.log" || status=1
+if [ "$status" -eq 0 ]; then
+    echo "same outputs as $rev: $(find "$tmp/work/out" -type f | wc -l) files, figure and demo stdout"
+else
+    echo "outputs differ from $rev" >&2
+fi
+exit "$status"

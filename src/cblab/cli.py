@@ -1,10 +1,12 @@
 """Command-line front end: term-sheet ingestion, experiment orchestration, and
 emission of plot-ready CSV / text artifacts.
 
-Subcommands: price | surface | greeks | hedge-stress | var | compare.
-All outputs are data files (no rendered images); files embed their full
-configuration, with the term sheet's contents rather than its path, and its
-hash, so identical runs produce identical bytes from any checkout.
+Subcommands: price | surface | greeks | hedge-stress | var | compare.  `main`
+loads the term sheet, then the market, once and calls `cmd_<name>(args,
+terms, mkt)`; one writer, `_write`, writes every table.  All outputs are data
+files (no rendered images); each header embeds the run's configuration (every
+parsed option except --out, with the term sheet's contents rather than its
+path) and its hash, so identical runs produce identical bytes from any checkout.
 CBLAB_THREADS sets how many threads every lattice batch runs on (default:
 the cores this process may use); the output bytes do not depend on it.
 """
@@ -45,51 +47,49 @@ def _spot_grid(args) -> np.ndarray:
         raise ConfigurationError(f"--s-step must be > 0, got {args.s_step:g}")
     if args.s_max < args.s_min:
         raise ConfigurationError(f"--s-max {args.s_max:g} is below --s-min {args.s_min:g}")
-    n = int(round((args.s_max - args.s_min) / args.s_step))
+    # the last point never passes --s-max; the epsilon absorbs the quotient's rounding
+    n = math.floor((args.s_max - args.s_min) / args.s_step + 1e-9)
     return args.s_min + args.s_step * np.arange(n + 1)
 
 
-def _market(args) -> MarketParams:
-    return MarketParams(rate=args.rate, credit_spread=args.spread, sigma=args.vol)
-
-
-def _config(args, terms, keys: list[str]) -> dict:
-    cfg = {"command": args.command, "terms": terms_to_dict(terms)}
-    for k in ("rate", "spread", "vol", "steps"):
-        cfg[k] = getattr(args, k)
-    for k in keys:
-        cfg[k] = getattr(args, k)
-    cfg["format"] = args.format
+def _config(args, terms, when: date | None = None) -> dict:
+    """Every parsed option but --out, the sheet's contents for its path, and the
+    resolved date when given."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+    cfg["terms"] = terms_to_dict(terms)
+    if when is not None:
+        cfg["date"] = when.isoformat()
     return cfg
 
 
-def cmd_price(args) -> int:
-    terms = load_terms(args.terms)
-    mkt = _market(args)
+def _write(args, cfg: dict, name: str, columns: list[str], rows: list, summary=()) -> Path:
+    """Write one table as `<out>/<name>.csv` or `.txt` and return its path."""
+    path = args.out / f"{name}.{'csv' if args.format == 'csv' else 'txt'}"
+    write_rows(Report(config=cfg, columns=columns, rows=rows, summary=list(summary)),
+               path, args.format)
+    return path
+
+
+def cmd_price(args, terms, mkt) -> int:
     t = args.date or terms.issue
     res = lattice.price_tf_crr(terms, mkt, t, args.spot, args.steps)
     ai = accrued_interest(terms, t)
-    cfg = _config(args, terms, ["spot"])
-    cfg["date"] = t.isoformat()
-    report = Report(
-        config=cfg,
-        columns=["date", "spot", "steps", "V_dirty", "V_clean", "E", "B",
-                 "conversion_binds", "call_binds", "put_binds"],
-        rows=[(t.isoformat(), args.spot, args.steps, res.price, res.price - ai,
-               res.node.equity, res.node.debt,
-               res.binds.conversion, res.binds.call, res.binds.put)],
-        summary=[],
-    )
-    out = Path(args.out) / f"price.{_ext(args)}"
-    write_rows(report, out, args.format)
+    out = _write(args, _config(args, terms, t), "price",
+                 ["date", "spot", "steps", "V_dirty", "V_clean", "E", "B",
+                  "conversion_binds", "call_binds", "put_binds"],
+                 [(t.isoformat(), args.spot, args.steps, res.price, res.price - ai,
+                   res.node.equity, res.node.debt,
+                   res.binds.conversion, res.binds.call, res.binds.put)])
     print(f"V = {res.price:.10g}  (E = {res.node.equity:.10g}, B = {res.node.debt:.10g}, "
           f"clean = {res.price - ai:.10g})")
     print(f"wrote {out}")
     return 0
 
 
-def _surface_rows(terms, mkt, t_grid, spots, steps) -> list[tuple]:
-    srf = sensitivities.surface(terms, mkt, t_grid, spots, steps)
+def _surface_table(args, terms, mkt, t_grid: list[date]) -> int:
+    """Price, E/B split and Greeks on t_grid x the spot grid, named after the command."""
+    spots = _spot_grid(args)
+    srf = sensitivities.surface(terms, mkt, t_grid, spots, args.steps)
     rows = []
     for i, t in enumerate(t_grid):
         t_years = year_fraction(terms.issue, t)
@@ -98,48 +98,27 @@ def _surface_rows(terms, mkt, t_grid, spots, steps) -> list[tuple]:
             p = srf.point(i, j)
             rows.append((f"{t_years:.10g}", t.isoformat(), float(s), p.value, p.value - ai,
                          p.equity, p.debt, p.delta, p.delta_pct, p.gamma))
-    return rows
+    out = _write(args, _config(args, terms), args.command,
+                 ["t_years", "t_date", "S", "V_dirty", "V_clean", "E", "B",
+                  "delta", "delta_pct", "gamma"], rows)
+    print(f"wrote {out} ({len(rows)} points)")
+    return 0
 
 
-_SURFACE_COLUMNS = ["t_years", "t_date", "S", "V_dirty", "V_clean", "E", "B",
-                    "delta", "delta_pct", "gamma"]
-
-
-def cmd_surface(args) -> int:
-    terms = load_terms(args.terms)
-    mkt = _market(args)
+def cmd_surface(args, terms, mkt) -> int:
     if args.t_points < 1:
         raise ConfigurationError(f"--t-points must be >= 1, got {args.t_points}")
     life_days = (terms.maturity - terms.issue).days
     offsets = [round(i * life_days / args.t_points) for i in range(args.t_points)]
-    t_grid = [date.fromordinal(terms.issue.toordinal() + o) for o in offsets]
-    spots = _spot_grid(args)
-    rows = _surface_rows(terms, mkt, t_grid, spots, args.steps)
-    cfg = _config(args, terms, ["s_min", "s_max", "s_step", "t_points"])
-    report = Report(config=cfg, columns=_SURFACE_COLUMNS, rows=rows, summary=[])
-    out = Path(args.out) / f"surface.{_ext(args)}"
-    write_rows(report, out, args.format)
-    print(f"wrote {out} ({len(rows)} points)")
-    return 0
+    return _surface_table(args, terms, mkt,
+                          [date.fromordinal(terms.issue.toordinal() + o) for o in offsets])
 
 
-def cmd_greeks(args) -> int:
-    terms = load_terms(args.terms)
-    mkt = _market(args)
-    spots = _spot_grid(args)
-    rows = _surface_rows(terms, mkt, [args.date], spots, args.steps)
-    cfg = _config(args, terms, ["s_min", "s_max", "s_step"])
-    cfg["date"] = args.date.isoformat()
-    report = Report(config=cfg, columns=_SURFACE_COLUMNS, rows=rows, summary=[])
-    out = Path(args.out) / f"greeks.{_ext(args)}"
-    write_rows(report, out, args.format)
-    print(f"wrote {out} ({len(rows)} points)")
-    return 0
+def cmd_greeks(args, terms, mkt) -> int:
+    return _surface_table(args, terms, mkt, [args.date])
 
 
-def cmd_hedge_stress(args) -> int:
-    terms = load_terms(args.terms)
-    mkt = _market(args)
+def cmd_hedge_stress(args, terms, mkt) -> int:
     t = args.date or terms.issue
     spec = hedge.HedgeStressSpec(
         t=t, shock=args.shock, spot_grid=_spot_grid(args),
@@ -149,23 +128,13 @@ def cmd_hedge_stress(args) -> int:
     scale = spec.scaling(terms)
     rows = [(float(s), float(inc), float(inc * scale), inc / abs(pos) if pos != 0 else np.inf)
             for s, inc, pos in zip(spec.spot_grid, increments, positions)]
-    cfg = _config(args, terms, ["s_min", "s_max", "s_step", "shock", "contract_size"])
-    cfg["date"] = t.isoformat()
-    report = Report(
-        config=cfg,
-        columns=["S", "increment", "increment_scaled", "increment_relative"],
-        rows=rows,
-        summary=[],
-    )
-    out = Path(args.out) / f"hedge_stress.{_ext(args)}"
-    write_rows(report, out, args.format)
+    out = _write(args, _config(args, terms, t), "hedge_stress",
+                 ["S", "increment", "increment_scaled", "increment_relative"], rows)
     print(f"wrote {out} ({len(rows)} points)")
     return 0
 
 
-def cmd_var(args) -> int:
-    terms = load_terms(args.terms)
-    mkt = _market(args)
+def cmd_var(args, terms, mkt) -> int:
     spec = var.VaRSpec(
         eval_date=args.date or terms.issue,
         spot=args.spot,
@@ -178,27 +147,21 @@ def cmd_var(args) -> int:
         steps=args.steps,
     )
     result = var.run_var(spec, terms, mkt)
-    cfg = _config(args, terms, ["spot", "holding_days", "confidence", "scenarios", "drift",
-                                "scen_vol", "seed"])
-    cfg["date"] = spec.eval_date.isoformat()
-    out_dir = Path(args.out)
-    write_lines(cfg, result.report_lines(), out_dir / "var_report.txt")
+    cfg = _config(args, terms, spec.eval_date)
+    write_lines(cfg, result.report_lines(), args.out / "var_report.txt")
     for name, hist in (("var_cb_hist", result.value_hist), ("var_stock_hist", result.stock_hist)):
         rows = [(float(lo), float(hi), float(c), int(n))
                 for lo, hi, c, n in zip(hist.edges[:-1], hist.edges[1:], hist.centers, hist.counts)]
-        rep = Report(config=cfg, columns=["bin_lo", "bin_hi", "bin_center", "count"],
-                     rows=rows, summary=[f"series {name}"])
-        write_rows(rep, out_dir / f"{name}.{_ext(args)}", args.format)
+        _write(args, cfg, name, ["bin_lo", "bin_hi", "bin_center", "count"], rows,
+               [f"series {name}"])
     print(f"V0 = {result.value0:.10g}")
     print(f"VaR({spec.confidence:.0%}, {spec.holding_days}d) = {result.var_abs:.10g} "
           f"({result.var_pct:.4f}% of V0)")
-    print(f"wrote {out_dir / 'var_report.txt'} and histograms")
+    print(f"wrote {args.out / 'var_report.txt'} and histograms")
     return 0
 
 
-def cmd_compare(args) -> int:
-    terms = load_terms(args.terms)
-    mkt = _market(args)
+def cmd_compare(args, terms, mkt) -> int:
     spots = _spot_grid(args)
     grid = fd.FDGrid.auto(mkt, year_fraction(args.date, terms.maturity),
                           s_max=args.fd_s_max, n_s=args.fd_nodes)
@@ -213,22 +176,14 @@ def cmd_compare(args) -> int:
         f"lattice_monotonicity_violations {lat_viol}",
         f"fd_monotonicity_violations {fd_viol}",
     ]
-    cfg = _config(args, terms, ["s_min", "s_max", "s_step", "fd_s_max", "fd_nodes"])
-    cfg["date"] = args.date.isoformat()
     rows = [(float(s), float(vl), float(vf), float(d))
             for s, vl, vf, d in zip(spots, v_lat, v_fd, diff)]
-    report = Report(config=cfg, columns=["S", "V_lattice", "V_fd", "diff"],
-                    rows=rows, summary=summary)
-    out = Path(args.out) / f"compare.{_ext(args)}"
-    write_rows(report, out, args.format)
+    out = _write(args, _config(args, terms), "compare", ["S", "V_lattice", "V_fd", "diff"],
+                 rows, summary)
     for line in summary:
         print(line)
     print(f"wrote {out}")
     return 0
-
-
-def _ext(args) -> str:
-    return "csv" if args.format == "csv" else "txt"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,7 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        terms = load_terms(args.terms)
+        mkt = MarketParams(rate=args.rate, credit_spread=args.spread, sigma=args.vol)
+        return args.func(args, terms, mkt)
     except CBLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -115,6 +115,8 @@ def build_crr_params(sigma: float, rate: float, horizon: float, steps: int) -> L
     dt = horizon / steps
     up = math.exp(sigma * math.sqrt(dt))
     down = 1.0 / up
+    if up == down:
+        raise ConfigurationError(f"sigma {sigma:g} is too small for a {steps}-step tree to move")
     p_up = (math.exp(rate * dt) - down) / (up - down)
     return LatticeParams(steps=steps, dt=dt, up=up, down=down, p_up=p_up)
 

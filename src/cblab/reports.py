@@ -27,13 +27,7 @@ def config_hash(config: dict) -> str:
 
 
 def format_number(x) -> str:
-    if isinstance(x, bool):
-        return str(x)
-    if isinstance(x, (int,)):
-        return str(x)
-    if isinstance(x, float):
-        return f"{x:.10g}"
-    return str(x)
+    return f"{x:.10g}" if isinstance(x, float) else str(x)
 
 
 def _header(config: dict, extra: list[str] | None = None) -> list[str]:

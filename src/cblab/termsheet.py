@@ -197,8 +197,8 @@ class MarketParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ConfigurationError("sigma must be > 0")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise ConfigurationError(f"sigma must be finite and > 0, got {self.sigma!r}")
         if not (np.isfinite(self.rate) and np.isfinite(self.credit_spread)):
             raise ConfigurationError("rate and credit spread must be finite")
 

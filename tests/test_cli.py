@@ -1,12 +1,14 @@
 """Command-line interface: artifacts, reproducibility, and error handling."""
 
+import argparse
 import json
 
 import pytest
 
-from cblab import hedge, lattice, sensitivities, var
-from cblab.cli import main
-from cblab.termsheet import reference_terms_path
+from cblab import cli, hedge, lattice, sensitivities, var
+from cblab.cli import build_parser, main
+from cblab.reports import config_hash
+from cblab.termsheet import load_terms, reference_terms_path
 
 
 def run(args):
@@ -90,6 +92,23 @@ class TestGridValidation:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "greeks.csv").exists()
+
+    def test_spot_grid_stops_at_s_max(self, tmp_path):
+        assert run(["greeks", "--date", "2004-01-02", "--s-min", 100, "--s-max", 100.8,
+                    "--s-step", 0.5, "--steps", 20, "--out", tmp_path]) == 0
+        lines = (tmp_path / "greeks.csv").read_text().splitlines()
+        assert [row.split(",")[2] for row in lines[4:]] == ["100", "100.5"]
+
+    @pytest.mark.parametrize("command", [
+        ["price"],
+        ["compare", "--date", "2004-01-02", "--s-min", 100, "--s-max", 101, "--s-step", 1],
+    ], ids=["price", "compare"])
+    @pytest.mark.parametrize("vol", ["nan", "inf", "1e-300"])
+    def test_bad_vol_exits_2(self, tmp_path, capsys, command, vol):
+        rc = run(command + ["--vol", vol, "--steps", 20, "--out", tmp_path / "o"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("t_points", [0, -3])
     def test_bad_time_grid_exits_2(self, tmp_path, capsys, t_points):
@@ -240,3 +259,53 @@ class TestCompare:
             # identical model, different discretizations: the FD side carries
             # its forward-Euler error, about 5e-7 relative on this grid
             assert abs(float(row[3])) / float(row[2]) < 1e-6
+
+
+class TestConfig:
+    """Every parsed option except --out reaches the header's config hash."""
+
+    BASE = {
+        "price": [],
+        "surface": [],
+        "greeks": ["--date", "2004-01-02"],
+        "hedge-stress": [],
+        "var": [],
+        "compare": ["--date", "2004-01-02"],
+    }
+
+    @staticmethod
+    def _hash(argv):
+        args = build_parser().parse_args(argv)
+        return config_hash(cli._config(args, load_terms(args.terms)))
+
+    @staticmethod
+    def _changed(action, value, tmp_path) -> str:
+        """A command-line value for `action` that differs from the parsed `value`."""
+        if action.dest == "terms":
+            sheet = json.loads(reference_terms_path().read_text())
+            path = tmp_path / "terms.json"
+            path.write_text(json.dumps(dict(sheet, call=dict(sheet["call"], price=115.0))))
+            return str(path)
+        if action.dest == "out":
+            return str(tmp_path / "elsewhere")
+        if action.choices:
+            return next(c for c in action.choices if c != value)
+        if action.dest == "date":
+            return "2003-07-02" if value is None else "2004-07-02"
+        return str(value + 1)
+
+    @pytest.mark.parametrize("command", list(BASE))
+    def test_every_option_but_out_changes_the_hash(self, tmp_path, command):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        base = [command] + self.BASE[command]
+        parsed = build_parser().parse_args(base)
+        options = [a for a in sub.choices[command]._actions
+                   if a.option_strings and a.dest != "help"]
+        assert {a.dest for a in options} == set(vars(parsed)) - {"command", "func"}
+        for action in options:
+            value = self._changed(action, getattr(parsed, action.dest), tmp_path)
+            changed = self._hash(base + [action.option_strings[-1], value])
+            if action.dest == "out":
+                assert changed == self._hash(base)
+            else:
+                assert changed != self._hash(base), action.option_strings[-1]

@@ -64,6 +64,8 @@ class TestBuildCrrParams:
             build_crr_params(-0.1, 0.05, 5.0, 10)
         with pytest.raises(ConfigurationError):
             build_crr_params(0.3, 0.05, 0.0, 10)
+        with pytest.raises(ConfigurationError):  # up == down: the tree cannot move
+            build_crr_params(1e-300, 0.05, 5.0, 10)
 
 
 def decide_one(held: NodeValue, call: float, put: float, conv: float) -> NodeValue:

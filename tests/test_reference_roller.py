@@ -1,0 +1,160 @@
+"""The rollback kernel against a plain reference roller, on random term sheets.
+
+`reference_rollback` is the tree with nothing left out for speed: one (m, i+1)
+array per layer, no blocks, no threads, no reused buffers, and the node rule
+written out from the `lattice.decide` docstring.  Hypothesis draws the term
+sheets (call, put and conversion windows that open and close inside the tree,
+puts above the call, zero coupons, trees coarse enough that a coupon lands in
+the expiry layer), the spot batches (block edges included), the front layers
+and the thread count, and `rollback_batch` must match the reference bit for
+bit.  The same draws check value invariants that hold for every sheet.
+"""
+
+import math
+import tempfile
+from datetime import date, timedelta
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from cblab import lattice
+from cblab.termsheet import (
+    CallTerms,
+    ConversionTerms,
+    ConvertibleTerms,
+    CouponSchedule,
+    MarketParams,
+    PutTerms,
+    Timeline,
+)
+
+ISSUE = date(2002, 1, 2)
+
+
+# Hypothesis caches the constants it reads from the source, while pytest collects,
+# under ./.hypothesis by default: keep that cache out of the checkout
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "cblab-hypothesis")
+
+
+def reference_rollback(terms, mkt, t0, spots, steps, front_layers):
+    """Roll every spot's tree back to t0; returns (equity, debt, binds, fronts)
+    with binds as conversion, call and put counts per spot."""
+    tl = Timeline(terms, t0)
+    lp = lattice.build_crr_params(mkt.sigma, mkt.rate, tl.tau_maturity, steps)
+    N = steps
+    taus = tl.tau_maturity * np.arange(N + 1) / N
+    calls, puts = tl.call_dirty(taus), tl.put_dirty(taus)
+    active = tl.conversion_active(taus)
+    risky = mkt.rate + mkt.credit_spread
+    inject = tl.coupon_injections(taus, risky)
+    disc_e, disc_b = math.exp(-mkt.rate * lp.dt), math.exp(-risky * lp.dt)
+    p, q = lp.p_up, 1.0 - lp.p_up
+    rs = (tl.ratio * spots)[:, None]
+
+    binds = np.zeros((3, spots.size), dtype=np.int64)
+    fronts = [None] * (front_layers + 1)
+    # expiry: redeem or convert, i.e. the node rule with no call and no put
+    E, B = np.zeros((spots.size, N + 1)), np.full((spots.size, N + 1), tl.redemption)
+    for i in range(N, -1, -1):
+        call, put = (np.inf, 0.0) if i == N else (calls[i], puts[i])
+        if i < N:
+            E = disc_e * (p * E[:, 1:] + q * E[:, :-1])
+            B = disc_b * (p * B[:, 1:] + q * B[:, :-1]) + inject[i]
+        if active[i]:
+            conv = rs * lp.up ** np.arange(-i, i + 1, 2, dtype=float)
+        else:
+            conv = np.zeros_like(E)
+
+        # V* = max(min(V, call), put, conv); ties: continuation > conversion > call > put
+        V = E + B
+        vstar = np.maximum(np.maximum(np.minimum(V, call), put), conv)
+        held = (V <= call) & (vstar == V)
+        converted = ~held & (vstar == conv)
+        called = ~held & ~converted & (V > call) & (vstar == call)
+        put_bound = ~held & ~converted & ~called
+        # conversion pays shares (equity); call and put proceeds are cash (debt)
+        E = np.where(held, E, np.where(converted, vstar, 0.0))
+        B = np.where(held, B, np.where(converted, 0.0, vstar))
+        binds += np.stack([converted.sum(axis=1), called.sum(axis=1), put_bound.sum(axis=1)])
+
+        if i == N:
+            # a coupon bucketed into the expiry layer is cash either way
+            B = B + inject[N]
+        if i <= front_layers:
+            fronts[i] = E + B
+    return E[:, 0], B[:, 0], binds, fronts
+
+
+@st.composite
+def instruments(draw):
+    """A random term sheet, an evaluation date inside its life and a market."""
+    maturity = date(ISSUE.year + draw(st.integers(1, 5)), 1, 2)
+    life = (maturity - ISSUE).days
+
+    def window():
+        # as often at the ends of the life as inside it
+        day = st.one_of(st.sampled_from([0, life]), st.integers(0, life))
+        a, b = sorted((draw(day), draw(day)))
+        return ISSUE + timedelta(days=a), ISSUE + timedelta(days=b)
+
+    def right(kind, lo, hi):
+        return kind(draw(st.floats(lo, hi)), *window()) if draw(st.booleans()) else None
+
+    coupon = CouponSchedule.generate(draw(st.sampled_from([0.0, 0.03, 0.08])),
+                                     draw(st.sampled_from([1, 2, 4])), 100.0, ISSUE, maturity)
+    terms = ConvertibleTerms(
+        nominal=100.0, issue=ISSUE, maturity=maturity, coupon=coupon,
+        conversion=ConversionTerms(draw(st.floats(0.0, 2.0)), *window()),
+        call=right(CallTerms, 95.0, 130.0),
+        put=right(PutTerms, 80.0, 130.0),  # may sit above the call
+    )
+    t0 = ISSUE + timedelta(days=draw(st.integers(0, life - 1)))
+    mkt = MarketParams(rate=draw(st.floats(0.0, 0.08)), credit_spread=draw(st.floats(0.0, 0.06)),
+                       sigma=draw(st.floats(0.2, 0.6)))
+    return terms, t0, mkt
+
+
+@st.composite
+def batches(draw):
+    """Root spots in [1, 400], unordered; batch sizes include the block edges."""
+    m = draw(st.one_of(st.sampled_from([lattice.BLOCK - 1, lattice.BLOCK, lattice.BLOCK + 1]),
+                       st.integers(1, 200)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).uniform(1.0, 400.0, m)
+
+
+# print_blob: a failure prints the @reproduce_failure line that replays it exactly
+@settings(derandomize=True, database=None, deadline=None, max_examples=100, print_blob=True)
+@given(instruments(), batches(), st.one_of(st.integers(3, 12), st.integers(3, 120)),
+       st.integers(0, 3), st.integers(1, 3))
+def test_kernel_matches_reference_roller(instrument, spots, steps, front_layers, threads):
+    terms, t0, mkt = instrument
+    front_layers = min(front_layers, steps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("CBLAB_THREADS", str(threads))
+        res = lattice.rollback_batch(terms, mkt, t0, spots, steps, front_layers, binds=True)
+        doubled = lattice.rollback_batch(terms.with_nominal_scaled(2.0), mkt, t0, spots, steps)
+    equity, debt, binds, fronts = reference_rollback(terms, mkt, t0, spots, steps, front_layers)
+
+    assert np.array_equal(res.equity, equity)
+    assert np.array_equal(res.debt, debt)
+    assert np.array_equal(np.stack([res.conv_binds, res.call_binds, res.put_binds]), binds)
+    assert len(res.fronts) == len(fronts)
+    for got, want in zip(res.fronts, fronts):
+        assert np.array_equal(got, want)
+
+    # invariants of the node rule at the root (layer 0, tau = 0)
+    tl = Timeline(terms, t0)
+    value = res.value
+    assert np.all(res.equity >= 0.0) and np.all(res.debt >= 0.0)
+    conv0 = tl.ratio * spots if tl.conversion_active(0.0)[0] else np.zeros_like(spots)
+    assert np.all(value >= conv0)
+    call0, put0 = tl.call_dirty(0.0)[0], tl.put_dirty(0.0)[0]
+    if np.isfinite(call0):
+        assert np.all(value <= np.maximum(np.maximum(call0, put0), conv0))
+    # doubling the nominal and everything quoted on it doubles the value exactly
+    assert np.array_equal(doubled.value, 2.0 * value)

@@ -201,6 +201,11 @@ class TestMarketParams:
         with pytest.raises(ConfigurationError):
             MarketParams(rate=0.05, credit_spread=0.02, sigma=0.0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_sigma_must_be_finite(self, sigma):
+        with pytest.raises(ConfigurationError):
+            MarketParams(rate=0.05, credit_spread=0.02, sigma=sigma)
+
     def test_negative_spread_allowed(self):
         MarketParams(rate=0.05, credit_spread=-0.001, sigma=0.3)
 
