@@ -1,5 +1,6 @@
-"""Time the batch rollback kernel: ms per spot at N=500 for batch widths
-m in {1, 128, 500}, each at CBLAB_THREADS=1 and 2; and the explicit FD march:
+"""Time the batch rollback kernel: ms per spot for batch widths m in
+{1, 128, 500, 1000} at N=500 and m in {1, 500} at N=100, each at
+CBLAB_THREADS=1 and 2; and the explicit FD march:
 seconds and layers/s for `solve_tf_fd` on the reference grid.
 
     PYTHONPATH=src python scripts/bench_kernel.py [--repeats 5] [--label after]
@@ -26,9 +27,8 @@ import numpy as np
 
 import cblab
 
-WIDTHS = (1, 128, 500)
+CELLS = tuple((m, 500) for m in (1, 128, 500, 1000)) + tuple((m, 100) for m in (1, 500))
 THREADS = (1, 2)
-STEPS = 500
 T0 = date(2004, 1, 2)
 
 
@@ -55,10 +55,10 @@ def measure(repeats: int) -> list[dict]:
     cells = []
     for threads in THREADS:
         os.environ["CBLAB_THREADS"] = str(threads)
-        for m in WIDTHS:
+        for m, steps in CELLS:
             spots = np.linspace(60.0, 160.0, m)
-            best = _best_of(repeats, lambda: cblab.rollback_batch(terms, mkt, T0, spots, STEPS))
-            cells.append({"m": m, "N": STEPS, "threads": threads,
+            best = _best_of(repeats, lambda: cblab.rollback_batch(terms, mkt, T0, spots, steps))
+            cells.append({"m": m, "N": steps, "threads": threads,
                           "ms_per_spot": round(1e3 * best / m, 4)})
     return cells
 

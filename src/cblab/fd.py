@@ -40,7 +40,15 @@ _FINITE_CHECK_EVERY = 2000
 
 
 def _stability_limit(sigma: float, risky_rate: float, s_max: float, ds: float) -> float:
-    return ds * ds / (sigma * sigma * s_max * s_max + risky_rate * ds * ds)
+    denom = sigma * sigma * s_max * s_max + risky_rate * ds * ds
+    # sigma^2 S_max^2 can underflow to 0 (no bound without a risky rate) or overflow (no step)
+    limit = ds * ds / denom if denom > 0.0 else math.inf
+    if not 0.0 < limit < math.inf:
+        raise ConfigurationError(
+            f"sigma {sigma:g} with risky rate {risky_rate:g} gives no positive, finite "
+            f"stable time step on a {s_max:g} spot grid"
+        )
+    return limit
 
 
 def _check_space(s_max: float, n_s: int) -> None:

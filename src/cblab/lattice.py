@@ -19,6 +19,16 @@ BLOCK spots on up to CBLAB_THREADS threads (default: the usable cores), so its
 memory is bounded by the blocks in flight and its output does not depend on
 the thread count.  `rollback_batch` is the one engine: `price_tf_crr` and
 `price_profile_raw` are views of it.
+
+Each layer rolls back and decides only its undecided band.  A node whose
+conversion value is above the dirty call and at least the dirty put converts
+whatever its held value V: min(V, call) <= call < conv gives V* = conv, so
+`decide` would set E = conv and B = 0.  Conversion values rise with the node
+index and with the spot, and rounding a product is monotone, so the block's
+lowest spot fixes per layer a first node c_i from which every row of the block
+converts; the kernel writes E = conv, B = 0 into the nodes from c_i that the
+next layer reads and skips the rest.  The output is bit-identical to deciding
+every node.
 """
 
 from __future__ import annotations
@@ -208,6 +218,10 @@ class _Rollback:
         # node conversion value at layer i, node j: ratio * spot * u^(2j-i);
         # the powers u^-N..u^N are tabulated once, layer i reads pw[N-i : N+i+1 : 2]
         self.pw = lp.up ** np.arange(-N, N + 1, dtype=float)
+        # suffix minimum of pw: non-decreasing, and equal to pw wherever pw is,
+        # so the frontier search is exact even if pow() ever broke monotonicity
+        self.pw_floor = np.minimum.accumulate(self.pw[::-1])[::-1]
+        self.layers = np.arange(N)
         self.rs = timeline.ratio * spots
         self.disc_E = math.exp(-mkt.rate * lp.dt)
         self.disc_B = math.exp(-risky * lp.dt)
@@ -220,6 +234,19 @@ class _Rollback:
         self.fronts = [np.empty((m, k + 1)) for k in range(front_layers + 1)]
         # rows: conversion, call, put
         self.binds = np.zeros((3, m), dtype=np.int64) if binds else None
+
+    def frontier(self, rs_min: float) -> list[int]:
+        """For each layer i < N, the first node c_i from which every node of a
+        block whose lowest ratio * spot is `rs_min` is decided by conversion
+        whatever its held value: conv > dirty call and conv >= dirty put.
+        c_i = i + 1 (no such node) where conversion is off."""
+        N = self.N
+        prod = rs_min * self.pw_floor  # non-decreasing, and <= every row's conv at each node
+        first = np.maximum(np.searchsorted(prod, self.call_levels[:N], side="right"),
+                           np.searchsorted(prod, self.put_levels[:N], side="left"))
+        # node j of layer i reads pw[N - i + 2j]
+        c = np.clip((first - N + self.layers + 1) // 2, 0, self.layers + 1)
+        return np.where(self.conv_active[:N], c, self.layers + 1).tolist()
 
     def run_blocks(self, ws: _Workspace, blocks) -> None:
         for lo, hi in blocks:
@@ -252,33 +279,42 @@ class _Rollback:
         if self.front_layers >= N:
             np.add(E, B, out=fronts[N])
 
+        cs = self.frontier(rs.min())
         for i in range(N - 1, -1, -1):
-            w = i + 1
-            Ew, Bw, Vw, vs, conv = E[:, :w], B[:, :w], V[:, :w], VS[:, :w], C[:, :w]
-            ncont, convb = NC[:, :w], CB[:, :w]
+            w, c = i + 1, cs[i]
+            # nodes this layer must hold: [0, cs[i-1]] for the next layer, all of a front
+            top = w if i <= self.front_layers else max(c, cs[i - 1] + 1)
+            Ec, Bc, Vc, vs, conv = E[:, :c], B[:, :c], V[:, :c], VS[:, :c], C[:, :top]
+            ncont, convb = NC[:, :c], CB[:, :c]
             # in-place rollback: X <- disc * (p * X_up + q * X_down), V as scratch
-            for X, Xw, disc in ((E, Ew, self.disc_E), (B, Bw, self.disc_B)):
-                np.multiply(X[:, 1 : w + 1], p, out=Vw)
-                np.multiply(Xw, q, out=Xw)
-                np.add(Xw, Vw, out=Xw)
-                np.multiply(Xw, disc, out=Xw)
+            for X, Xc, disc in ((E, Ec, self.disc_E), (B, Bc, self.disc_B)):
+                np.multiply(X[:, 1 : c + 1], p, out=Vc)
+                np.multiply(Xc, q, out=Xc)
+                np.add(Xc, Vc, out=Xc)
+                np.multiply(Xc, disc, out=Xc)
             if self.inject[i] != 0.0:
-                Bw += self.inject[i]
+                Bc += self.inject[i]
             if self.conv_active[i]:
-                np.multiply(rs, pw[N - i : N + i + 1 : 2], out=conv)
+                np.multiply(rs, pw[N - i : N - i + 2 * top : 2], out=conv)
             else:
                 conv.fill(0.0)
 
             call_level = self.call_levels[i]
-            decide(Ew, Bw, Vw, vs, conv, call_level, self.put_levels[i], ncont, convb, TMP[:, :w])
+            decide(Ec, Bc, Vc, vs, conv[:, :c], call_level, self.put_levels[i], ncont, convb,
+                   TMP[:, :c])
+            if top > c:
+                # nodes c.. convert whatever their held value V: conv > call >= min(V, call)
+                # and conv >= put, so V* = conv and `decide` would set E = conv, B = 0
+                np.copyto(E[:, c:top], conv[:, c:])
+                B[:, c:top] = 0.0
 
             if binds is not None:
                 # cash = decided, not converted; the call bound where the
                 # value was clipped to exactly the call level, the put elsewhere
-                cash, callb = AUX[:, :w], TMP[:, :w]
+                cash, callb = AUX[:, :c], TMP[:, :c]
                 np.logical_xor(ncont, convb, out=cash)
                 n_cash = np.count_nonzero(cash, axis=1)
-                np.greater(Vw, call_level, out=callb)
+                np.greater(Vc, call_level, out=callb)
                 np.logical_and(callb, cash, out=callb)
                 np.equal(vs, call_level, out=cash)
                 np.logical_and(callb, cash, out=callb)
@@ -287,8 +323,10 @@ class _Rollback:
                 binds[1] += n_call
                 binds[2] += n_cash - n_call
             if i <= self.front_layers:
-                np.add(Ew, Bw, out=fronts[i])
+                np.add(E[:, :w], B[:, :w], out=fronts[i])
 
+        if binds is not None:
+            binds[0] += N * (N + 1) // 2 - sum(cs)  # the skipped nodes, all converted
         self.equity[lo:hi] = E[:, 0]
         self.debt[lo:hi] = B[:, 0]
 

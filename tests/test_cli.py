@@ -110,6 +110,17 @@ class TestGridValidation:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("vol", ["1e-300", "1e-170", "1e200"])
+    def test_no_fd_step_bound_exits_2(self, tmp_path, capsys, vol):
+        # sigma^2 * S_max^2 underflows to 0 with no risky rate to bound the FD time
+        # step, or overflows, so no step is stable
+        rc = run(["compare", "--date", "2004-01-02", "--rate", 0, "--spread", 0, "--vol", vol,
+                  "--s-min", 100, "--s-max", 101, "--s-step", 1, "--steps", 20,
+                  "--out", tmp_path / "o"])
+        assert rc == 2
+        assert "no positive, finite stable time step" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("t_points", [0, -3])
     def test_bad_time_grid_exits_2(self, tmp_path, capsys, t_points):
         rc = run(["surface", "--t-points", t_points, "--s-min", 100, "--s-max", 100,

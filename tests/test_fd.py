@@ -43,6 +43,16 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             FDGrid(s_max=400.0, n_s=401, n_t=n_t // 2).check_stability(market, horizon)
 
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-170, 1e-160, 1e200])
+    def test_no_finite_step_bound_rejected(self, sigma):
+        # sigma^2 * S_max^2 underflows to 0, to a subnormal whose step bound
+        # overflows, or overflows itself so that the bound is 0
+        mkt = MarketParams(rate=0.0, credit_spread=0.0, sigma=sigma)
+        with pytest.raises(ConfigurationError, match="no positive, finite stable time step"):
+            FDGrid.auto(mkt, 3.0)
+        with pytest.raises(ConfigurationError, match="no positive, finite stable time step"):
+            FDGrid(s_max=400.0, n_s=401, n_t=100).check_stability(mkt, 3.0)
+
     def test_auto_grid_minimal(self, market):
         grid = FDGrid.auto(market, 3.0)
         grid.check_stability(market, 3.0)

@@ -7,6 +7,7 @@ that never splits the value.
 """
 
 import math
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -20,12 +21,14 @@ from cblab import (
     DomainError,
     MarketParams,
     NodeValue,
+    PutTerms,
     build_crr_params,
     greek_point,
     price_profile_raw,
     price_tf_crr,
     rollback_batch,
 )
+from cblab import lattice
 from cblab.lattice import decide
 from cblab.termsheet import Timeline
 
@@ -364,3 +367,64 @@ class TestScalingAndComponents:
         assert np.all(res.equity >= 0.0) and np.all(res.debt >= 0.0)
         for layer in res.fronts:
             assert np.all(layer >= 0.0)
+
+
+class TestConversionFrontier:
+    """The first node c_i from which the kernel skips a layer, against brute force
+    on the kernel's own conversion products: every node from c_i up, in every row
+    of the block, has conv > dirty call and conv >= dirty put, so it converts
+    whatever its held value; and node c_i - 1 of the block's lowest row does not
+    (the frontier is tight, which is where the saving comes from)."""
+
+    @staticmethod
+    def frontier(terms, market, t0, steps, spots):
+        tl = Timeline(terms, t0)
+        lp = build_crr_params(market.sigma, market.rate, tl.tau_maturity, steps)
+        job = lattice._Rollback(tl, market, lp, np.asarray(spots), 0, binds=False)
+        return job, job.frontier(job.rs.min())
+
+    @staticmethod
+    def check_layer(job, i, c):
+        if not job.conv_active[i]:
+            assert c == i + 1
+            return
+        N = job.N
+        conv = job.rs[:, None] * job.pw[N - i : N + i + 1 : 2]
+        settled = (conv > job.call_levels[i]) & (conv >= job.put_levels[i])
+        assert 0 <= c <= i + 1
+        assert settled[:, c:].all()
+        if c > 0:
+            assert not settled[np.argmin(job.rs), c - 1]
+
+    @pytest.mark.parametrize("put", [
+        None,
+        PutTerms(105.0, date(2004, 1, 2), date(2005, 1, 2)),  # below the call
+        PutTerms(125.0, date(2003, 6, 2), date(2005, 1, 2)),  # above the call
+    ], ids=["reference", "put_below_call", "put_above_call"])
+    @pytest.mark.parametrize("t0, steps", [
+        (date(2004, 1, 2), 300),
+        (date(2002, 1, 2), 120),  # the call opens mid-tree
+    ])
+    def test_matches_brute_force(self, table1, market, put, t0, steps):
+        terms = replace(table1, put=put, conversion=replace(table1.conversion,
+                                                              end=date(2006, 1, 2)))
+        job, cs = self.frontier(terms, market, t0, steps, [118.0, 96.5, 131.0, 104.25])
+        assert len(cs) == steps
+        for i, c in enumerate(cs):
+            self.check_layer(job, i, c)
+        assert any(c < i + 1 for i, c in enumerate(cs))  # the skip is not empty
+        assert not all(job.conv_active[:steps])  # conversion ends mid-tree
+
+    @pytest.mark.parametrize("put, level", [
+        (None, "call"),  # conv == call: a held value at the call continues
+        (PutTerms(125.0, date(2004, 1, 2), date(2005, 1, 2)), "put"),  # conv == put > call
+    ])
+    def test_exact_ties(self, table1, market, put, level):
+        terms, t0, steps, i = replace(table1, put=put), date(2004, 1, 2), 100, 20
+        job, _ = self.frontier(terms, market, t0, steps, [100.0])
+        target = (job.call_levels if level == "call" else job.put_levels)[i]
+        power = job.pw[steps - i + 2 * (i // 2)]  # the middle node of layer i
+        spot = next(s for s in (target / power, np.nextafter(target / power, 0.0),
+                                np.nextafter(target / power, np.inf)) if s * power == target)
+        job, cs = self.frontier(terms, market, t0, steps, [1.2 * spot, spot])
+        self.check_layer(job, i, cs[i])

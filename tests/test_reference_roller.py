@@ -8,20 +8,27 @@ puts above the call, zero coupons, trees coarse enough that a coupon lands in
 the expiry layer), the spot batches (block edges included), the front layers
 and the thread count, and `rollback_batch` must match the reference bit for
 bit.  The same draws check value invariants that hold for every sheet.
+
+The kernel skips the nodes that the block's lowest spot shows to convert
+whatever their held value.  That needs conversion and a call in force and a
+lowest spot near the rest of the block, so half the sheets have both rights
+open over the whole life and half the batches are narrow spot bands; pinned
+examples cover the skip's edge cases.
 """
 
 import math
 import tempfile
+from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from cblab import lattice
+from cblab import lattice, reference_market, reference_terms
 from cblab.termsheet import (
     CallTerms,
     ConversionTerms,
@@ -33,6 +40,7 @@ from cblab.termsheet import (
 )
 
 ISSUE = date(2002, 1, 2)
+REF, REF_MKT, JAN2004 = reference_terms(), reference_market(), date(2004, 1, 2)
 
 
 # Hypothesis caches the constants it reads from the source, while pytest collects,
@@ -90,26 +98,32 @@ def reference_rollback(terms, mkt, t0, spots, steps, front_layers):
 
 
 @st.composite
-def instruments(draw):
-    """A random term sheet, an evaluation date inside its life and a market."""
+def instruments(draw, live=False):
+    """A random term sheet, an evaluation date inside its life and a market.
+    `live`: conversion and a call open over the whole life, the sheets on which
+    the kernel skips nodes."""
     maturity = date(ISSUE.year + draw(st.integers(1, 5)), 1, 2)
     life = (maturity - ISSUE).days
 
-    def window():
+    def window(whole=False):
+        if whole:
+            return ISSUE, maturity
         # as often at the ends of the life as inside it
         day = st.one_of(st.sampled_from([0, life]), st.integers(0, life))
         a, b = sorted((draw(day), draw(day)))
         return ISSUE + timedelta(days=a), ISSUE + timedelta(days=b)
 
-    def right(kind, lo, hi):
-        return kind(draw(st.floats(lo, hi)), *window()) if draw(st.booleans()) else None
+    def right(kind, lo, hi, whole=False):
+        if whole or draw(st.booleans()):
+            return kind(draw(st.floats(lo, hi)), *window(whole))
+        return None
 
     coupon = CouponSchedule.generate(draw(st.sampled_from([0.0, 0.03, 0.08])),
                                      draw(st.sampled_from([1, 2, 4])), 100.0, ISSUE, maturity)
     terms = ConvertibleTerms(
         nominal=100.0, issue=ISSUE, maturity=maturity, coupon=coupon,
-        conversion=ConversionTerms(draw(st.floats(0.0, 2.0)), *window()),
-        call=right(CallTerms, 95.0, 130.0),
+        conversion=ConversionTerms(draw(st.floats(0.0, 2.0)), *window(live)),
+        call=right(CallTerms, 95.0, 130.0, live),
         put=right(PutTerms, 80.0, 130.0),  # may sit above the call
     )
     t0 = ISSUE + timedelta(days=draw(st.integers(0, life - 1)))
@@ -118,19 +132,43 @@ def instruments(draw):
     return terms, t0, mkt
 
 
+SIZES = st.one_of(st.sampled_from([lattice.BLOCK - 1, lattice.BLOCK, lattice.BLOCK + 1]),
+                  st.integers(1, 200))
+SEEDS = st.integers(0, 2**32 - 1)
+
+
 @st.composite
 def batches(draw):
     """Root spots in [1, 400], unordered; batch sizes include the block edges."""
-    m = draw(st.one_of(st.sampled_from([lattice.BLOCK - 1, lattice.BLOCK, lattice.BLOCK + 1]),
-                       st.integers(1, 200)))
-    seed = draw(st.integers(0, 2**32 - 1))
-    return np.random.default_rng(seed).uniform(1.0, 400.0, m)
+    m = draw(SIZES)
+    return np.random.default_rng(draw(SEEDS)).uniform(1.0, 400.0, m)
+
+
+@st.composite
+def bands(draw):
+    """Root spots in one band [lo, lo * (1 + width)] with lo in [1, 400] and
+    width <= 10%, sorted or not."""
+    m, lo, width = draw(SIZES), draw(st.floats(1.0, 400.0)), draw(st.floats(0.0, 0.1))
+    spots = np.random.default_rng(draw(SEEDS)).uniform(lo, lo * (1.0 + width), m)
+    return np.sort(spots) if draw(st.booleans()) else spots
 
 
 # print_blob: a failure prints the @reproduce_failure line that replays it exactly
-@settings(derandomize=True, database=None, deadline=None, max_examples=100, print_blob=True)
-@given(instruments(), batches(), st.one_of(st.integers(3, 12), st.integers(3, 120)),
-       st.integers(0, 3), st.integers(1, 3))
+@settings(derandomize=True, database=None, deadline=None, max_examples=200, print_blob=True)
+@given(st.one_of(instruments(), instruments(live=True)), st.one_of(batches(), bands()),
+       st.one_of(st.integers(3, 12), st.integers(3, 120)), st.integers(0, 3), st.integers(1, 3))
+# the root converts whatever its held value (c_0 = 0)
+@example((REF, JAN2004, REF_MKT), np.array([150.0, 180.0, 240.0]), 40, 0, 1)
+# one block whose rows straddle the call level (110 clean, on a coupon date)
+@example((REF, JAN2004, REF_MKT), np.linspace(125.0, 100.0, lattice.BLOCK), 60, 0, 2)
+# a put above the call, conversion above both
+@example((replace(REF, put=PutTerms(125.0, JAN2004, date(2005, 1, 2))), JAN2004, REF_MKT),
+         np.array([128.0, 140.0, 150.0]), 50, 1, 1)
+# conversion ends mid-tree
+@example((replace(REF, conversion=replace(REF.conversion, end=date(2005, 6, 2))), JAN2004,
+          REF_MKT), np.linspace(115.0, 125.0, 20), 50, 0, 1)
+# front layers that are themselves skipped, and skipping below them
+@example((REF, JAN2004, REF_MKT), np.array([135.0, 130.0, 140.0]), 30, 3, 1)
 def test_kernel_matches_reference_roller(instrument, spots, steps, front_layers, threads):
     terms, t0, mkt = instrument
     front_layers = min(front_layers, steps)
