@@ -1,7 +1,8 @@
 """Time the batch rollback kernel: ms per spot for batch widths m in
 {1, 128, 500, 1000} at N=500 and m in {1, 500} at N=100, each at
-CBLAB_THREADS=1 and 2; and the explicit FD march:
-seconds and layers/s for `solve_tf_fd` on the reference grid.
+CBLAB_THREADS=1 and 2; the pointwise `price_tf_crr` at spot 100 and N=500
+(the batch-width-1 path); `philox_uniforms` at 10^6 draws; and the explicit
+FD march: seconds and layers/s for `solve_tf_fd` on the reference grid.
 
     PYTHONPATH=src python scripts/bench_kernel.py [--repeats 5] [--label after]
 
@@ -9,8 +10,9 @@ Each cell is the best of `--repeats` timed calls after one warm-up call, at the
 reference instrument's 2004-01-02 date; the rollback spots are spread over
 60-160, and the FD grid is `FDGrid.auto` (401 spot nodes, the minimal stable
 layer count).  Prints one JSON object with the machine record (nproc, numpy
-version, git sha) and the cells, so two checkouts measured back to back on the
-same machine can be compared.
+version, and the `git describe --always --dirty` of the checkout the timed
+`cblab` is imported from, "unknown" outside git) and the cells, so two checkouts measured back
+to back on the same machine can be compared.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import platform
 import subprocess
 import time
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 
@@ -30,12 +33,15 @@ import cblab
 CELLS = tuple((m, 500) for m in (1, 128, 500, 1000)) + tuple((m, 100) for m in (1, 500))
 THREADS = (1, 2)
 T0 = date(2004, 1, 2)
+PHILOX_DRAWS = 10**6
 
 
 def _git_sha() -> str:
+    """The commit of the checkout holding the timed `cblab`, suffixed -dirty
+    when its tracked files have uncommitted edits."""
     try:
-        return subprocess.run(["git", "rev-parse", "--short", "HEAD"], capture_output=True,
-                              text=True, check=True).stdout.strip()
+        return subprocess.run(["git", "describe", "--always", "--dirty"], capture_output=True,
+                              text=True, check=True, cwd=Path(cblab.__file__).parent).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
 
@@ -63,6 +69,18 @@ def measure(repeats: int) -> list[dict]:
     return cells
 
 
+def measure_pointwise(repeats: int) -> dict:
+    terms, mkt = cblab.reference_terms(), cblab.reference_market()
+    best = _best_of(repeats, lambda: cblab.price_tf_crr(terms, mkt, T0, 100.0, 500))
+    return {"N": 500, "ms_per_call": round(1e3 * best, 4)}
+
+
+def measure_philox(repeats: int) -> dict:
+    best = _best_of(repeats, lambda: cblab.var.philox_uniforms(0, PHILOX_DRAWS))
+    return {"draws": PHILOX_DRAWS, "seconds": round(best, 4),
+            "draws_per_s": round(PHILOX_DRAWS / best)}
+
+
 def measure_fd(repeats: int) -> dict:
     terms, mkt = cblab.reference_terms(), cblab.reference_market()
     grid = cblab.FDGrid.auto(mkt, cblab.year_fraction(T0, terms.maturity))
@@ -83,6 +101,8 @@ def main() -> None:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cells": measure(args.repeats),
+        "price_tf_crr": measure_pointwise(args.repeats),
+        "philox_uniforms": measure_philox(args.repeats),
         "fd": measure_fd(args.repeats),
     }
     print(json.dumps(record))

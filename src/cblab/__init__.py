@@ -32,7 +32,6 @@ from .termsheet import (
     year_fraction,
 )
 from .lattice import (
-    BindCounts,
     LatticeParams,
     NodeValue,
     PriceResult,

@@ -72,16 +72,15 @@ def _write(args, cfg: dict, name: str, columns: list[str], rows: list, summary=(
 
 def cmd_price(args, terms, mkt) -> int:
     t = args.date or terms.issue
-    res = lattice.price_tf_crr(terms, mkt, t, args.spot, args.steps)
+    res = lattice.rollback_batch(terms, mkt, t, np.array([args.spot]), args.steps, binds=True)
+    v, e, b = float(res.value[0]), float(res.equity[0]), float(res.debt[0])
     ai = accrued_interest(terms, t)
     out = _write(args, _config(args, terms, t), "price",
                  ["date", "spot", "steps", "V_dirty", "V_clean", "E", "B",
                   "conversion_binds", "call_binds", "put_binds"],
-                 [(t.isoformat(), args.spot, args.steps, res.price, res.price - ai,
-                   res.node.equity, res.node.debt,
-                   res.binds.conversion, res.binds.call, res.binds.put)])
-    print(f"V = {res.price:.10g}  (E = {res.node.equity:.10g}, B = {res.node.debt:.10g}, "
-          f"clean = {res.price - ai:.10g})")
+                 [(t.isoformat(), args.spot, args.steps, v, v - ai, e, b,
+                   *res.binds[:, 0].tolist())])
+    print(f"V = {v:.10g}  (E = {e:.10g}, B = {b:.10g}, clean = {v - ai:.10g})")
     print(f"wrote {out}")
     return 0
 

@@ -17,8 +17,9 @@ still gets its own full tree, and batch results are bit-identical to pricing
 each spot alone (all operations are elementwise).  A batch runs in blocks of
 BLOCK spots on up to CBLAB_THREADS threads (default: the usable cores), so its
 memory is bounded by the blocks in flight and its output does not depend on
-the thread count.  `rollback_batch` is the one engine: `price_tf_crr` and
-`price_profile_raw` are views of it.
+the thread count.  `rollback_batch` is the one engine: `price_tf_crr` (one
+spot's value split) and `price_profile_raw` are views of it, and it counts
+the nodes each constraint decided only when its caller asks (`binds`).
 
 Each layer rolls back and decides only its undecided band.  A node whose
 conversion value is above the dirty call and at least the dirty put converts
@@ -47,7 +48,6 @@ from .termsheet import ConvertibleTerms, MarketParams, Timeline
 __all__ = [
     "LatticeParams",
     "NodeValue",
-    "BindCounts",
     "PriceResult",
     "build_crr_params",
     "decide",
@@ -91,21 +91,10 @@ class NodeValue:
 
 
 @dataclass(frozen=True)
-class BindCounts:
-    """How many nodes were decided by each constraint during one rollback."""
-
-    conversion: int
-    call: int
-    put: int
-
-
-@dataclass(frozen=True)
 class PriceResult:
-    """Root node value plus the lattice diagnostics of the pricing run."""
+    """Root node value of one pricing run."""
 
     node: NodeValue
-    params: LatticeParams
-    binds: BindCounts
 
     @property
     def price(self) -> float:
@@ -164,9 +153,7 @@ class BatchResult:
     equity: np.ndarray        # (m,) root E per spot
     debt: np.ndarray          # (m,) root B per spot
     params: LatticeParams
-    conv_binds: np.ndarray | None  # (m,) node counts per spot; None unless asked for
-    call_binds: np.ndarray | None
-    put_binds: np.ndarray | None
+    binds: np.ndarray | None  # (3, m) conversion, call, put node counts; None unless asked for
     fronts: list[np.ndarray]  # constrained V at layers 0..front_layers, (m, k+1) each
 
     @property
@@ -374,16 +361,8 @@ def rollback_batch(
             for f in futures:
                 f.result()
 
-    counts = (None, None, None) if job.binds is None else job.binds
-    return BatchResult(
-        equity=job.equity,
-        debt=job.debt,
-        params=lp,
-        conv_binds=counts[0],
-        call_binds=counts[1],
-        put_binds=counts[2],
-        fronts=job.fronts,
-    )
+    return BatchResult(equity=job.equity, debt=job.debt, params=lp, binds=job.binds,
+                       fronts=job.fronts)
 
 
 def price_tf_crr(
@@ -391,18 +370,8 @@ def price_tf_crr(
 ) -> PriceResult:
     """Price the convertible at (t0, spot) on an N-step tree; returns the dirty
     root value split into its equity and debt parts."""
-    if spot <= 0:
-        raise DomainError("spot must be > 0")
-    res = rollback_batch(terms, mkt, t0, np.array([spot]), steps, binds=True)
-    return PriceResult(
-        node=NodeValue(equity=float(res.equity[0]), debt=float(res.debt[0])),
-        params=res.params,
-        binds=BindCounts(
-            conversion=int(res.conv_binds[0]),
-            call=int(res.call_binds[0]),
-            put=int(res.put_binds[0]),
-        ),
-    )
+    res = rollback_batch(terms, mkt, t0, np.array([spot]), steps)
+    return PriceResult(NodeValue(equity=float(res.equity[0]), debt=float(res.debt[0])))
 
 
 def price_profile_raw(

@@ -175,9 +175,6 @@ def revalue(
     spec: VaRSpec, terms: ConvertibleTerms, mkt: MarketParams, scenarios: np.ndarray
 ) -> np.ndarray:
     """Reprice every scenario spot at the horizon date on its own tree."""
-    scenarios = np.asarray(scenarios, dtype=float)
-    if np.any(scenarios <= 0):
-        raise DomainError("scenario spots must be > 0")
     return rollback_batch(terms, mkt, spec.horizon_date, scenarios, spec.steps).value
 
 

@@ -73,6 +73,8 @@ class TestPrice:
         assert float(got["V_dirty"]) == pytest.approx(106.4046231891, rel=1e-9)
         assert float(got["E"]) == pytest.approx(11.8332633616, rel=1e-9)
         assert float(got["B"]) == pytest.approx(94.5713598275, rel=1e-9)
+        binds = (got["conversion_binds"], got["call_binds"], got["put_binds"])
+        assert binds == ("61754", "152", "0")
 
     def test_missing_terms_file_fails_cleanly(self, tmp_path, capsys):
         rc = run(["price", "--terms", tmp_path / "nope.json", "--out", tmp_path])

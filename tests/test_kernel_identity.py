@@ -63,11 +63,10 @@ def sha(*arrays):
 
 
 def _digests(res) -> dict:
-    binds = [np.asarray(b, dtype=np.int64) for b in (res.conv_binds, res.call_binds, res.put_binds)]
     return {
         "equity": sha(res.equity),
         "debt": sha(res.debt),
-        "binds": sha(*binds),
+        "binds": sha(*res.binds),  # rows: conversion, call, put
         "fronts": sha(*res.fronts),
     }
 
@@ -179,14 +178,14 @@ def test_fd_matches_previous_solver(sweeps, name):
 def test_putable_sweep_binds_every_constraint(sweeps):
     terms, t0, spots, steps, front_layers = sweeps["putable"]
     res = rollback_batch(terms, MARKET, t0, spots, steps, binds=True)
-    assert res.conv_binds.sum() > 0 and res.call_binds.sum() > 0 and res.put_binds.sum() > 0
+    assert np.all(res.binds.sum(axis=1) > 0)
 
 
 def test_bind_counts_do_not_change_values(sweeps):
     terms, t0, spots, steps, front_layers = sweeps["putable"]
     with_binds = rollback_batch(terms, MARKET, t0, spots, steps, front_layers=2, binds=True)
     without = rollback_batch(terms, MARKET, t0, spots, steps, front_layers=2)
-    assert without.conv_binds is None and without.call_binds is None and without.put_binds is None
+    assert without.binds is None
     assert np.array_equal(with_binds.equity, without.equity)
     assert np.array_equal(with_binds.debt, without.debt)
     assert all(np.array_equal(a, b) for a, b in zip(with_binds.fronts, without.fronts))
@@ -195,8 +194,7 @@ def test_bind_counts_do_not_change_values(sweeps):
 def _assert_same(a, b):
     assert np.array_equal(a.equity, b.equity)
     assert np.array_equal(a.debt, b.debt)
-    for x, y in ((a.conv_binds, b.conv_binds), (a.call_binds, b.call_binds), (a.put_binds, b.put_binds)):
-        assert np.array_equal(x, y)
+    assert np.array_equal(a.binds, b.binds)
     assert len(a.fronts) == len(b.fronts)
     assert all(np.array_equal(x, y) for x, y in zip(a.fronts, b.fronts))
 

@@ -6,6 +6,7 @@ path.  The zero-spread reduction is checked against a single-variable roller
 that never splits the value.
 """
 
+import inspect
 import math
 from dataclasses import replace
 from datetime import date
@@ -24,11 +25,12 @@ from cblab import (
     PutTerms,
     build_crr_params,
     greek_point,
+    hedge_increment,
     price_profile_raw,
     price_tf_crr,
     rollback_batch,
 )
-from cblab import lattice
+from cblab import hedge, lattice, sensitivities, var
 from cblab.lattice import decide
 from cblab.termsheet import Timeline
 
@@ -292,7 +294,10 @@ class TestReferenceInstrument:
     def test_determinism(self, table1, market, jan2004):
         a = price_tf_crr(table1, market, jan2004, 104.3, 500)
         b = price_tf_crr(table1, market, jan2004, 104.3, 500)
-        assert a.price == b.price and a.node == b.node and a.binds == b.binds
+        assert a.price == b.price and a.node == b.node
+        ra, rb = (rollback_batch(table1, market, jan2004, np.array([104.3]), 500, binds=True)
+                  for _ in range(2))
+        assert np.array_equal(ra.binds, rb.binds)
 
     def test_calendar_translation(self, table1, market):
         """Pricing depends on dates only through day counts: shift the whole
@@ -428,3 +433,27 @@ class TestConversionFrontier:
                                 np.nextafter(target / power, np.inf)) if s * power == target)
         job, cs = self.frontier(terms, market, t0, steps, [1.2 * spot, spot])
         self.check_layer(job, i, cs[i])
+
+
+class TestThinViews:
+    @pytest.mark.parametrize("view", [
+        lambda terms, mkt, t: price_tf_crr(terms, mkt, t, 100.0, 120),
+        lambda terms, mkt, t: greek_point(terms, mkt, t, 100.0, 120),
+        lambda terms, mkt, t: hedge_increment(terms, mkt, t, 100.0, 0.5, 120),
+    ], ids=["price_tf_crr", "greek_point", "hedge_increment"])
+    def test_one_engine_call_without_binds(self, table1, market, jan2004, monkeypatch, view):
+        """Pointwise calls are views of the engine: one rollback each, and no
+        bind counting, which only `cblab price` reads."""
+        engine = lattice.rollback_batch
+        asked = []
+
+        def recording(*args, **kwargs):
+            bound = inspect.signature(engine).bind(*args, **kwargs)
+            bound.apply_defaults()
+            asked.append(bound.arguments["binds"])
+            return engine(*args, **kwargs)
+
+        for module in (lattice, sensitivities, hedge, var):
+            monkeypatch.setattr(module, "rollback_batch", recording)
+        view(table1, market, jan2004)
+        assert asked == [False]

@@ -180,7 +180,7 @@ def test_kernel_matches_reference_roller(instrument, spots, steps, front_layers,
 
     assert np.array_equal(res.equity, equity)
     assert np.array_equal(res.debt, debt)
-    assert np.array_equal(np.stack([res.conv_binds, res.call_binds, res.put_binds]), binds)
+    assert np.array_equal(res.binds, binds)
     assert len(res.fronts) == len(fronts)
     for got, want in zip(res.fronts, fronts):
         assert np.array_equal(got, want)
