@@ -1,15 +1,18 @@
 """Time the batch rollback kernel: ms per spot for batch widths m in
 {1, 128, 500, 1000} at N=500 and m in {1, 500} at N=100, each at
-CBLAB_THREADS=1 and 2; the pointwise `price_tf_crr` at spot 100 and N=500
-(the batch-width-1 path); `philox_uniforms` at 10^6 draws; and the explicit
-FD march: seconds and layers/s for `solve_tf_fd` on the reference grid.
+CBLAB_THREADS=1 and 2; the decision kernel `lattice.decide` alone on one
+(BLOCK, 501) block; the pointwise `price_tf_crr` at spot 100 and N=500 (the
+batch-width-1 path); `philox_uniforms` at 10^6 draws; and the explicit FD
+march: seconds and layers/s for `solve_tf_fd` on the reference grid.
 
     PYTHONPATH=src python scripts/bench_kernel.py [--repeats 5] [--label after]
 
 Each cell is the best of `--repeats` timed calls after one warm-up call, at the
 reference instrument's 2004-01-02 date; the rollback spots are spread over
-60-160, and the FD grid is `FDGrid.auto` (401 spot nodes, the minimal stable
-layer count).  Prints one JSON object with the machine record (nproc, numpy
+60-160, the decision block is the expiry layer of those trees at N=500 (E = 0,
+B = redemption, conversion values at every node; no call or put, as the kernel
+runs it; E and B are restored before each call, outside the timing), and the
+FD grid is `FDGrid.auto` (401 spot nodes, the minimal stable layer count).  Prints one JSON object with the machine record (nproc, numpy
 version, and the `git describe --always --dirty` of the checkout the timed
 `cblab` is imported from, "unknown" outside git) and the cells, so two checkouts measured back
 to back on the same machine can be compared.
@@ -46,10 +49,12 @@ def _git_sha() -> str:
         return "unknown"
 
 
-def _best_of(repeats: int, call) -> float:
+def _best_of(repeats: int, call, reset=lambda: None) -> float:
+    reset()
     call()
     best = float("inf")
     for _ in range(repeats):
+        reset()
         t = time.perf_counter()
         call()
         best = min(best, time.perf_counter() - t)
@@ -67,6 +72,26 @@ def measure(repeats: int) -> list[dict]:
             cells.append({"m": m, "N": steps, "threads": threads,
                           "ms_per_spot": round(1e3 * best / m, 4)})
     return cells
+
+
+def measure_decide(repeats: int) -> dict:
+    terms, mkt = cblab.reference_terms(), cblab.reference_market()
+    steps, rows = 500, cblab.lattice.BLOCK
+    timeline = cblab.termsheet.Timeline(terms, T0)
+    lp = cblab.build_crr_params(mkt.sigma, mkt.rate, timeline.tau_maturity, steps)
+    spots = np.linspace(60.0, 160.0, rows)
+    conv = timeline.ratio * spots[:, None] * lp.up ** np.arange(-steps, steps + 1, 2, dtype=float)
+    E, B, V, vs = (np.empty_like(conv) for _ in range(4))
+    ncont, convb, tmp = (np.empty(conv.shape, dtype=bool) for _ in range(3))
+
+    def reset():
+        E.fill(0.0)
+        B.fill(timeline.redemption)
+
+    best = _best_of(repeats, lambda: cblab.lattice.decide(E, B, V, vs, conv, np.inf, 0.0,
+                                                          ncont, convb, tmp), reset)
+    return {"rows": rows, "width": steps + 1, "ms_per_block": round(1e3 * best, 4),
+            "ns_per_node": round(1e9 * best / conv.size, 3)}
 
 
 def measure_pointwise(repeats: int) -> dict:
@@ -101,6 +126,7 @@ def main() -> None:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cells": measure(args.repeats),
+        "decide": measure_decide(args.repeats),
         "price_tf_crr": measure_pointwise(args.repeats),
         "philox_uniforms": measure_philox(args.repeats),
         "fd": measure_fd(args.repeats),

@@ -19,8 +19,6 @@ from .termsheet import (
     CallTerms,
     ConversionTerms,
     ConvertibleTerms,
-    CouponSchedule,
-    DayCount,
     MarketParams,
     PutTerms,
     accrued_interest,

@@ -40,9 +40,10 @@ class HedgeStressSpec:
     def __post_init__(self) -> None:
         if self.shock == 0:
             raise ConfigurationError("shock must be nonzero")
+        # spot values are the engine's to check, as for every other spot grid
         grid = np.asarray(self.spot_grid, dtype=float)
-        if grid.size == 0 or np.any(grid <= 0) or np.any(np.diff(grid) < 0):
-            raise ConfigurationError("spot grid must be ascending and positive")
+        if grid.size == 0 or np.any(np.diff(grid) < 0):
+            raise DomainError("spot grid must be nonempty and ascending")
         object.__setattr__(self, "spot_grid", grid)
 
     def scaling(self, terms: ConvertibleTerms) -> float:
@@ -68,8 +69,9 @@ def hedge_increment(
 ) -> float:
     """Change of the hedged position when the spot jumps by `shock`, the hedge
     having been struck at the pre-shock delta."""
-    if spot <= 0 or spot + shock <= 0:
-        raise DomainError("spot and shocked spot must be > 0")
+    # the engine's own spot check, ahead of the shortcut that never reaches it
+    if not (np.isfinite(spot) and spot > 0):
+        raise DomainError("spot prices must be finite and > 0")
     if shock == 0:
         return 0.0
     spec = HedgeStressSpec(t=t, shock=shock, spot_grid=np.array([float(spot)]), steps=steps)

@@ -1,12 +1,14 @@
 """Convertible-bond contract representation.
 
-Term sheet types (coupon schedule, conversion window, and one exercise-right
-type for the call and the put: a flat clean level inside [start, end]), act/365
-date arithmetic and accrued interest at a date.  Everything here is immutable
-and pure.  `Timeline` is the one implementation of the contract queries
-(accrued interest, dirty call and put levels, the conversion window): it
-re-expresses the contract as year fractions from an anchor date, and every
-query takes a whole grid of times.
+Term sheet types (a fixed-rate coupon stream, a conversion window, and one
+exercise-right type for the call and the put: a flat clean level inside
+[start, end]), act/365 date arithmetic and accrued interest at a date.  A sheet
+holds what its JSON file holds: the coupon is a rate and a yearly frequency,
+its dates derived once, at construction.  Everything here is immutable and
+pure.  `Timeline` is the one implementation of the contract queries (accrued
+interest, dirty call and put levels, the conversion window): it re-expresses
+the contract as year fractions from an anchor date, and every query takes a
+whole grid of times.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from __future__ import annotations
 import calendar
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import date
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,6 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, TermSheetError
 
 __all__ = [
-    "DayCount",
-    "CouponSchedule",
     "ConversionTerms",
     "CallTerms",
     "PutTerms",
@@ -41,12 +40,6 @@ __all__ = [
     "reference_market",
     "reference_terms_path",
 ]
-
-
-class DayCount(Enum):
-    """Day-count convention; act/365 is the only one the instruments here use."""
-
-    ACT_365 = "ACT_365"
 
 
 def year_fraction(d1: date, d2: date) -> float:
@@ -65,46 +58,6 @@ def _add_months(d: date, months: int) -> date:
 
 
 @dataclass(frozen=True)
-class CouponSchedule:
-    """Fixed-rate coupon stream; dates step back from maturity in even months."""
-
-    rate: float
-    frequency: int
-    nominal: float
-    dates: tuple[date, ...]
-
-    def __post_init__(self) -> None:
-        if self.frequency < 1:
-            raise ConfigurationError("coupon frequency must be >= 1 per year")
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
-            raise ConfigurationError("coupon dates must be strictly increasing")
-
-    @property
-    def amount(self) -> float:
-        """Cash paid per coupon date."""
-        return self.nominal * self.rate / self.frequency
-
-    @classmethod
-    def generate(
-        cls, rate: float, frequency: int, nominal: float, issue: date, maturity: date
-    ) -> "CouponSchedule":
-        """Build the schedule by stepping 12/frequency months back from maturity."""
-        if 12 % frequency != 0:
-            raise ConfigurationError(f"frequency {frequency} does not divide the year evenly")
-        step = 12 // frequency
-        dates: list[date] = []
-        d = maturity
-        while d > issue:
-            dates.append(d)
-            d = _add_months(d, -step)
-        if d != issue:
-            raise ConfigurationError(
-                f"coupon grid from {maturity} does not land on issue date {issue}"
-            )
-        return cls(rate=rate, frequency=frequency, nominal=nominal, dates=tuple(sorted(dates)))
-
-
-@dataclass(frozen=True)
 class ConversionTerms:
     """Right to exchange the bond for `ratio` shares inside [start, end]."""
 
@@ -113,8 +66,8 @@ class ConversionTerms:
     end: date
 
     def __post_init__(self) -> None:
-        if self.ratio < 0:
-            raise ConfigurationError("conversion ratio must be >= 0")
+        if not (math.isfinite(self.ratio) and self.ratio >= 0):
+            raise ConfigurationError(f"conversion ratio must be finite and >= 0, got {self.ratio!r}")
         if self.start > self.end:
             raise ConfigurationError("conversion window start is after its end")
 
@@ -148,37 +101,57 @@ class PutTerms(_ExerciseRight):
 
 @dataclass(frozen=True)
 class ConvertibleTerms:
-    """Full convertible-bond term sheet."""
+    """Full convertible-bond term sheet; `coupon_dates` is derived: ascending,
+    12/frequency months apart, from the first after issue to maturity."""
 
     nominal: float
     issue: date
     maturity: date
-    coupon: CouponSchedule
+    coupon_rate: float
+    coupon_frequency: int
     conversion: ConversionTerms
     call: CallTerms | None = None
     put: PutTerms | None = None
-    day_count: DayCount = DayCount.ACT_365
+    coupon_dates: tuple[date, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.nominal) and self.nominal > 0):
+            raise ConfigurationError(f"nominal must be finite and > 0, got {self.nominal!r}")
+        if not (math.isfinite(self.coupon_rate) and self.coupon_rate >= 0):
+            raise ConfigurationError(f"coupon rate must be finite and >= 0, got {self.coupon_rate!r}")
+        if self.coupon_frequency < 1:
+            raise ConfigurationError("coupon frequency must be >= 1 per year")
+        if 12 % self.coupon_frequency != 0:
+            raise ConfigurationError(f"frequency {self.coupon_frequency} does not divide the year evenly")
         if self.issue >= self.maturity:
             raise ConfigurationError("issue date must precede maturity")
-        if self.coupon.dates:
-            if self.coupon.dates[0] <= self.issue:
-                raise ConfigurationError("first coupon date must be after issue")
-            if self.coupon.dates[-1] != self.maturity:
-                raise ConfigurationError("last coupon date must equal maturity")
         for name, window in (("conversion", self.conversion), ("call", self.call), ("put", self.put)):
             if window is None:
                 continue
             if window.start < self.issue or window.end > self.maturity:
                 raise ConfigurationError(f"{name} window must lie inside the bond life")
+        step = 12 // self.coupon_frequency
+        dates: list[date] = []
+        d = self.maturity
+        while d > self.issue:
+            dates.append(d)
+            d = _add_months(d, -step)
+        if d != self.issue:
+            raise ConfigurationError(
+                f"coupon grid from {self.maturity} does not land on issue date {self.issue}"
+            )
+        object.__setattr__(self, "coupon_dates", tuple(reversed(dates)))
+
+    @property
+    def coupon_amount(self) -> float:
+        """Cash paid per coupon date."""
+        return self.nominal * self.coupon_rate / self.coupon_frequency
 
     def with_nominal_scaled(self, factor: float) -> "ConvertibleTerms":
-        """Scale nominal, coupon basis, conversion ratio and call/put levels together."""
+        """Scale nominal (and with it the coupon), conversion ratio and call/put levels together."""
         return replace(
             self,
             nominal=self.nominal * factor,
-            coupon=replace(self.coupon, nominal=self.coupon.nominal * factor),
             conversion=replace(self.conversion, ratio=self.conversion.ratio * factor),
             call=None if self.call is None else replace(self.call, price=self.call.price * factor),
             put=None if self.put is None else replace(self.put, price=self.put.price * factor),
@@ -217,16 +190,15 @@ def accrued_interest(terms: ConvertibleTerms, t: date) -> float:
     """
     if t < terms.issue or t > terms.maturity:
         raise DomainError(f"{t} is outside the bond life [{terms.issue}, {terms.maturity}]")
-    sched = terms.coupon
-    if not sched.dates or sched.amount == 0.0:
+    if terms.coupon_amount == 0.0:
         return 0.0
-    bounds = (terms.issue,) + sched.dates
+    bounds = (terms.issue,) + terms.coupon_dates
     if t in bounds:
         return 0.0
     idx = max(i for i, b in enumerate(bounds) if b < t)
     prev, nxt = bounds[idx], bounds[idx + 1]
     frac = year_fraction(prev, t) / year_fraction(prev, nxt)
-    return sched.amount * frac
+    return terms.coupon_amount * frac
 
 
 # ---------------------------------------------------------------------------
@@ -251,21 +223,22 @@ class Timeline:
         self.tau_maturity = year_fraction(t0, terms.maturity)
         self.ratio = terms.conversion.ratio
         self.nominal = terms.nominal
-        self.coupon_amount = terms.coupon.amount
+        self.coupon_amount = terms.coupon_amount
 
         to_tau = lambda d: (d - t0).days / 365.0
-        self.coupon_taus = np.array([to_tau(d) for d in terms.coupon.dates])
-        self._accrual_bounds = np.array([to_tau(terms.issue)] + [to_tau(d) for d in terms.coupon.dates])
+        # issue, then every coupon date: the accrual periods' bounds
+        self._accrual_bounds = np.array([to_tau(d) for d in (terms.issue, *terms.coupon_dates)])
+        self.coupon_taus = self._accrual_bounds[1:]
         self._conv_window = (to_tau(terms.conversion.start), to_tau(terms.conversion.end))
         self._call_window = None if terms.call is None else (to_tau(terms.call.start), to_tau(terms.call.end))
         self._put_window = None if terms.put is None else (to_tau(terms.put.start), to_tau(terms.put.end))
-        self.redemption = terms.nominal + terms.coupon.amount if terms.coupon.dates else terms.nominal
+        self.redemption = terms.nominal + terms.coupon_amount
 
     def accrued(self, tau) -> np.ndarray:
         """Accrued interest at year-fraction times tau (1-D); piecewise linear."""
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
         b = self._accrual_bounds
-        if len(b) < 2 or self.coupon_amount == 0.0:
+        if self.coupon_amount == 0.0:
             return np.zeros_like(tau)
         idx = np.clip(np.searchsorted(b, tau + _WINDOW_EPS, side="right") - 1, 0, len(b) - 2)
         frac = (tau - b[idx]) / (b[idx + 1] - b[idx])
@@ -345,8 +318,8 @@ def terms_to_dict(terms: ConvertibleTerms) -> dict:
     """Serialize a term sheet to the plain key/value form used on disk."""
     out: dict = {
         "nominal": terms.nominal,
-        "coupon_rate": terms.coupon.rate,
-        "coupon_frequency": terms.coupon.frequency,
+        "coupon_rate": terms.coupon_rate,
+        "coupon_frequency": terms.coupon_frequency,
         "issue_date": terms.issue.isoformat(),
         "maturity_date": terms.maturity.isoformat(),
         "conversion": {
@@ -363,7 +336,7 @@ def terms_to_dict(terms: ConvertibleTerms) -> dict:
                 "start": right.start.isoformat(),
                 "end": right.end.isoformat(),
             }
-    out["day_count"] = terms.day_count.value
+    out["day_count"] = "ACT_365"
     return out
 
 
@@ -386,21 +359,16 @@ def terms_from_dict(data: dict) -> ConvertibleTerms:
                 start=date.fromisoformat(r["start"]),
                 end=date.fromisoformat(r["end"]),
             )
-        coupon = CouponSchedule.generate(
-            rate=float(data["coupon_rate"]),
-            frequency=int(data["coupon_frequency"]),
-            nominal=float(data["nominal"]),
-            issue=issue,
-            maturity=maturity,
-        )
+        if data.get("day_count", "ACT_365") != "ACT_365":
+            raise ValueError(f"day count {data['day_count']!r} is not ACT_365")
         return ConvertibleTerms(
             nominal=float(data["nominal"]),
             issue=issue,
             maturity=maturity,
-            coupon=coupon,
+            coupon_rate=float(data["coupon_rate"]),
+            coupon_frequency=int(data["coupon_frequency"]),
             conversion=conversion,
             **rights,
-            day_count=DayCount(data.get("day_count", "ACT_365")),
         )
     except (KeyError, ValueError, TypeError) as exc:
         if isinstance(exc, ConfigurationError):

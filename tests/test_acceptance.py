@@ -15,7 +15,6 @@ from scipy import stats
 from cblab import (
     ConversionTerms,
     ConvertibleTerms,
-    CouponSchedule,
     FDGrid,
     HedgeStressSpec,
     MarketParams,
@@ -207,7 +206,7 @@ def test_criterion_6_exact_property_suite():
     issue, maturity = date(2002, 1, 2), date(2007, 1, 2)
     straight = ConvertibleTerms(
         nominal=100.0, issue=issue, maturity=maturity,
-        coupon=CouponSchedule.generate(0.0, 2, 100.0, issue, maturity),
+        coupon_rate=0.0, coupon_frequency=2,
         conversion=ConversionTerms(0.0, issue, maturity),
     )
     horizon = 1826 / 365.0

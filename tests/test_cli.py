@@ -154,6 +154,40 @@ class TestGridValidation:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, value, names", [
+        pytest.param(path, value, names, id=f"{'.'.join(path)}={value}")
+        for path, value, names in [
+            (("coupon_frequency",), 0, "coupon frequency"),
+            (("coupon_frequency",), -2, "coupon frequency"),
+            (("nominal",), float("nan"), "nominal"),
+            (("nominal",), float("inf"), "nominal"),
+            (("nominal",), 0.0, "nominal"),
+            (("coupon_rate",), float("nan"), "coupon rate"),
+            (("coupon_rate",), float("inf"), "coupon rate"),
+            (("coupon_rate",), -0.01, "coupon rate"),
+            (("conversion", "ratio"), float("nan"), "conversion ratio"),
+            (("conversion", "ratio"), float("inf"), "conversion ratio"),
+        ]
+    ])
+    def test_bad_term_sheet_number_exits_2(self, tmp_path, capsys, path, value, names):
+        sheet = json.loads(reference_terms_path().read_text())
+        *outer, key = path
+        (sheet[outer[0]] if outer else sheet)[key] = value
+        terms_path = tmp_path / "terms.json"
+        terms_path.write_text(json.dumps(sheet))  # NaN and Infinity as JSON literals
+        rc = run(["price", "--terms", terms_path, "--steps", 20, "--out", tmp_path / "o"])
+        assert rc == 2
+        # the message names the field, not a symptom such as a date out of range
+        assert names in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_hedge_spot_exits_2(self, tmp_path, capsys):
+        rc = run(["hedge-stress", "--s-min", -1, "--s-max", 1, "--s-step", 1,
+                  "--steps", 20, "--out", tmp_path / "o"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_thread_setting_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CBLAB_THREADS", "0")
         rc = run(["price", "--steps", 20, "--out", tmp_path])

@@ -13,7 +13,6 @@ from cblab import (
     ConfigurationError,
     ConversionTerms,
     ConvertibleTerms,
-    CouponSchedule,
     DomainError,
     FDGrid,
     MarketParams,
@@ -30,7 +29,7 @@ def straight_bond(rate=0.0):
     issue, maturity = date(2002, 1, 2), date(2007, 1, 2)
     return ConvertibleTerms(
         nominal=100.0, issue=issue, maturity=maturity,
-        coupon=CouponSchedule.generate(rate, 2, 100.0, issue, maturity),
+        coupon_rate=rate, coupon_frequency=2,
         conversion=ConversionTerms(0.0, issue, maturity),
     )
 
@@ -196,6 +195,22 @@ class TestSpreadMonotonicity:
             layers[rc] = sol.value[idx]
         assert np.all(layers[0.02] <= layers[0.0] + 1e-9)
         assert np.all(layers[0.05] <= layers[0.02] + 1e-9)
+
+    def test_lattice_breaks_what_the_oracle_keeps(self, table1, issue):
+        """A wider spread discounts the cash part harder, so value should not
+        rise with it.  The N=500 tree rises here while the FD oracle falls
+        (and so does the tree at N=2000: 157.1662 -> 156.9413): a lattice
+        pathology, not a kernel invariant to hold the engine to."""
+        spot, span = 150.75, year_fraction(issue, table1.maturity)
+        tree, oracle = [], []
+        for rc in (0.055, 0.06):
+            mkt = MarketParams(rate=0.05, credit_spread=rc, sigma=0.30)
+            tree.append(price_tf_crr(table1, mkt, issue, spot, 500).price)
+            sol = solve_tf_fd(table1, mkt, issue, FDGrid.auto(mkt, span, n_s=201),
+                              snapshot_dates=[issue])
+            oracle.append(fd_profile(sol, issue, [spot])[0][1])
+        assert tree[1] > tree[0]  # 157.7444 -> 157.9813
+        assert oracle[1] < oracle[0]  # 157.0984 -> 156.8700
 
 
 class TestGridRefinement:

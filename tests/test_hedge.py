@@ -9,7 +9,6 @@ from cblab import (
     ConfigurationError,
     ConversionTerms,
     ConvertibleTerms,
-    CouponSchedule,
     DomainError,
     HedgeStressSpec,
     greek_point,
@@ -24,7 +23,7 @@ def straight_bond():
     issue, maturity = date(2002, 1, 2), date(2007, 1, 2)
     return ConvertibleTerms(
         nominal=100.0, issue=issue, maturity=maturity,
-        coupon=CouponSchedule.generate(0.04, 2, 100.0, issue, maturity),
+        coupon_rate=0.04, coupon_frequency=2,
         conversion=ConversionTerms(0.0, issue, maturity),
     )
 
@@ -71,6 +70,17 @@ class TestHedgeIncrement:
             hedge_increment(table1, market, issue, -1.0, 0.5, 100)
         with pytest.raises(DomainError):
             hedge_increment(table1, market, issue, 0.2, -0.5, 100)
+        # the zero-shock shortcut must not skip the spot check
+        for spot in (float("nan"), -1.0):
+            with pytest.raises(DomainError):
+                hedge_increment(table1, market, issue, spot, 0.0, 100)
+
+    @pytest.mark.parametrize("grid", [[-1.0], [float("nan")], [100.0, 90.0], []],
+                             ids=["negative", "nan", "descending", "empty"])
+    def test_bad_stress_grid_is_a_domain_error(self, table1, market, issue, grid):
+        with pytest.raises(DomainError):
+            spec = HedgeStressSpec(t=issue, spot_grid=np.array(grid), steps=20)
+            stress_increments(spec, table1, market)
 
 
 class TestStressCurve:

@@ -18,7 +18,6 @@ from cblab import (
     ConfigurationError,
     ConversionTerms,
     ConvertibleTerms,
-    CouponSchedule,
     DomainError,
     MarketParams,
     NodeValue,
@@ -131,7 +130,7 @@ def straight_bond(rate: float = 0.0, years: int = 1) -> ConvertibleTerms:
     issue, maturity = date(2002, 1, 2), date(2002 + years, 1, 2)
     return ConvertibleTerms(
         nominal=100.0, issue=issue, maturity=maturity,
-        coupon=CouponSchedule.generate(rate, 2, 100.0, issue, maturity),
+        coupon_rate=rate, coupon_frequency=2,
         conversion=ConversionTerms(0.0, issue, maturity),
     )
 
@@ -308,12 +307,12 @@ class TestReferenceInstrument:
             pytest.skip("century shift changes leap pattern")
         shifted = ConvertibleTerms(
             nominal=100.0, issue=shift_issue, maturity=shift_mat,
-            coupon=CouponSchedule.generate(0.04, 2, 100.0, shift_issue, shift_mat),
+            coupon_rate=0.04, coupon_frequency=2,
             conversion=ConversionTerms(1.0, shift_issue, shift_mat),
             call=type(table1.call)(110.0, date(2104, 1, 2), shift_mat),
         )
-        if [(d - shift_issue).days for d in shifted.coupon.dates] != [
-            (d - table1.issue).days for d in table1.coupon.dates
+        if [(d - shift_issue).days for d in shifted.coupon_dates] != [
+            (d - table1.issue).days for d in table1.coupon_dates
         ]:
             pytest.skip("shifted coupon grid has different day counts")
         a = price_tf_crr(table1, market, date(2003, 5, 10), 97.0, 150)

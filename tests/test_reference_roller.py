@@ -33,7 +33,6 @@ from cblab.termsheet import (
     CallTerms,
     ConversionTerms,
     ConvertibleTerms,
-    CouponSchedule,
     MarketParams,
     PutTerms,
     Timeline,
@@ -118,10 +117,10 @@ def instruments(draw, live=False):
             return kind(draw(st.floats(lo, hi)), *window(whole))
         return None
 
-    coupon = CouponSchedule.generate(draw(st.sampled_from([0.0, 0.03, 0.08])),
-                                     draw(st.sampled_from([1, 2, 4])), 100.0, ISSUE, maturity)
     terms = ConvertibleTerms(
-        nominal=100.0, issue=ISSUE, maturity=maturity, coupon=coupon,
+        nominal=100.0, issue=ISSUE, maturity=maturity,
+        coupon_rate=draw(st.sampled_from([0.0, 0.03, 0.08])),
+        coupon_frequency=draw(st.sampled_from([1, 2, 4])),
         conversion=ConversionTerms(draw(st.floats(0.0, 2.0)), *window(live)),
         call=right(CallTerms, 95.0, 130.0, live),
         put=right(PutTerms, 80.0, 130.0),  # may sit above the call

@@ -10,7 +10,6 @@ from cblab import (
     ConfigurationError,
     ConversionTerms,
     ConvertibleTerms,
-    CouponSchedule,
     DomainError,
     greek_point,
     price_tf_crr,
@@ -62,7 +61,7 @@ class TestDeltaPct:
         issue, maturity = date(2002, 1, 2), date(2007, 1, 2)
         terms = ConvertibleTerms(
             nominal=100.0, issue=issue, maturity=maturity,
-            coupon=CouponSchedule.generate(0.04, 2, 100.0, issue, maturity),
+            coupon_rate=0.04, coupon_frequency=2,
             conversion=ConversionTerms(0.0, issue, maturity),
         )
         assert np.isnan(greek_point(terms, market, jan2004, 100.0, 200).delta_pct)

@@ -12,8 +12,6 @@ from cblab import (
     ConfigurationError,
     ConversionTerms,
     ConvertibleTerms,
-    CouponSchedule,
-    DayCount,
     DomainError,
     MarketParams,
     PutTerms,
@@ -70,28 +68,28 @@ class TestCouponSchedule:
             date(2004, 7, 2), date(2005, 1, 2), date(2005, 7, 2), date(2006, 1, 2),
             date(2006, 7, 2), date(2007, 1, 2),
         ]
-        assert list(table1.coupon.dates) == expected
-        assert table1.coupon.amount == 2.0
+        assert list(table1.coupon_dates) == expected
+        assert table1.coupon_amount == 2.0
 
     def test_dates_strictly_increasing_first_after_issue_last_at_maturity(self, table1):
-        d = table1.coupon.dates
+        d = table1.coupon_dates
         assert all(b > a for a, b in zip(d, d[1:]))
         assert d[0] > table1.issue
         assert d[-1] == table1.maturity
 
-    def test_misaligned_grid_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CouponSchedule.generate(0.04, 2, 100.0, date(2002, 1, 2), date(2007, 1, 15))
+    def test_misaligned_grid_rejected(self, table1):
+        with pytest.raises(ConfigurationError, match="does not land on issue date"):
+            replace(table1, maturity=date(2007, 1, 15))
 
-    def test_frequency_must_divide_year(self):
-        with pytest.raises(ConfigurationError):
-            CouponSchedule.generate(0.04, 5, 100.0, date(2002, 1, 2), date(2007, 1, 2))
+    def test_frequency_must_divide_year(self, table1):
+        with pytest.raises(ConfigurationError, match="does not divide the year"):
+            replace(table1, coupon_frequency=5)
 
 
 class TestAccruedInterest:
     def test_zero_on_coupon_dates_and_issue(self, table1):
         assert accrued_interest(table1, table1.issue) == 0.0
-        for d in table1.coupon.dates:
+        for d in table1.coupon_dates:
             assert accrued_interest(table1, d) == 0.0
 
     def test_midperiod_value_from_day_counts(self, table1):
@@ -135,7 +133,7 @@ class TestContractFunctions:
     def test_outside_window(self, table1):
         terms = ConvertibleTerms(
             nominal=100.0, issue=table1.issue, maturity=table1.maturity,
-            coupon=table1.coupon,
+            coupon_rate=table1.coupon_rate, coupon_frequency=table1.coupon_frequency,
             conversion=ConversionTerms(1.0, table1.issue, date(2004, 1, 2)),
         )
         tl, tau = at(terms, date(2004, 1, 3))
@@ -163,7 +161,8 @@ class TestContractFunctions:
     def test_put_levels(self, table1):
         terms = ConvertibleTerms(
             nominal=100.0, issue=table1.issue, maturity=table1.maturity,
-            coupon=table1.coupon, conversion=table1.conversion,
+            coupon_rate=table1.coupon_rate, coupon_frequency=table1.coupon_frequency,
+            conversion=table1.conversion,
             put=PutTerms(98.0, date(2003, 1, 2), date(2005, 1, 2)),
         )
 
@@ -235,15 +234,15 @@ class TestTermSheetFile:
 
     def test_reference_values(self, table1):
         assert table1.nominal == 100.0
-        assert table1.coupon.rate == 0.04
-        assert table1.coupon.frequency == 2
+        assert table1.coupon_rate == 0.04
+        assert table1.coupon_frequency == 2
         assert table1.issue == date(2002, 1, 2)
         assert table1.maturity == date(2007, 1, 2)
         assert table1.conversion.ratio == 1.0
         assert table1.call is not None and table1.call.price == 110.0
         assert table1.call.start == date(2004, 1, 2)
         assert table1.put is None
-        assert table1.day_count is DayCount.ACT_365
+        assert terms_to_dict(table1)["day_count"] == "ACT_365"
 
     def test_malformed_input_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -254,6 +253,12 @@ class TestTermSheetFile:
             load_terms(bad)
         with pytest.raises(TermSheetError):
             terms_from_dict({"nominal": 100.0})
+
+    def test_day_count_other_than_act_365_rejected(self, table1):
+        from cblab import TermSheetError
+
+        with pytest.raises(TermSheetError, match="ACT_360"):
+            terms_from_dict(dict(terms_to_dict(table1), day_count="ACT_360"))
 
 
 class TestTimeline:
@@ -293,7 +298,7 @@ class TestTimeline:
         tl = Timeline(table1, date(2002, 1, 2))
         rate = 0.07
         expected = 100.0 * np.exp(-rate * 1826 / 365)
-        for d in table1.coupon.dates:
+        for d in table1.coupon_dates:
             expected += 2.0 * np.exp(-rate * (d - date(2002, 1, 2)).days / 365)
         assert tl.risky_cash_pv(0.0, rate)[0] == pytest.approx(expected, rel=1e-14)
 
