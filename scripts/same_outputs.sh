@@ -1,7 +1,9 @@
 #!/bin/sh
 # Check that the working tree writes the same bytes as revision REV: every
-# `make figures` dataset, the stdout of make_figures.sh and the stdout of every
-# demo script.  Each tree runs from its own fresh working directory, so the
+# `make figures` dataset, the stdout of make_figures.sh, the stdout of every
+# demo script, and the artifacts and stdout of a few small CLI runs that the
+# figures leave out (no --date, the report format, narrow greeks and compare
+# grids).  Each tree runs from its own fresh working directory, so the
 # `wrote out/...` lines compare equal.  Exits 1 on any difference.
 #
 #   sh scripts/same_outputs.sh REV        (or: make same-outputs REV=...)
@@ -17,12 +19,33 @@ trap 'exit 1' INT TERM
 mkdir "$tmp/rev-tree"
 git -C "$root" archive "$rev" | tar -x -C "$tmp/rev-tree"
 
-# run_tree TREE NAME: figures into $tmp/NAME/out, stdout logs next to them
+# the small CLI runs, one per line; run k writes into out/cli/k
+cli_runs() {
+    cat <<'RUNS'
+price --steps 200
+price --spot 110 --date 2004-05-17 --steps 200 --format report
+hedge-stress --s-min 90 --s-max 120 --s-step 5 --steps 200
+var --scenarios 200 --steps 100
+greeks --date 2005-03-15 --s-min 80 --s-max 130 --s-step 5 --steps 200
+compare --date 2005-03-15 --s-min 95 --s-max 115 --s-step 1 --steps 200 --fd-nodes 201
+RUNS
+}
+
+# run_tree TREE NAME: figures and CLI runs into $tmp/NAME/out, stdout logs next to them
 run_tree() {
     work="$tmp/$2"
     mkdir "$work"
     echo "== $2: make_figures.sh"
     (cd "$work" && PYTHONPATH="$1/src" sh "$1/scripts/make_figures.sh" out) > "$work/figures.log"
+    echo "== $2: small CLI runs"
+    k=0
+    cli_runs | while read -r run; do
+        k=$((k + 1))
+        echo "== cblab $run" >> "$work/cli.log"
+        # $run is split into words on purpose
+        (cd "$work" && PYTHONPATH="$1/src" python3 -m cblab.cli $run --out "out/cli/$k") \
+            >> "$work/cli.log"
+    done
     for demo in "$1"/demos/*.py; do
         name="$(basename "$demo")"
         echo "== $2: $name"
@@ -37,9 +60,10 @@ run_tree "$root" work
 status=0
 diff -r "$tmp/rev/out" "$tmp/work/out" || status=1
 diff "$tmp/rev/figures.log" "$tmp/work/figures.log" || status=1
+diff "$tmp/rev/cli.log" "$tmp/work/cli.log" || status=1
 diff "$tmp/rev/demos.log" "$tmp/work/demos.log" || status=1
 if [ "$status" -eq 0 ]; then
-    echo "same outputs as $rev: $(find "$tmp/work/out" -type f | wc -l) files, figure and demo stdout"
+    echo "same outputs as $rev: $(find "$tmp/work/out" -type f | wc -l) files, figure, CLI and demo stdout"
 else
     echo "outputs differ from $rev" >&2
 fi

@@ -2,11 +2,12 @@
 emission of plot-ready CSV / text artifacts.
 
 Subcommands: price | surface | greeks | hedge-stress | var | compare.  `main`
-loads the term sheet, then the market, once and calls `cmd_<name>(args,
-terms, mkt)`; one writer, `_write`, writes every table.  All outputs are data
-files (no rendered images); each header embeds the run's configuration (every
-parsed option except --out, with the term sheet's contents rather than its
-path) and its hash, so identical runs produce identical bytes from any checkout.
+loads the term sheet, sets an unset --date to its issue date, builds the
+market and calls `cmd_<name>(args, terms, mkt)`; one writer, `_write`, writes
+every table.  All outputs are data files (no rendered images); each header
+embeds the run's configuration (every parsed option except --out, with the
+term sheet's contents rather than its path) and its hash, so identical runs
+produce identical bytes from any checkout.
 CBLAB_THREADS sets how many threads every lattice batch runs on (default:
 the cores this process may use); the output bytes do not depend on it.
 """
@@ -52,13 +53,10 @@ def _spot_grid(args) -> np.ndarray:
     return args.s_min + args.s_step * np.arange(n + 1)
 
 
-def _config(args, terms, when: date | None = None) -> dict:
-    """Every parsed option but --out, the sheet's contents for its path, and the
-    resolved date when given."""
+def _config(args, terms) -> dict:
+    """Every parsed option but --out, with the sheet's contents for its path."""
     cfg = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
     cfg["terms"] = terms_to_dict(terms)
-    if when is not None:
-        cfg["date"] = when.isoformat()
     return cfg
 
 
@@ -71,11 +69,11 @@ def _write(args, cfg: dict, name: str, columns: list[str], rows: list, summary=(
 
 
 def cmd_price(args, terms, mkt) -> int:
-    t = args.date or terms.issue
+    t = args.date
     res = lattice.rollback_batch(terms, mkt, t, np.array([args.spot]), args.steps, binds=True)
     v, e, b = float(res.value[0]), float(res.equity[0]), float(res.debt[0])
     ai = accrued_interest(terms, t)
-    out = _write(args, _config(args, terms, t), "price",
+    out = _write(args, _config(args, terms), "price",
                  ["date", "spot", "steps", "V_dirty", "V_clean", "E", "B",
                   "conversion_binds", "call_binds", "put_binds"],
                  [(t.isoformat(), args.spot, args.steps, v, v - ai, e, b,
@@ -118,16 +116,15 @@ def cmd_greeks(args, terms, mkt) -> int:
 
 
 def cmd_hedge_stress(args, terms, mkt) -> int:
-    t = args.date or terms.issue
     spec = hedge.HedgeStressSpec(
-        t=t, shock=args.shock, spot_grid=_spot_grid(args),
+        t=args.date, shock=args.shock, spot_grid=_spot_grid(args),
         steps=args.steps, contract_size=args.contract_size,
     )
     increments, positions = hedge.stress_increments(spec, terms, mkt)
     scale = spec.scaling(terms)
     rows = [(float(s), float(inc), float(inc * scale), inc / abs(pos) if pos != 0 else np.inf)
             for s, inc, pos in zip(spec.spot_grid, increments, positions)]
-    out = _write(args, _config(args, terms, t), "hedge_stress",
+    out = _write(args, _config(args, terms), "hedge_stress",
                  ["S", "increment", "increment_scaled", "increment_relative"], rows)
     print(f"wrote {out} ({len(rows)} points)")
     return 0
@@ -135,7 +132,7 @@ def cmd_hedge_stress(args, terms, mkt) -> int:
 
 def cmd_var(args, terms, mkt) -> int:
     spec = var.VaRSpec(
-        eval_date=args.date or terms.issue,
+        eval_date=args.date,
         spot=args.spot,
         holding_days=args.holding_days,
         confidence=args.confidence,
@@ -146,7 +143,7 @@ def cmd_var(args, terms, mkt) -> int:
         steps=args.steps,
     )
     result = var.run_var(spec, terms, mkt)
-    cfg = _config(args, terms, spec.eval_date)
+    cfg = _config(args, terms)
     write_lines(cfg, result.report_lines(), args.out / "var_report.txt")
     for name, hist in (("var_cb_hist", result.value_hist), ("var_stock_hist", result.stock_hist)):
         rows = [(float(lo), float(hi), float(c), int(n))
@@ -253,6 +250,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         terms = load_terms(args.terms)
+        if "date" in vars(args) and args.date is None:
+            args.date = terms.issue  # the one default of every optional --date
         mkt = MarketParams(rate=args.rate, credit_spread=args.spread, sigma=args.vol)
         return args.func(args, terms, mkt)
     except CBLabError as exc:

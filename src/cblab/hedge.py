@@ -9,6 +9,7 @@ noise rather than genuine convexity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from datetime import date
 
@@ -29,7 +30,8 @@ def _default_grid() -> np.ndarray:
 @dataclass(frozen=True)
 class HedgeStressSpec:
     """Stress-test configuration: shock size, spot grid, date, tree steps,
-    position size in nominal units."""
+    position size in nominal units.  The grid may come in any order; its shape
+    and values are the engine's to check, as for every other spot grid."""
 
     t: date
     shock: float = 0.5
@@ -40,11 +42,10 @@ class HedgeStressSpec:
     def __post_init__(self) -> None:
         if self.shock == 0:
             raise ConfigurationError("shock must be nonzero")
-        # spot values are the engine's to check, as for every other spot grid
-        grid = np.asarray(self.spot_grid, dtype=float)
-        if grid.size == 0 or np.any(np.diff(grid) < 0):
-            raise DomainError("spot grid must be nonempty and ascending")
-        object.__setattr__(self, "spot_grid", grid)
+        if not (math.isfinite(self.contract_size) and self.contract_size > 0):
+            raise ConfigurationError(
+                f"contract size must be finite and > 0, got {self.contract_size!r}")
+        object.__setattr__(self, "spot_grid", np.asarray(self.spot_grid, dtype=float))
 
     def scaling(self, terms: ConvertibleTerms) -> float:
         """Positions per bond of `nominal`: contract size / nominal."""

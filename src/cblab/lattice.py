@@ -377,11 +377,6 @@ def price_tf_crr(
 def price_profile_raw(
     terms: ConvertibleTerms, mkt: MarketParams, t0: date, spot_grid, steps: int
 ) -> BatchResult:
-    """Price a whole ascending spot grid at once; elementwise identical to
-    calling price_tf_crr per point."""
-    grid = np.asarray(spot_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise DomainError("spot grid must be a nonempty 1-D array")
-    if np.any(np.diff(grid) < 0):
-        raise DomainError("spot grid must be ascending")
-    return rollback_batch(terms, mkt, t0, grid, steps)
+    """Price a whole spot grid, in any order, at once; elementwise identical to
+    calling price_tf_crr per point.  The engine checks the grid."""
+    return rollback_batch(terms, mkt, t0, spot_grid, steps)

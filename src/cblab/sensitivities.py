@@ -96,15 +96,12 @@ def surface(
     steps: int,
 ) -> Surface:
     """Evaluate prices and Greeks over a (t, S) rectangle; one tree per point,
-    whole spot rows batched."""
+    whole spot rows batched.  Either grid may come in any order.  The engine
+    checks the spots and each date, and its refusal names the row's date."""
     t_grid = tuple(t_grid)
     spots = np.asarray(spot_grid, dtype=float)
-    if not t_grid or spots.size == 0:
-        raise DomainError("grids must be nonempty")
-    if np.any(np.diff(spots) < 0) or any(b < a for a, b in zip(t_grid, t_grid[1:])):
-        raise DomainError("grids must be ascending")
-    if any(t >= terms.maturity for t in t_grid):
-        raise DomainError("all surface dates must be before maturity")
+    if not t_grid:
+        raise DomainError("the date grid must be nonempty")
 
     ratio = terms.conversion.ratio
     nt, ns = len(t_grid), spots.size

@@ -2,13 +2,13 @@
 
 Term sheet types (a fixed-rate coupon stream, a conversion window, and one
 exercise-right type for the call and the put: a flat clean level inside
-[start, end]), act/365 date arithmetic and accrued interest at a date.  A sheet
-holds what its JSON file holds: the coupon is a rate and a yearly frequency,
-its dates derived once, at construction.  Everything here is immutable and
-pure.  `Timeline` is the one implementation of the contract queries (accrued
-interest, dirty call and put levels, the conversion window): it re-expresses
-the contract as year fractions from an anchor date, and every query takes a
-whole grid of times.
+[start, end]) and act/365 date arithmetic.  A sheet holds what its JSON file
+holds: the coupon is a rate and a yearly frequency, its dates derived once, at
+construction.  Everything here is immutable and pure.  `Timeline` is the one
+implementation of the contract queries (accrued interest, dirty call and put
+levels, the conversion window): it re-expresses the contract as year fractions
+from an anchor date, and every query takes a whole grid of times.
+`accrued_interest` at a date is a view of it.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ class _ExerciseRight:
     end: date
 
     def __post_init__(self) -> None:
-        if not self.price > 0:  # also refuses NaN
-            raise ConfigurationError(f"{self._name} price must be > 0 inside the window")
+        if not (math.isfinite(self.price) and self.price > 0):
+            raise ConfigurationError(f"{self._name} price must be > 0 and finite, got {self.price!r}")
         if self.start > self.end:
             raise ConfigurationError(f"{self._name} window start is after its end")
 
@@ -174,31 +174,6 @@ class MarketParams:
             raise ConfigurationError(f"sigma must be finite and > 0, got {self.sigma!r}")
         if not (np.isfinite(self.rate) and np.isfinite(self.credit_spread)):
             raise ConfigurationError("rate and credit spread must be finite")
-
-
-# ---------------------------------------------------------------------------
-# Accrued interest at a date
-# ---------------------------------------------------------------------------
-
-def accrued_interest(terms: ConvertibleTerms, t: date) -> float:
-    """Coupon accrued since the last coupon date (or issue), act/365 pro-rata.
-
-    Zero exactly on coupon dates and at issue; grows linearly in day count up to
-    the full coupon amount just before the next payment.  This is a ratio of
-    day counts; `Timeline.accrued` takes a ratio of tau differences and can
-    differ from it in the last bit, so the CLI's clean prices use this one.
-    """
-    if t < terms.issue or t > terms.maturity:
-        raise DomainError(f"{t} is outside the bond life [{terms.issue}, {terms.maturity}]")
-    if terms.coupon_amount == 0.0:
-        return 0.0
-    bounds = (terms.issue,) + terms.coupon_dates
-    if t in bounds:
-        return 0.0
-    idx = max(i for i, b in enumerate(bounds) if b < t)
-    prev, nxt = bounds[idx], bounds[idx + 1]
-    frac = year_fraction(prev, t) / year_fraction(prev, nxt)
-    return terms.coupon_amount * frac
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +285,15 @@ class Timeline:
         return pv
 
 
+def accrued_interest(terms: ConvertibleTerms, t: date) -> float:
+    """Coupon accrued at date t since the last coupon date (or issue), act/365
+    pro-rata: `Timeline.accrued` at its own anchor, and zero at maturity, where
+    the last coupon is paid.  DomainError outside [issue, maturity]."""
+    if t == terms.maturity:
+        return 0.0
+    return float(Timeline(terms, t).accrued(0.0)[0])
+
+
 # ---------------------------------------------------------------------------
 # Term-sheet file format (key/value JSON, ISO-8601 dates)
 # ---------------------------------------------------------------------------
@@ -361,12 +345,15 @@ def terms_from_dict(data: dict) -> ConvertibleTerms:
             )
         if data.get("day_count", "ACT_365") != "ACT_365":
             raise ValueError(f"day count {data['day_count']!r} is not ACT_365")
+        frequency = data["coupon_frequency"]
+        if type(frequency) is not int:  # not a float, a string or a bool
+            raise ValueError(f"coupon_frequency must be a JSON integer, got {frequency!r}")
         return ConvertibleTerms(
             nominal=float(data["nominal"]),
             issue=issue,
             maturity=maturity,
             coupon_rate=float(data["coupon_rate"]),
-            coupon_frequency=int(data["coupon_frequency"]),
+            coupon_frequency=frequency,
             conversion=conversion,
             **rights,
         )

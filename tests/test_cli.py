@@ -159,6 +159,9 @@ class TestGridValidation:
         for path, value, names in [
             (("coupon_frequency",), 0, "coupon frequency"),
             (("coupon_frequency",), -2, "coupon frequency"),
+            (("coupon_frequency",), 2.5, "coupon_frequency"),
+            (("coupon_frequency",), "4", "coupon_frequency"),
+            (("coupon_frequency",), True, "coupon_frequency"),
             (("nominal",), float("nan"), "nominal"),
             (("nominal",), float("inf"), "nominal"),
             (("nominal",), 0.0, "nominal"),
@@ -167,18 +170,29 @@ class TestGridValidation:
             (("coupon_rate",), -0.01, "coupon rate"),
             (("conversion", "ratio"), float("nan"), "conversion ratio"),
             (("conversion", "ratio"), float("inf"), "conversion ratio"),
+            (("call", "price"), float("inf"), "call price"),
+            (("put", "price"), float("inf"), "put price"),
         ]
     ])
     def test_bad_term_sheet_number_exits_2(self, tmp_path, capsys, path, value, names):
         sheet = json.loads(reference_terms_path().read_text())
         *outer, key = path
-        (sheet[outer[0]] if outer else sheet)[key] = value
+        # a right the sheet lacks (the put) takes the call's window
+        (sheet.setdefault(outer[0], dict(sheet["call"])) if outer else sheet)[key] = value
         terms_path = tmp_path / "terms.json"
         terms_path.write_text(json.dumps(sheet))  # NaN and Infinity as JSON literals
         rc = run(["price", "--terms", terms_path, "--steps", 20, "--out", tmp_path / "o"])
         assert rc == 2
         # the message names the field, not a symptom such as a date out of range
         assert names in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("size", ["nan", "inf", "0", "-5"])
+    def test_bad_contract_size_exits_2(self, tmp_path, capsys, size):
+        rc = run(["hedge-stress", "--s-min", 100, "--s-max", 100, "--contract-size", size,
+                  "--steps", 20, "--out", tmp_path / "o"])
+        assert rc == 2
+        assert "contract size" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_negative_hedge_spot_exits_2(self, tmp_path, capsys):
@@ -193,6 +207,22 @@ class TestGridValidation:
         rc = run(["price", "--steps", 20, "--out", tmp_path])
         assert rc == 2
         assert "CBLAB_THREADS" in capsys.readouterr().err
+
+
+class TestDefaultDate:
+    @pytest.mark.parametrize("command, names", [
+        (["price"], ["price.csv"]),
+        (["hedge-stress", "--s-min", 99, "--s-max", 101], ["hedge_stress.csv"]),
+        (["var", "--scenarios", 20], ["var_report.txt", "var_cb_hist.csv", "var_stock_hist.csv"]),
+    ], ids=["price", "hedge-stress", "var"])
+    def test_unset_date_is_the_issue_date(self, tmp_path, command, names):
+        """Leaving --date unset writes the bytes, config hash included, of
+        passing the sheet's issue date."""
+        unset, issue = tmp_path / "unset", tmp_path / "issue"
+        assert run(command + ["--steps", 20, "--out", unset]) == 0
+        assert run(command + ["--steps", 20, "--date", "2002-01-02", "--out", issue]) == 0
+        for name in names:
+            assert (unset / name).read_bytes() == (issue / name).read_bytes()
 
 
 class TestGreeksAndSurface:

@@ -75,8 +75,8 @@ class TestHedgeIncrement:
             with pytest.raises(DomainError):
                 hedge_increment(table1, market, issue, spot, 0.0, 100)
 
-    @pytest.mark.parametrize("grid", [[-1.0], [float("nan")], [100.0, 90.0], []],
-                             ids=["negative", "nan", "descending", "empty"])
+    @pytest.mark.parametrize("grid", [[-1.0], [float("nan")], []],
+                             ids=["negative", "nan", "empty"])
     def test_bad_stress_grid_is_a_domain_error(self, table1, market, issue, grid):
         with pytest.raises(DomainError):
             spec = HedgeStressSpec(t=issue, spot_grid=np.array(grid), steps=20)

@@ -347,7 +347,34 @@ class TestProfile:
         with pytest.raises(DomainError):
             price_profile_raw(table1, market, jan2004, [], 100)
         with pytest.raises(DomainError):
-            price_profile_raw(table1, market, jan2004, [110.0, 100.0], 100)
+            price_profile_raw(table1, market, jan2004, [[100.0, 110.0]], 100)
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_grid_order_only_permutes_outputs(self, table1, market, jan2004, order):
+        """No computation reads the order of a spot grid: over three kernel
+        blocks, a permuted grid gives the permuted profile, surface and stress
+        increments bit for bit, and a reversed date grid the reversed rows."""
+        grid = np.round(np.arange(50.0, 200.0, 0.5), 6)  # 300 spots
+        perm = (np.arange(grid.size)[::-1] if order == "reversed"
+                else np.random.default_rng(3).permutation(grid.size))
+
+        base = price_profile_raw(table1, market, jan2004, grid, 60)
+        moved = price_profile_raw(table1, market, jan2004, grid[perm], 60)
+        assert np.array_equal(moved.equity, base.equity[perm])
+        assert np.array_equal(moved.debt, base.debt[perm])
+        assert np.array_equal(moved.fronts[0], base.fronts[0][perm])
+
+        dates = [date(2003, 1, 2), jan2004]
+        base = sensitivities.surface(table1, market, dates, grid, 60)
+        moved = sensitivities.surface(table1, market, dates[::-1], grid[perm], 60)
+        for name in ("value", "equity", "debt", "delta", "delta_pct", "gamma"):
+            assert np.array_equal(getattr(moved, name), getattr(base, name)[::-1, perm]), name
+
+        spec = hedge.HedgeStressSpec(t=jan2004, spot_grid=grid, steps=60)
+        base = hedge.stress_increments(spec, table1, market)
+        moved = hedge.stress_increments(replace(spec, spot_grid=grid[perm]), table1, market)
+        for b, m in zip(base, moved):
+            assert np.array_equal(m, b[perm])
 
     def test_rejects_bad_roots(self, table1, market):
         with pytest.raises(DomainError):

@@ -125,12 +125,12 @@ class TestSurface:
             assert srf.gamma[1, j] == gp.gamma
 
     def test_grid_validation(self, table1, market, jan2004):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="date grid"):
             surface(table1, market, [], [100.0], 200)
-        with pytest.raises(DomainError):
-            surface(table1, market, [jan2004], [110.0, 100.0], 200)
-        with pytest.raises(DomainError):
-            surface(table1, market, [table1.maturity], [100.0], 200)
+        with pytest.raises(DomainError, match="surface row t=2004-01-02"):
+            surface(table1, market, [jan2004], [], 200)
+        with pytest.raises(DomainError, match="surface row t=2007-01-02"):
+            surface(table1, market, [jan2004, table1.maturity], [100.0], 200)
 
     def test_value_equals_component_sum(self, table1, market, jan2004):
         srf = surface(table1, market, [jan2004], np.arange(90.0, 111.0, 5.0), 200)

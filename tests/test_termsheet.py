@@ -182,7 +182,7 @@ class TestExerciseRights:
         assert CallTerms(*args) == CallTerms(*args)
         assert CallTerms(*args) != PutTerms(*args)
 
-    @pytest.mark.parametrize("price", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("price", [0.0, -1.0, float("nan"), float("inf")])
     @pytest.mark.parametrize("right, name", [(CallTerms, "call"), (PutTerms, "put")])
     def test_bad_price_names_the_right(self, right, name, price):
         with pytest.raises(ConfigurationError, match=f"^{name} price must be > 0"):
@@ -263,15 +263,21 @@ class TestTermSheetFile:
 
 class TestTimeline:
     def test_accrued_matches_date_based(self, table1):
-        tl = Timeline(table1, date(2003, 3, 10))
-        for k in (0, 1, 17, 100, 250):
-            t = date(2003, 3, 10) + timedelta(days=k)
-            if t >= table1.maturity:
-                break
-            tau = (t - date(2003, 3, 10)).days / 365.0
-            assert tl.accrued(np.array([tau]))[0] == pytest.approx(
-                accrued_interest(table1, t), abs=1e-12
-            )
+        """On every day of the life, issue and maturity included, the accrual
+        read off a Timeline is the ratio of day counts to within 2 ulp, and
+        the same number at the 10 significant digits the CLI writes."""
+        bounds = (table1.issue,) + table1.coupon_dates
+        for k in range((table1.maturity - table1.issue).days + 1):
+            t = table1.issue + timedelta(days=k)
+            got = accrued_interest(table1, t)
+            if t in bounds:
+                assert got == 0.0
+                continue
+            prev = max(b for b in bounds if b < t)
+            nxt = min(b for b in bounds if b > t)
+            want = table1.coupon_amount * (((t - prev).days / 365.0) / ((nxt - prev).days / 365.0))
+            assert abs(got - want) <= 2 * np.spacing(want), t
+            assert f"{got:.10g}" == f"{want:.10g}", t
 
     def test_accrual_resets_within_eps_of_every_bound(self, table1):
         """Zero within eps of each coupon date, maturity included; past eps it
