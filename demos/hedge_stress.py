@@ -13,20 +13,18 @@ from datetime import date
 
 import numpy as np
 
-from cblab import HedgeStressSpec, reference_market, reference_terms, stress_curve
+from cblab import reference_market, reference_terms, stress_increments
 
 terms = reference_terms()
 market = reference_market()
 
-spec = HedgeStressSpec(t=date(2002, 1, 2))  # defaults: shock 0.5, S 50..200, N=500
-curve = stress_curve(spec, terms, market)
-
-S = np.array([row[0] for row in curve])
-inc = np.array([row[1] for row in curve])
-scaled = np.array([row[2] for row in curve])
+shock, contract_size = 0.5, 1_000_000.0
+S = np.arange(50.0, 200.0 + 1e-9, 0.5)
+inc, _ = stress_increments(terms, market, date(2002, 1, 2), S, shock, 500)
+scaled = inc * (contract_size / terms.nominal)
 
 signs = int(np.sum(inc[1:] * inc[:-1] < 0))
-print(f"shock {spec.shock}, contract size {spec.contract_size:,.0f} nominal")
+print(f"shock {shock}, contract size {contract_size:,.0f} nominal")
 print(f"sign changes of the increment across [50, 200]: {signs}")
 i = int(np.argmax(np.abs(inc)))
 print(f"worst single-point increment: {inc[i]:+.4f} per 100 nominal at S={S[i]:.1f}"

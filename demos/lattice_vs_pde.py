@@ -34,7 +34,7 @@ v_tree = price_profile_raw(terms, market, t, spots, 500).value
 grid = FDGrid.auto(market, year_fraction(t, terms.maturity))
 print(f"PDE grid: {grid.n_s} spot nodes, {grid.n_t} time layers (stability-bound step)")
 solution = solve_tf_fd(terms, market, t, grid, snapshot_dates=[t])
-v_pde = np.array([row[1] for row in fd_profile(solution, t, spots)])
+v_pde = fd_profile(solution, t, spots)
 
 print(f"tree strict decreases on [105, 112]: {monotonicity_violations(v_tree)}")
 print(f"PDE  strict decreases on [105, 112]: {monotonicity_violations(v_pde, tol=1e-6)}")

@@ -3,7 +3,9 @@
 CBLAB_THREADS=1 and 2; the decision kernel `lattice.decide` alone on one
 (BLOCK, 501) block; the pointwise `price_tf_crr` at spot 100 and N=500 (the
 batch-width-1 path); `philox_uniforms` at 10^6 draws; and the explicit FD
-march: seconds and layers/s for `solve_tf_fd` on the reference grid.
+march: seconds and layers/s for `solve_tf_fd` on the reference grid; and two
+whole `cli.main` runs, `hedge-stress` and `compare`, at their
+`scripts/make_figures.sh` configs.
 
     PYTHONPATH=src python scripts/bench_kernel.py [--repeats 5] [--label after]
 
@@ -12,19 +14,25 @@ reference instrument's 2004-01-02 date; the rollback spots are spread over
 60-160, the decision block is the expiry layer of those trees at N=500 (E = 0,
 B = redemption, conversion values at every node; no call or put, as the kernel
 runs it; E and B are restored before each call, outside the timing), and the
-FD grid is `FDGrid.auto` (401 spot nodes, the minimal stable layer count).  Prints one JSON object with the machine record (nproc, numpy
-version, and the `git describe --always --dirty` of the checkout the timed
-`cblab` is imported from, "unknown" outside git) and the cells, so two checkouts measured back
-to back on the same machine can be compared.
+FD grid is `FDGrid.auto` (401 spot nodes, the minimal stable layer count).
+The CLI runs keep their own dates, write into a temporary directory, discard
+their stdout and use the default thread count.  Prints one JSON object with
+the machine record (nproc, numpy version, and the `git describe --always
+--dirty` of the checkout the timed `cblab` is imported from, "unknown" outside
+git) and the cells, so two checkouts measured back to back on the same machine
+can be compared.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import subprocess
+import tempfile
 import time
 from datetime import date
 from pathlib import Path
@@ -32,11 +40,20 @@ from pathlib import Path
 import numpy as np
 
 import cblab
+from cblab import cli
 
 CELLS = tuple((m, 500) for m in (1, 128, 500, 1000)) + tuple((m, 100) for m in (1, 500))
 THREADS = (1, 2)
 T0 = date(2004, 1, 2)
 PHILOX_DRAWS = 10**6
+# the make_figures.sh configs, minus --out
+CLI_RUNS = {
+    "hedge-stress": ["hedge-stress", "--date", "2002-01-02", "--shock", "0.5",
+                     "--contract-size", "1000000", "--s-min", "50", "--s-max", "200",
+                     "--s-step", "0.5", "--steps", "500"],
+    "compare": ["compare", "--date", "2004-01-02", "--s-min", "105", "--s-max", "112",
+                "--s-step", "0.1", "--steps", "500"],
+}
 
 
 def _git_sha() -> str:
@@ -114,6 +131,20 @@ def measure_fd(repeats: int) -> dict:
             "layers_per_s": round((grid.n_t - 1) / best)}
 
 
+def measure_cli(repeats: int) -> dict:
+    os.environ.pop("CBLAB_THREADS", None)
+    cells = {}
+    with tempfile.TemporaryDirectory() as out:
+        for name, argv in CLI_RUNS.items():
+            def call(argv=argv):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    if cli.main(argv + ["--out", out]) != 0:
+                        raise RuntimeError(f"cblab {name} failed")
+
+            cells[name] = {"seconds": round(_best_of(repeats, call), 4)}
+    return cells
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
@@ -130,6 +161,7 @@ def main() -> None:
         "price_tf_crr": measure_pointwise(args.repeats),
         "philox_uniforms": measure_philox(args.repeats),
         "fd": measure_fd(args.repeats),
+        "cli": measure_cli(args.repeats),
     }
     print(json.dumps(record))
 

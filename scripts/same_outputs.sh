@@ -2,9 +2,9 @@
 # Check that the working tree writes the same bytes as revision REV: every
 # `make figures` dataset, the stdout of make_figures.sh, the stdout of every
 # demo script, and the artifacts and stdout of a few small CLI runs that the
-# figures leave out (no --date, the report format, narrow greeks and compare
-# grids).  Each tree runs from its own fresh working directory, so the
-# `wrote out/...` lines compare equal.  Exits 1 on any difference.
+# figures leave out (no --date, the report format, a negative shock, narrow
+# greeks and compare grids).  Each tree runs from its own fresh working
+# directory, so the `wrote out/...` lines compare equal.  Exits 1 on any difference.
 #
 #   sh scripts/same_outputs.sh REV        (or: make same-outputs REV=...)
 #
@@ -25,6 +25,7 @@ cli_runs() {
 price --steps 200
 price --spot 110 --date 2004-05-17 --steps 200 --format report
 hedge-stress --s-min 90 --s-max 120 --s-step 5 --steps 200
+hedge-stress --shock -0.5 --s-min 90 --s-max 120 --s-step 5 --steps 200
 var --scenarios 200 --steps 100
 greeks --date 2005-03-15 --s-min 80 --s-max 130 --s-step 5 --steps 200
 compare --date 2005-03-15 --s-min 95 --s-max 115 --s-step 1 --steps 200 --fd-nodes 201

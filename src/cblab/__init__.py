@@ -39,7 +39,7 @@ from .lattice import (
     rollback_batch,
 )
 from .sensitivities import GreekPoint, Surface, greek_point, surface
-from .hedge import HedgeStressSpec, hedge_increment, stress_curve, stress_increments
+from .hedge import hedge_increment, stress_increments
 from .var import (
     VaRResult,
     VaRSpec,

@@ -116,14 +116,15 @@ def cmd_greeks(args, terms, mkt) -> int:
 
 
 def cmd_hedge_stress(args, terms, mkt) -> int:
-    spec = hedge.HedgeStressSpec(
-        t=args.date, shock=args.shock, spot_grid=_spot_grid(args),
-        steps=args.steps, contract_size=args.contract_size,
-    )
-    increments, positions = hedge.stress_increments(spec, terms, mkt)
-    scale = spec.scaling(terms)
+    spots = _spot_grid(args)
+    if not (math.isfinite(args.contract_size) and args.contract_size > 0):
+        raise ConfigurationError(
+            f"contract size must be finite and > 0, got {args.contract_size!r}")
+    increments, positions = hedge.stress_increments(terms, mkt, args.date, spots,
+                                                    args.shock, args.steps)
+    scale = args.contract_size / terms.nominal
     rows = [(float(s), float(inc), float(inc * scale), inc / abs(pos) if pos != 0 else np.inf)
-            for s, inc, pos in zip(spec.spot_grid, increments, positions)]
+            for s, inc, pos in zip(spots, increments, positions)]
     out = _write(args, _config(args, terms), "hedge_stress",
                  ["S", "increment", "increment_scaled", "increment_relative"], rows)
     print(f"wrote {out} ({len(rows)} points)")
@@ -163,7 +164,7 @@ def cmd_compare(args, terms, mkt) -> int:
                           s_max=args.fd_s_max, n_s=args.fd_nodes)
     v_lat = lattice.price_profile_raw(terms, mkt, args.date, spots, args.steps).value
     sol = fd.solve_tf_fd(terms, mkt, args.date, grid, snapshot_dates=[args.date])
-    v_fd = np.array([v for _, v, _, _ in fd.fd_profile(sol, args.date, spots)])
+    v_fd = fd.fd_profile(sol, args.date, spots)
     diff = v_lat - v_fd
     lat_viol = sensitivities.monotonicity_violations(v_lat)
     fd_viol = sensitivities.monotonicity_violations(v_fd, tol=1e-6)

@@ -274,8 +274,8 @@ def solve_tf_fd(
     )
 
 
-def fd_profile(solution: FDSolution, t: date, spots) -> list[tuple[float, float, float, float]]:
-    """Section of the solution at date t: (S, V, E, B) rows.
+def fd_profile(solution: FDSolution, t: date, spots) -> np.ndarray:
+    """Value section of the solution at date t, one entry per spot.
 
     Nearest stored layer in time, linear interpolation in S (exact on grid
     nodes).  Spots outside [0, S_max] or dates outside the solved span are
@@ -288,7 +288,4 @@ def fd_profile(solution: FDSolution, t: date, spots) -> list[tuple[float, float,
     spots = np.asarray(spots, dtype=float)
     if np.any(spots < 0) or np.any(spots > solution.grid.s_max):
         raise DomainError("spot outside the solved grid; extrapolation refused")
-    V = np.interp(spots, solution.spots, solution.value[layer])
-    E = np.interp(spots, solution.spots, solution.equity[layer])
-    B = np.interp(spots, solution.spots, solution.debt[layer])
-    return [(float(s), float(v), float(e), float(b)) for s, v, e, b in zip(spots, V, E, B)]
+    return np.interp(spots, solution.spots, solution.value[layer])

@@ -97,10 +97,13 @@ class VaRSpec:
             raise ConfigurationError("need at least one scenario")
         if self.holding_days <= 0:
             raise ConfigurationError("holding period must be positive")
-        if self.scen_sigma < 0:
-            raise ConfigurationError("scenario volatility must be >= 0")
-        if self.spot <= 0:
-            raise ConfigurationError("spot must be > 0")
+        if not math.isfinite(self.drift):
+            raise ConfigurationError(f"drift must be finite, got {self.drift!r}")
+        if not (math.isfinite(self.scen_sigma) and self.scen_sigma >= 0):
+            raise ConfigurationError(
+                f"scenario volatility must be finite and >= 0, got {self.scen_sigma!r}")
+        if not (math.isfinite(self.spot) and self.spot > 0):
+            raise ConfigurationError(f"spot must be finite and > 0, got {self.spot!r}")
 
     @property
     def horizon_years(self) -> float:
@@ -207,6 +210,11 @@ def run_var(
 ) -> VaRResult:
     """Full VaR experiment: simulate, reprice, take the loss quantile, and
     build the stock / bond-value densities."""
+    # compared in days, so no horizon date past the calendar is ever formed
+    if spec.holding_days >= (terms.maturity - spec.eval_date).days:
+        raise ConfigurationError(
+            f"holding period of {spec.holding_days} days from {spec.eval_date} "
+            f"does not end before maturity {terms.maturity}")
     scen = simulate_stock(spec)
     v_h = revalue(spec, terms, mkt, scen)
     v0 = price_tf_crr(terms, mkt, spec.eval_date, spec.spot, spec.steps).price

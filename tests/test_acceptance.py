@@ -16,7 +16,6 @@ from cblab import (
     ConversionTerms,
     ConvertibleTerms,
     FDGrid,
-    HedgeStressSpec,
     MarketParams,
     VaRSpec,
     density_histogram,
@@ -28,7 +27,7 @@ from cblab import (
     revalue,
     simulate_stock,
     solve_tf_fd,
-    stress_curve,
+    stress_increments,
     surface,
     var_quantile,
 )
@@ -101,10 +100,8 @@ def test_criterion_2_greek_pathology():
 def test_criterion_3_hedge_stress_pathology():
     """Issue-date shock increments flip sign repeatedly and dwarf the Taylor
     scale implied by smooth-region curvature."""
-    spec = HedgeStressSpec(t=ISSUE)  # shock 0.5, S grid 50..200 step 0.5, N=500
-    curve = stress_curve(spec, TABLE1, MARKET)
-    S = np.array([x[0] for x in curve])
-    inc = np.array([x[1] for x in curve])
+    shock, S = 0.5, np.arange(50.0, 200.0 + 1e-9, 0.5)
+    inc, _ = stress_increments(TABLE1, MARKET, ISSUE, S, shock, 500)
     sign_changes = int(np.sum(inc[1:] * inc[:-1] < 0.0))
     # smooth curvature at S=40 from a staircase-averaging stride
     hh = 5.0
@@ -112,7 +109,7 @@ def test_criterion_3_hedge_stress_pathology():
     v0 = price_tf_crr(TABLE1, MARKET, ISSUE, 40.0, 500).price
     vm = price_tf_crr(TABLE1, MARKET, ISSUE, 40.0 - hh, 500).price
     gamma_fd = (vp - 2 * v0 + vm) / hh**2
-    bound = 0.5 * abs(gamma_fd) * spec.shock**2
+    bound = 0.5 * abs(gamma_fd) * shock**2
     callable_region = (S >= 90.0) & (S <= 140.0)
     spike = float(np.abs(inc[callable_region]).max())
     ok = sign_changes >= 5 and spike >= 10.0 * bound
@@ -178,10 +175,10 @@ def test_criterion_5_oracle_contrast():
     span = year_fraction(JAN2004, TABLE1.maturity)
     sol = solve_tf_fd(TABLE1, MARKET, JAN2004, FDGrid.auto(MARKET, span),
                       snapshot_dates=[JAN2004])
-    v_fd = np.array([r[1] for r in fd_profile(sol, JAN2004, grid)])
+    v_fd = fd_profile(sol, JAN2004, grid)
     fd_viol = monotonicity_violations(v_fd, tol=1e-6)
     lat_100 = price_tf_crr(TABLE1, MARKET, JAN2004, 100.0, 500).price
-    fd_100 = fd_profile(sol, JAN2004, [100.0])[0][1]
+    fd_100 = fd_profile(sol, JAN2004, [100.0])[0]
     rel = abs(lat_100 - fd_100) / fd_100
     ok = fd_viol == 0 and lat_strict >= 1 and rel < 5e-3
     report(5, ok, f"FD monotonicity violations={fd_viol} (tol 1e-6), lattice strict "
@@ -216,7 +213,7 @@ def test_criterion_6_exact_property_suite():
         failures.append(f"lattice straight bond off by {abs(lat - closed) / closed:.2e}")
     sol = solve_tf_fd(straight, MARKET, issue, FDGrid.auto(MARKET, horizon))
     fd_err = max(
-        abs(fd_profile(sol, issue, [s])[0][1] - closed) / closed for s in (50.0, 100.0, 300.0)
+        abs(fd_profile(sol, issue, [s])[0] - closed) / closed for s in (50.0, 100.0, 300.0)
     )
     if fd_err > 1e-6:
         failures.append(f"FD straight bond off by {fd_err:.2e}")

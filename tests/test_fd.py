@@ -152,14 +152,14 @@ class TestSolutionShape:
     def test_profile_exact_at_grid_nodes(self, solved, table1, jan2004):
         sol, _ = solved
         idx = int(np.argmin(np.abs(sol.layer_taus)))
-        rows = fd_profile(sol, jan2004, [100.0, 250.0])
-        assert rows[0][1] == sol.value[idx][100]
-        assert rows[1][1] == sol.value[idx][250]
+        v = fd_profile(sol, jan2004, [100.0, 250.0])
+        assert v[0] == sol.value[idx][100]
+        assert v[1] == sol.value[idx][250]
 
     def test_profile_linear_interpolation(self, solved, jan2004):
         sol, _ = solved
         idx = int(np.argmin(np.abs(sol.layer_taus)))
-        (_, v, _, _), = fd_profile(sol, jan2004, [100.5])
+        v, = fd_profile(sol, jan2004, [100.5])
         assert v == pytest.approx(0.5 * (sol.value[idx][100] + sol.value[idx][101]), rel=1e-14)
 
     def test_profile_refuses_extrapolation(self, solved, jan2004, table1):
@@ -172,12 +172,12 @@ class TestSolutionShape:
     def test_monotone_profile_where_lattice_oscillates(self, solved, jan2004):
         sol, _ = solved
         spots = np.round(np.arange(105.0, 112.0001, 0.1), 6)
-        v = np.array([r[1] for r in fd_profile(sol, jan2004, spots)])
+        v = fd_profile(sol, jan2004, spots)
         assert np.all(v[1:] >= v[:-1] - 1e-6)
 
     def test_lattice_agreement_at_spot_100(self, solved, table1, market, jan2004):
         sol, _ = solved
-        v_fd = fd_profile(sol, jan2004, [100.0])[0][1]
+        v_fd = fd_profile(sol, jan2004, [100.0])[0]
         v_lat = price_tf_crr(table1, market, jan2004, 100.0, 500).price
         assert abs(v_lat - v_fd) / v_fd < 5e-3
 
@@ -208,7 +208,7 @@ class TestSpreadMonotonicity:
             tree.append(price_tf_crr(table1, mkt, issue, spot, 500).price)
             sol = solve_tf_fd(table1, mkt, issue, FDGrid.auto(mkt, span, n_s=201),
                               snapshot_dates=[issue])
-            oracle.append(fd_profile(sol, issue, [spot])[0][1])
+            oracle.append(fd_profile(sol, issue, [spot])[0])
         assert tree[1] > tree[0]  # 157.7444 -> 157.9813
         assert oracle[1] < oracle[0]  # 157.0984 -> 156.8700
 
@@ -223,7 +223,7 @@ class TestGridRefinement:
             grid = FDGrid(s_max=400.0, n_s=n_s,
                           n_t=stable_time_layers(0.30, 0.07, span, 400.0, n_s))
             sol = solve_tf_fd(table1, market, jan2004, grid, snapshot_dates=[jan2004])
-            vals[n_s] = fd_profile(sol, jan2004, [100.0])[0][1]
+            vals[n_s] = fd_profile(sol, jan2004, [100.0])[0]
         c1 = abs(vals[201] - vals[401])
         c2 = abs(vals[401] - vals[801])
         assert c1 < 4.0 * c2

@@ -10,11 +10,9 @@ from cblab import (
     ConversionTerms,
     ConvertibleTerms,
     DomainError,
-    HedgeStressSpec,
     greek_point,
     hedge_increment,
     price_tf_crr,
-    stress_curve,
     stress_increments,
 )
 
@@ -30,8 +28,7 @@ def straight_bond():
 
 def one_spot_position(terms, market, t, spot, steps):
     """The pre-shock hedged position that `stress_increments` reports for one spot."""
-    spec = HedgeStressSpec(t=t, spot_grid=np.array([spot]), steps=steps)
-    _, positions = stress_increments(spec, terms, market)
+    _, positions = stress_increments(terms, market, t, np.array([spot]), 0.5, steps)
     return positions[0]
 
 
@@ -79,33 +76,22 @@ class TestHedgeIncrement:
                              ids=["negative", "nan", "empty"])
     def test_bad_stress_grid_is_a_domain_error(self, table1, market, issue, grid):
         with pytest.raises(DomainError):
-            spec = HedgeStressSpec(t=issue, spot_grid=np.array(grid), steps=20)
-            stress_increments(spec, table1, market)
+            stress_increments(table1, market, issue, np.array(grid), 0.5, 20)
 
 
 class TestStressCurve:
     def test_singleton_matches_pointwise(self, table1, market, issue):
-        spec = HedgeStressSpec(t=issue, spot_grid=np.array([100.0]), steps=300)
-        (s, inc, scaled), = stress_curve(spec, table1, market)
-        assert s == 100.0
+        (inc,), _ = stress_increments(table1, market, issue, np.array([100.0]), 0.5, 300)
         assert inc == hedge_increment(table1, market, issue, 100.0, 0.5, 300)
-        assert scaled == inc * (1_000_000.0 / 100.0)
 
-    def test_scaling_linearity_exact(self, table1, market, issue):
-        grid = np.array([80.0, 100.0, 120.0])
-        a = stress_curve(HedgeStressSpec(t=issue, spot_grid=grid, steps=200), table1, market)
-        b = stress_curve(
-            HedgeStressSpec(t=issue, spot_grid=grid, steps=200, contract_size=3_000_000.0),
-            table1, market,
-        )
-        for (_, inc_a, sc_a), (_, inc_b, sc_b) in zip(a, b):
-            assert inc_a == inc_b
-            assert sc_b == inc_b * 30_000.0
-            assert sc_a == inc_a * 10_000.0
-
-    def test_zero_shock_rejected(self, issue):
-        with pytest.raises(ConfigurationError):
-            HedgeStressSpec(t=issue, shock=0.0)
+    @pytest.mark.parametrize("shock", [0.0, float("nan"), float("inf"), float("-inf")],
+                             ids=["zero", "nan", "inf", "-inf"])
+    def test_bad_shock_is_a_configuration_error(self, table1, market, issue, shock):
+        with pytest.raises(ConfigurationError, match="shock"):
+            stress_increments(table1, market, issue, np.array([100.0]), shock, 20)
+        if shock != 0:  # zero is hedge_increment's shortcut, not a refusal
+            with pytest.raises(ConfigurationError, match="shock"):
+                hedge_increment(table1, market, issue, 100.0, shock, 20)
 
     def test_smooth_region_taylor_control(self, table1, market, issue):
         """Deep out-of-the-money the increment is second order in the shock up
@@ -123,9 +109,8 @@ class TestStressCurve:
         assert abs(inc) <= 0.5 * abs(g_fd) * h_shock**2 + noise_allowance
 
     def test_oscillation_pathology(self, table1, market, issue):
-        spec = HedgeStressSpec(t=issue)  # default grid 50..200 step 0.5, shock 0.5
-        curve = stress_curve(spec, table1, market)
-        inc = np.array([x[1] for x in curve])
+        grid = np.arange(50.0, 200.0 + 1e-9, 0.5)
+        inc, _ = stress_increments(table1, market, issue, grid, 0.5, 500)
         signs = np.sum(inc[1:] * inc[:-1] < 0)
         assert signs >= 5
         assert np.abs(inc).max() > 0.1  # spikes far beyond the smooth second-order scale

@@ -370,9 +370,8 @@ class TestProfile:
         for name in ("value", "equity", "debt", "delta", "delta_pct", "gamma"):
             assert np.array_equal(getattr(moved, name), getattr(base, name)[::-1, perm]), name
 
-        spec = hedge.HedgeStressSpec(t=jan2004, spot_grid=grid, steps=60)
-        base = hedge.stress_increments(spec, table1, market)
-        moved = hedge.stress_increments(replace(spec, spot_grid=grid[perm]), table1, market)
+        base = hedge.stress_increments(table1, market, jan2004, grid, 0.5, 60)
+        moved = hedge.stress_increments(table1, market, jan2004, grid[perm], 0.5, 60)
         for b, m in zip(base, moved):
             assert np.array_equal(m, b[perm])
 

@@ -109,6 +109,11 @@ class TestSimulateStock:
             spec_with(scen_sigma=-0.1)
         with pytest.raises(ConfigurationError):
             spec_with(spot=0.0)
+        for field, name in (("spot", "spot"), ("drift", "drift"),
+                            ("scen_sigma", "scenario volatility")):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ConfigurationError, match=name):
+                    spec_with(**{field: bad})
 
 
 class TestVarQuantile:
