@@ -15,6 +15,8 @@ from cblab import (
     price_tf_crr,
     stress_increments,
 )
+from cblab.cli import main
+from cblab.reports import format_number
 
 
 def straight_bond():
@@ -83,6 +85,24 @@ class TestStressCurve:
     def test_singleton_matches_pointwise(self, table1, market, issue):
         (inc,), _ = stress_increments(table1, market, issue, np.array([100.0]), 0.5, 300)
         assert inc == hedge_increment(table1, market, issue, 100.0, 0.5, 300)
+
+    def test_scaling_linearity_exact(self, table1, market, issue, tmp_path):
+        """The position size scales the increment and nothing else, exactly:
+        `cblab hedge-stress` multiplies by contract_size / nominal."""
+        grid = np.array([80.0, 100.0, 120.0])
+        increments, _ = stress_increments(table1, market, issue, grid, 0.5, 200)
+        for size, factor in ((None, 10_000.0), (3_000_000.0, 30_000.0)):
+            args = ["hedge-stress", "--s-min", "80", "--s-max", "120", "--s-step", "20",
+                    "--steps", "200", "--out", str(tmp_path / str(size))]
+            if size is not None:
+                args += ["--contract-size", str(size)]
+            assert main(args) == 0
+            rows = [line.split(",") for line in
+                    (tmp_path / str(size) / "hedge_stress.csv").read_text().splitlines()[4:]]
+            assert len(rows) == 3
+            for row, inc in zip(rows, increments):
+                assert row[1] == format_number(float(inc))
+                assert row[2] == format_number(float(inc * factor))
 
     @pytest.mark.parametrize("shock", [0.0, float("nan"), float("inf"), float("-inf")],
                              ids=["zero", "nan", "inf", "-inf"])
