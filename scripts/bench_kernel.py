@@ -1,20 +1,22 @@
 """Time the batch rollback kernel: ms per spot for batch widths m in
 {1, 128, 500, 1000} at N=500 and m in {1, 500} at N=100, each at
 CBLAB_THREADS=1 and 2; the decision kernel `lattice.decide` alone on one
-(BLOCK, 501) block; the pointwise `price_tf_crr` at spot 100 and N=500 (the
-batch-width-1 path); `philox_uniforms` at 10^6 draws; and the explicit FD
-march: seconds and layers/s for `solve_tf_fd` on the reference grid; and two
-whole `cli.main` runs, `hedge-stress` and `compare`, at their
+node-major (501, BLOCK) block, the layout the kernel runs it on; the pointwise
+`price_tf_crr` at spot 100 and N=500 (the batch-width-1 path);
+`philox_uniforms` at 10^6 draws; the explicit FD march: seconds and layers/s
+for `solve_tf_fd` on the reference grid; and whole `cli.main` runs of `price`,
+`greeks`, `hedge-stress`, `var` (10,000 scenarios) and `compare` at their
 `scripts/make_figures.sh` configs.
 
     PYTHONPATH=src python scripts/bench_kernel.py [--repeats 5] [--label after]
 
 Each cell is the best of `--repeats` timed calls after one warm-up call, at the
 reference instrument's 2004-01-02 date; the rollback spots are spread over
-60-160, the decision block is the expiry layer of those trees at N=500 (E = 0,
-B = redemption, conversion values at every node; no call or put, as the kernel
-runs it; E and B are restored before each call, outside the timing), and the
-FD grid is `FDGrid.auto` (401 spot nodes, the minimal stable layer count).
+60-160, the decision block is the expiry layer of BLOCK such trees at N=500,
+one row of spots per node as the kernel stores it (E = 0, B = redemption,
+conversion values at every node; no call or put, as the kernel runs it; E and
+B are restored before each call, outside the timing), and the FD grid is
+`FDGrid.auto` (401 spot nodes, the minimal stable layer count).
 The CLI runs keep their own dates, write into a temporary directory, discard
 their stdout and use the default thread count.  Prints one JSON object with
 the machine record (nproc, numpy version, and the `git describe --always
@@ -48,11 +50,16 @@ T0 = date(2004, 1, 2)
 PHILOX_DRAWS = 10**6
 # the make_figures.sh configs, minus --out
 CLI_RUNS = {
+    "price": ["price", "--spot", "100", "--date", "2002-01-02", "--steps", "500"],
+    "greeks": ["greeks", "--date", "2004-01-02", "--s-min", "50", "--s-max", "200",
+               "--s-step", "0.5", "--steps", "500"],
     "hedge-stress": ["hedge-stress", "--date", "2002-01-02", "--shock", "0.5",
                      "--contract-size", "1000000", "--s-min", "50", "--s-max", "200",
                      "--s-step", "0.5", "--steps", "500"],
     "compare": ["compare", "--date", "2004-01-02", "--s-min", "105", "--s-max", "112",
                 "--s-step", "0.1", "--steps", "500"],
+    "var": ["var", "--date", "2004-01-02", "--spot", "100", "--holding-days", "1",
+            "--confidence", "0.99", "--scenarios", "10000", "--seed", "0", "--steps", "500"],
 }
 
 
@@ -97,7 +104,9 @@ def measure_decide(repeats: int) -> dict:
     timeline = cblab.termsheet.Timeline(terms, T0)
     lp = cblab.build_crr_params(mkt.sigma, mkt.rate, timeline.tau_maturity, steps)
     spots = np.linspace(60.0, 160.0, rows)
-    conv = timeline.ratio * spots[:, None] * lp.up ** np.arange(-steps, steps + 1, 2, dtype=float)
+    # node-major, as `lattice._Workspace` holds it: node j's row is every spot's value
+    powers = lp.up ** np.arange(-steps, steps + 1, 2, dtype=float)
+    conv = (timeline.ratio * spots) * powers[:, None]
     E, B, V, vs = (np.empty_like(conv) for _ in range(4))
     ncont, convb, tmp = (np.empty(conv.shape, dtype=bool) for _ in range(3))
 
@@ -107,7 +116,7 @@ def measure_decide(repeats: int) -> dict:
 
     best = _best_of(repeats, lambda: cblab.lattice.decide(E, B, V, vs, conv, np.inf, 0.0,
                                                           ncont, convb, tmp), reset)
-    return {"rows": rows, "width": steps + 1, "ms_per_block": round(1e3 * best, 4),
+    return {"nodes": steps + 1, "rows": rows, "ms_per_block": round(1e3 * best, 4),
             "ns_per_node": round(1e9 * best / conv.size, 3)}
 
 

@@ -29,14 +29,19 @@ def stress_increments(
     terms: ConvertibleTerms, mkt: MarketParams, t: date, spots, shock: float, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shock increments and pre-shock hedged positions over `spots`, in any
-    order; the spots are the engine's to check, the shock must be finite and
-    nonzero."""
+    order; the spots are the engine's to check, the shock must be finite,
+    nonzero and keep every valid spot > 0."""
     if not (math.isfinite(shock) and shock != 0):
         raise ConfigurationError(f"shock must be finite and nonzero, got {shock!r}")
     spots = np.asarray(spots, dtype=float)
-    both = np.concatenate([spots, spots + shock])
-    res = rollback_batch(terms, mkt, t, both, steps, front_layers=1)
     m = spots.size
+    both = np.concatenate([spots, spots + shock])
+    moved = np.flatnonzero((spots > 0) & (both[m:] <= 0))
+    if moved.size:
+        s = float(spots[moved[0]])
+        raise ConfigurationError(f"shock {shock!r} moves spot {s!r} to {s + shock!r}; "
+                                 "shocked spots must stay > 0")
+    res = rollback_batch(terms, mkt, t, both, steps, front_layers=1)
     value, bumped = res.value[:m], res.value[m:]
     dlt = _front_greeks(res, both)[0][:m]
     return bumped - value - shock * dlt, value - dlt * spots

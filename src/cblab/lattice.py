@@ -26,10 +26,11 @@ conversion value is above the dirty call and at least the dirty put converts
 whatever its held value V: min(V, call) <= call < conv gives V* = conv, so
 `decide` would set E = conv and B = 0.  Conversion values rise with the node
 index and with the spot, and rounding a product is monotone, so the block's
-lowest spot fixes per layer a first node c_i from which every row of the block
+lowest spot fixes per layer a first node c_i from which every spot of the block
 converts; the kernel writes E = conv, B = 0 into the nodes from c_i that the
 next layer reads and skips the rest.  The output is bit-identical to deciding
-every node.
+every node.  Node-major (N+1, rows) buffers make a band [0, c_i) one contiguous
+run of c_i * rows values, so each numpy call on it runs one flat loop.
 """
 
 from __future__ import annotations
@@ -176,14 +177,16 @@ def engine_threads() -> int:
 
 
 class _Workspace:
-    """One worker's reusable (rows, N+1) buffers: the E/B split, V (also the
-    rollback scratch), V*, conversion values, and four node masks."""
+    """One worker's reusable node-major (N+1, rows) buffers: the E/B split, V
+    (also the rollback scratch), V*, conversion values, and four node masks.
+    `block` views them as contiguous (N+1, rows) arrays for a block of `rows`
+    spots, so a layer's band [0, c) is one run of c * rows elements."""
 
     def __init__(self, rows: int, width: int):
-        self.E, self.B, self.V, self.vs, self.conv = (np.empty((rows, width)) for _ in range(5))
-        self.ncont, self.convb, self.tmp, self.aux = (
-            np.empty((rows, width), dtype=bool) for _ in range(4)
-        )
+        self.buffers = [np.empty((width, rows), dtype=t) for t in (float,) * 5 + (bool,) * 4]
+
+    def block(self, rows: int) -> list[np.ndarray]:
+        return [b.reshape(-1)[: b.shape[0] * rows].reshape(-1, rows) for b in self.buffers]
 
 
 class _Rollback:
@@ -216,8 +219,7 @@ class _Rollback:
         self.front_layers = front_layers
 
         m = spots.size
-        self.equity = np.empty(m)
-        self.debt = np.empty(m)
+        self.equity, self.debt = np.empty(m), np.empty(m)
         self.fronts = [np.empty((m, k + 1)) for k in range(front_layers + 1)]
         # rows: conversion, call, put
         self.binds = np.zeros((3, m), dtype=np.int64) if binds else None
@@ -228,7 +230,7 @@ class _Rollback:
         whatever its held value: conv > dirty call and conv >= dirty put.
         c_i = i + 1 (no such node) where conversion is off."""
         N = self.N
-        prod = rs_min * self.pw_floor  # non-decreasing, and <= every row's conv at each node
+        prod = rs_min * self.pw_floor  # non-decreasing, and <= every spot's conv at each node
         first = np.maximum(np.searchsorted(prod, self.call_levels[:N], side="right"),
                            np.searchsorted(prod, self.put_levels[:N], side="left"))
         # node j of layer i reads pw[N - i + 2j]
@@ -241,16 +243,14 @@ class _Rollback:
 
     def _roll_block(self, ws: _Workspace, lo: int, hi: int) -> None:
         N, pw, p, q = self.N, self.pw, self.p, self.q
-        rows = hi - lo
-        E, B, V, VS, C = ws.E[:rows], ws.B[:rows], ws.V[:rows], ws.vs[:rows], ws.conv[:rows]
-        NC, CB, TMP, AUX = ws.ncont[:rows], ws.convb[:rows], ws.tmp[:rows], ws.aux[:rows]
-        rs = self.rs[lo:hi, None]
+        E, B, V, VS, C, NC, CB, TMP, AUX = ws.block(hi - lo)
+        rs = self.rs[lo:hi]
         binds = None if self.binds is None else self.binds[:, lo:hi]
-        fronts = [f[lo:hi] for f in self.fronts]
+        fronts = [f[lo:hi].T for f in self.fronts]
 
         # expiry: redeem or convert, i.e. the node rule with no call and no put
         if self.conv_active[N]:
-            np.multiply(rs, pw[0::2], out=C)
+            np.multiply(rs, pw[0::2, None], out=C)
         else:
             C.fill(0.0)
         E.fill(0.0)
@@ -262,7 +262,7 @@ class _Rollback:
             # expiry forfeits the final coupon, not this one
             B += self.inject[N]
         if binds is not None:
-            binds[0] += np.count_nonzero(CB, axis=1)
+            binds[0] += np.count_nonzero(CB, axis=0)
         if self.front_layers >= N:
             np.add(E, B, out=fronts[N])
 
@@ -271,51 +271,51 @@ class _Rollback:
             w, c = i + 1, cs[i]
             # nodes this layer must hold: [0, cs[i-1]] for the next layer, all of a front
             top = w if i <= self.front_layers else max(c, cs[i - 1] + 1)
-            Ec, Bc, Vc, vs, conv = E[:, :c], B[:, :c], V[:, :c], VS[:, :c], C[:, :top]
-            ncont, convb = NC[:, :c], CB[:, :c]
+            Ec, Bc, Vc, vs, conv = E[:c], B[:c], V[:c], VS[:c], C[:top]
+            ncont, convb = NC[:c], CB[:c]
             # in-place rollback: X <- disc * (p * X_up + q * X_down), V as scratch
             for X, Xc, disc in ((E, Ec, self.disc_E), (B, Bc, self.disc_B)):
-                np.multiply(X[:, 1 : c + 1], p, out=Vc)
+                np.multiply(X[1 : c + 1], p, out=Vc)
                 np.multiply(Xc, q, out=Xc)
                 np.add(Xc, Vc, out=Xc)
                 np.multiply(Xc, disc, out=Xc)
             if self.inject[i] != 0.0:
                 Bc += self.inject[i]
             if self.conv_active[i]:
-                np.multiply(rs, pw[N - i : N - i + 2 * top : 2], out=conv)
+                np.multiply(rs, pw[N - i : N - i + 2 * top : 2, None], out=conv)
             else:
                 conv.fill(0.0)
 
             call_level = self.call_levels[i]
-            decide(Ec, Bc, Vc, vs, conv[:, :c], call_level, self.put_levels[i], ncont, convb,
-                   TMP[:, :c])
+            decide(Ec, Bc, Vc, vs, conv[:c], call_level, self.put_levels[i], ncont, convb,
+                   TMP[:c])
             if top > c:
                 # nodes c.. convert whatever their held value V: conv > call >= min(V, call)
                 # and conv >= put, so V* = conv and `decide` would set E = conv, B = 0
-                np.copyto(E[:, c:top], conv[:, c:])
-                B[:, c:top] = 0.0
+                np.copyto(E[c:top], conv[c:])
+                B[c:top] = 0.0
 
             if binds is not None:
                 # cash = decided, not converted; the call bound where the
                 # value was clipped to exactly the call level, the put elsewhere
-                cash, callb = AUX[:, :c], TMP[:, :c]
+                cash, callb = AUX[:c], TMP[:c]
                 np.logical_xor(ncont, convb, out=cash)
-                n_cash = np.count_nonzero(cash, axis=1)
+                n_cash = np.count_nonzero(cash, axis=0)
                 np.greater(Vc, call_level, out=callb)
                 np.logical_and(callb, cash, out=callb)
                 np.equal(vs, call_level, out=cash)
                 np.logical_and(callb, cash, out=callb)
-                n_call = np.count_nonzero(callb, axis=1)
-                binds[0] += np.count_nonzero(convb, axis=1)
+                n_call = np.count_nonzero(callb, axis=0)
+                binds[0] += np.count_nonzero(convb, axis=0)
                 binds[1] += n_call
                 binds[2] += n_cash - n_call
             if i <= self.front_layers:
-                np.add(E[:, :w], B[:, :w], out=fronts[i])
+                np.add(E[:w], B[:w], out=fronts[i])
 
         if binds is not None:
             binds[0] += N * (N + 1) // 2 - sum(cs)  # the skipped nodes, all converted
-        self.equity[lo:hi] = E[:, 0]
-        self.debt[lo:hi] = B[:, 0]
+        self.equity[lo:hi] = E[0]
+        self.debt[lo:hi] = B[0]
 
 
 def rollback_batch(
@@ -348,7 +348,12 @@ def rollback_batch(
     m = spots.size
     blocks = [(lo, min(lo + BLOCK, m)) for lo in range(0, m, BLOCK)]
     workers = min(engine_threads(), len(blocks))
-    job = _Rollback(timeline, mkt, lp, spots, front_layers, binds)
+    with np.errstate(over="ignore"):  # an overflowing tree is refused just below
+        job = _Rollback(timeline, mkt, lp, spots, front_layers, binds)
+        top = job.rs.max() * job.pw[-1]
+    if not np.isfinite(top):
+        raise DomainError(f"spot {float(spots.max())!r} overflows the {steps}-step tree: "
+                          f"its top conversion value ratio * S * u^{steps} is not finite")
     # the caller allocates every workspace: worker threads allocating their
     # own would each grow a separate malloc arena
     spaces = [_Workspace(min(BLOCK, m), steps + 1) for _ in range(workers)]

@@ -275,6 +275,18 @@ class TestHedgeStress:
         assert "shock" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("shock, names", [
+        ("1e308", ["spot 1e+308", "20-step tree"]),
+        ("-150", ["shock -150.0", "spot 100.0"]),
+    ], ids=["overflowing-tree", "spot-below-zero"])
+    def test_shocked_spot_out_of_domain_exits_2(self, tmp_path, capsys, shock, names):
+        rc = run(["hedge-stress", "--s-min", 100, "--s-max", 100, f"--shock={shock}",
+                  "--steps", 20, "--out", tmp_path / "o"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in names), err
+        assert not (tmp_path / "o").exists()
+
     def test_at_most_two_grid_rollbacks(self, tmp_path, monkeypatch):
         """Positions and increments come from the same engine work: the base
         and the shocked grid, each rolled back once."""

@@ -67,7 +67,8 @@ class TestHedgeIncrement:
     def test_bad_spots_rejected(self, table1, market, issue):
         with pytest.raises(DomainError):
             hedge_increment(table1, market, issue, -1.0, 0.5, 100)
-        with pytest.raises(DomainError):
+        # a valid spot that the shock moves to <= 0: the shock is at fault
+        with pytest.raises(ConfigurationError, match="shock"):
             hedge_increment(table1, market, issue, 0.2, -0.5, 100)
         # the zero-shock shortcut must not skip the spot check
         for spot in (float("nan"), -1.0):
@@ -112,6 +113,14 @@ class TestStressCurve:
         if shock != 0:  # zero is hedge_increment's shortcut, not a refusal
             with pytest.raises(ConfigurationError, match="shock"):
                 hedge_increment(table1, market, issue, 100.0, shock, 20)
+
+    def test_shock_below_zero_spot_names_shock_and_spot(self, table1, market, issue):
+        grid = np.array([-1.0, 200.0, 120.0, 100.0])
+        with pytest.raises(ConfigurationError, match=r"shock -150\.0 moves spot 120\.0 to -30\.0"):
+            stress_increments(table1, market, issue, grid[1:], -150.0, 20)
+        # a spot that is bad before the shock stays the engine's to refuse
+        with pytest.raises(DomainError, match="spot"):
+            stress_increments(table1, market, issue, grid[:2], -150.0, 20)
 
     def test_smooth_region_taylor_control(self, table1, market, issue):
         """Deep out-of-the-money the increment is second order in the shock up

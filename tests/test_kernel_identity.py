@@ -225,6 +225,26 @@ def test_chunked_equals_unchunked(monkeypatch, m):
     _assert_same(chunked, whole)
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_node_major_blocks_equal_pointwise(sweeps, monkeypatch, threads):
+    """BLOCK + 1 spots leave a last block of one row; with every layer a
+    front (the expiry layer included, written through the transposed view)
+    and bind counts on, each spot's outputs equal its own one-spot rollback."""
+    terms, t0, steps = sweeps["putable"][0], JAN2004, 12
+    spots = np.linspace(40.0, 200.0, lattice.BLOCK + 1)
+    monkeypatch.setenv("CBLAB_THREADS", threads)
+    res = rollback_batch(terms, MARKET, t0, spots, steps, front_layers=steps, binds=True)
+    assert np.all(res.binds.sum(axis=1) > 0)
+    for k in range(spots.size):
+        one = rollback_batch(terms, MARKET, t0, spots[k : k + 1], steps, front_layers=steps,
+                             binds=True)
+        assert np.array_equal(res.equity[k : k + 1], one.equity)
+        assert np.array_equal(res.debt[k : k + 1], one.debt)
+        assert np.array_equal(res.binds[:, k : k + 1], one.binds)
+        assert len(res.fronts) == len(one.fronts) == steps + 1
+        assert all(np.array_equal(f[k : k + 1], g) for f, g in zip(res.fronts, one.fronts))
+
+
 def test_default_threads_are_the_usable_cores(monkeypatch):
     monkeypatch.delenv("CBLAB_THREADS", raising=False)
     assert lattice.engine_threads() == len(os.sched_getaffinity(0))

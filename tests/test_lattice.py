@@ -349,6 +349,14 @@ class TestProfile:
         with pytest.raises(DomainError):
             price_profile_raw(table1, market, jan2004, [[100.0, 110.0]], 100)
 
+    def test_rejects_overflowing_tree(self, table1, market, jan2004):
+        """A finite spot whose top conversion value ratio * S * u^N is not
+        finite is refused by name, not rolled back into inf."""
+        spots = np.array([100.0, 1e307])
+        assert np.all(np.isfinite(price_profile_raw(table1, market, jan2004, spots, 20).value))
+        with pytest.raises(DomainError, match=r"spot 1e\+307 .*200-step tree"):
+            price_profile_raw(table1, market, jan2004, spots, 200)
+
     @pytest.mark.parametrize("order", ["reversed", "shuffled"])
     def test_grid_order_only_permutes_outputs(self, table1, market, jan2004, order):
         """No computation reads the order of a spot grid: over three kernel
