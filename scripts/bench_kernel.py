@@ -1,12 +1,11 @@
 """Time the batch rollback kernel: ms per spot for batch widths m in
-{1, 128, 500, 1000} at N=500 and m in {1, 500} at N=100, each at
-CBLAB_THREADS=1 and 2; the decision kernel `lattice.decide` alone on one
-node-major (501, BLOCK) block, the layout the kernel runs it on; the pointwise
-`price_tf_crr` at spot 100 and N=500 (the batch-width-1 path);
-`philox_uniforms` at 10^6 draws; the explicit FD march: seconds and layers/s
-for `solve_tf_fd` on the reference grid; and whole `cli.main` runs of `price`,
-`greeks`, `hedge-stress`, `var` (10,000 scenarios) and `compare` at their
-`scripts/make_figures.sh` configs.
+{1, 128, 500, 1000} at N=500 and m in {1, 500} at N=100; the decision kernel
+`lattice.decide` alone on one node-major (501, BLOCK) block, the layout the
+kernel runs it on; the pointwise `price_tf_crr` at spot 100 and N=500 (the
+batch-width-1 path); `philox_uniforms` at 10^6 draws; the explicit FD march:
+seconds and layers/s for `solve_tf_fd` on the reference grid; and whole
+`cli.main` runs of `price`, `surface`, `greeks`, `hedge-stress`, `var` (10,000
+scenarios) and `compare` at their `scripts/make_figures.sh` configs.
 
     PYTHONPATH=src python scripts/bench_kernel.py [--repeats 5] [--label after]
 
@@ -17,12 +16,11 @@ one row of spots per node as the kernel stores it (E = 0, B = redemption,
 conversion values at every node; no call or put, as the kernel runs it; E and
 B are restored before each call, outside the timing), and the FD grid is
 `FDGrid.auto` (401 spot nodes, the minimal stable layer count).
-The CLI runs keep their own dates, write into a temporary directory, discard
-their stdout and use the default thread count.  Prints one JSON object with
-the machine record (nproc, numpy version, and the `git describe --always
---dirty` of the checkout the timed `cblab` is imported from, "unknown" outside
-git) and the cells, so two checkouts measured back to back on the same machine
-can be compared.
+The CLI runs keep their own dates, write into a temporary directory and
+discard their stdout.  Prints one JSON object with the machine record (nproc,
+numpy version, and the `git describe --always --dirty` of the checkout the
+timed `cblab` is imported from, "unknown" outside git) and the cells, so two
+checkouts measured back to back on the same machine can be compared.
 """
 
 from __future__ import annotations
@@ -45,12 +43,13 @@ import cblab
 from cblab import cli
 
 CELLS = tuple((m, 500) for m in (1, 128, 500, 1000)) + tuple((m, 100) for m in (1, 500))
-THREADS = (1, 2)
 T0 = date(2004, 1, 2)
 PHILOX_DRAWS = 10**6
 # the make_figures.sh configs, minus --out
 CLI_RUNS = {
     "price": ["price", "--spot", "100", "--date", "2002-01-02", "--steps", "500"],
+    "surface": ["surface", "--t-points", "61", "--s-min", "50", "--s-max", "200",
+                "--s-step", "1", "--steps", "500"],
     "greeks": ["greeks", "--date", "2004-01-02", "--s-min", "50", "--s-max", "200",
                "--s-step", "0.5", "--steps", "500"],
     "hedge-stress": ["hedge-stress", "--date", "2002-01-02", "--shock", "0.5",
@@ -88,13 +87,10 @@ def _best_of(repeats: int, call, reset=lambda: None) -> float:
 def measure(repeats: int) -> list[dict]:
     terms, mkt = cblab.reference_terms(), cblab.reference_market()
     cells = []
-    for threads in THREADS:
-        os.environ["CBLAB_THREADS"] = str(threads)
-        for m, steps in CELLS:
-            spots = np.linspace(60.0, 160.0, m)
-            best = _best_of(repeats, lambda: cblab.rollback_batch(terms, mkt, T0, spots, steps))
-            cells.append({"m": m, "N": steps, "threads": threads,
-                          "ms_per_spot": round(1e3 * best / m, 4)})
+    for m, steps in CELLS:
+        spots = np.linspace(60.0, 160.0, m)
+        best = _best_of(repeats, lambda: cblab.rollback_batch(terms, mkt, T0, spots, steps))
+        cells.append({"m": m, "N": steps, "ms_per_spot": round(1e3 * best / m, 4)})
     return cells
 
 
@@ -141,7 +137,6 @@ def measure_fd(repeats: int) -> dict:
 
 
 def measure_cli(repeats: int) -> dict:
-    os.environ.pop("CBLAB_THREADS", None)
     cells = {}
     with tempfile.TemporaryDirectory() as out:
         for name, argv in CLI_RUNS.items():

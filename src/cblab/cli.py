@@ -8,8 +8,6 @@ every table.  All outputs are data files (no rendered images); each header
 embeds the run's configuration (every parsed option except --out, with the
 term sheet's contents rather than its path) and its hash, so identical runs
 produce identical bytes from any checkout.
-CBLAB_THREADS sets how many threads every lattice batch runs on (default:
-the cores this process may use); the output bytes do not depend on it.
 """
 
 from __future__ import annotations
@@ -36,6 +34,8 @@ from .termsheet import (
 
 __all__ = ["main", "cmd_price", "cmd_surface", "cmd_greeks", "cmd_hedge_stress", "cmd_var", "cmd_compare"]
 
+MAX_SPOT_POINTS = 10**7  # the largest spot grid a command builds
+
 
 def _parse_date(s: str) -> date:
     return date.fromisoformat(s)
@@ -49,8 +49,11 @@ def _spot_grid(args) -> np.ndarray:
     if args.s_max < args.s_min:
         raise ConfigurationError(f"--s-max {args.s_max:g} is below --s-min {args.s_min:g}")
     # the last point never passes --s-max; the epsilon absorbs the quotient's rounding
-    n = math.floor((args.s_max - args.s_min) / args.s_step + 1e-9)
-    return args.s_min + args.s_step * np.arange(n + 1)
+    n = (args.s_max - args.s_min) / args.s_step + 1e-9
+    if not n < MAX_SPOT_POINTS:
+        raise ConfigurationError(f"--s-step {args.s_step:g} gives {n + 1:.6g} spot points, "
+                                 f"more than {MAX_SPOT_POINTS:,}")
+    return args.s_min + args.s_step * np.arange(math.floor(n) + 1)
 
 
 def _config(args, terms) -> dict:
@@ -122,9 +125,13 @@ def cmd_hedge_stress(args, terms, mkt) -> int:
             f"contract size must be finite and > 0, got {args.contract_size!r}")
     increments, positions = hedge.stress_increments(terms, mkt, args.date, spots,
                                                     args.shock, args.steps)
-    scale = args.contract_size / terms.nominal
-    rows = [(float(s), float(inc), float(inc * scale), inc / abs(pos) if pos != 0 else np.inf)
-            for s, inc, pos in zip(spots, increments, positions)]
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        scaled = increments * (args.contract_size / terms.nominal)
+    if not np.all(np.isfinite(scaled)):
+        raise ConfigurationError(f"--contract-size {args.contract_size:g} scales an increment "
+                                 "past the float range")
+    rows = [(float(s), float(inc), float(sc), inc / abs(pos) if pos != 0 else np.inf)
+            for s, inc, sc, pos in zip(spots, increments, scaled, positions)]
     out = _write(args, _config(args, terms), "hedge_stress",
                  ["S", "increment", "increment_scaled", "increment_relative"], rows)
     print(f"wrote {out} ({len(rows)} points)")

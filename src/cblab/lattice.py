@@ -14,12 +14,12 @@ finite-difference solver in `fd` all run it.
 
 The rollback kernel is vectorized over a batch of root spot prices: every spot
 still gets its own full tree, and batch results are bit-identical to pricing
-each spot alone (all operations are elementwise).  A batch runs in blocks of
-BLOCK spots on up to CBLAB_THREADS threads (default: the usable cores), so its
-memory is bounded by the blocks in flight and its output does not depend on
-the thread count.  `rollback_batch` is the one engine: `price_tf_crr` (one
-spot's value split) and `price_profile_raw` are views of it, and it counts
-the nodes each constraint decided only when its caller asks (`binds`).
+each spot alone (all operations are elementwise).  A batch runs serially in
+blocks of BLOCK spots through one workspace, so its memory is bounded by one
+block whatever the batch size.  `rollback_batch` is the one engine:
+`price_tf_crr` (one spot's value split) and `price_profile_raw` are views of
+it, and it counts the nodes each constraint decided only when its caller asks
+(`binds`).
 
 Each layer rolls back and decides only its undecided band.  A node whose
 conversion value is above the dirty call and at least the dirty put converts
@@ -36,8 +36,6 @@ run of c_i * rows values, so each numpy call on it runs one flat loop.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date
 
@@ -55,7 +53,6 @@ __all__ = [
     "price_tf_crr",
     "price_profile_raw",
     "rollback_batch",
-    "engine_threads",
 ]
 
 BLOCK = 128  # spots per kernel block: the workspace is bounded whatever the batch size
@@ -162,22 +159,8 @@ class BatchResult:
         return self.equity + self.debt
 
 
-def engine_threads() -> int:
-    """Worker threads for batch rollbacks: CBLAB_THREADS when set, else the
-    cores this process may run on."""
-    raw = os.environ.get("CBLAB_THREADS", "").strip()
-    if not raw:
-        try:
-            return len(os.sched_getaffinity(0))
-        except AttributeError:  # platforms without CPU affinity
-            return os.cpu_count() or 1
-    if not raw.isdigit() or int(raw) < 1:
-        raise ConfigurationError(f"CBLAB_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
 class _Workspace:
-    """One worker's reusable node-major (N+1, rows) buffers: the E/B split, V
+    """The reusable node-major (N+1, rows) buffers: the E/B split, V
     (also the rollback scratch), V*, conversion values, and four node masks.
     `block` views them as contiguous (N+1, rows) arrays for a block of `rows`
     spots, so a layer's band [0, c) is one run of c * rows elements."""
@@ -236,10 +219,6 @@ class _Rollback:
         # node j of layer i reads pw[N - i + 2j]
         c = np.clip((first - N + self.layers + 1) // 2, 0, self.layers + 1)
         return np.where(self.conv_active[:N], c, self.layers + 1).tolist()
-
-    def run_blocks(self, ws: _Workspace, blocks) -> None:
-        for lo, hi in blocks:
-            self._roll_block(ws, lo, hi)
 
     def _roll_block(self, ws: _Workspace, lo: int, hi: int) -> None:
         N, pw, p, q = self.N, self.pw, self.p, self.q
@@ -331,9 +310,9 @@ def rollback_batch(
 
     `front_layers` > 0 additionally records the constrained node values V of
     the first few layers (needed for lattice delta/gamma); `binds` counts the
-    nodes decided by conversion, call and put.  Spots run in blocks of BLOCK
-    on up to `engine_threads()` threads; every spot gets its own full tree,
-    so results do not depend on the batch, the blocking or the threads.
+    nodes decided by conversion, call and put.  Spots run serially in blocks
+    of BLOCK through one workspace; every spot gets its own full tree, so
+    results do not depend on the batch or the blocking.
     """
     spots = np.asarray(spots, dtype=float)
     if spots.ndim != 1 or spots.size == 0:
@@ -346,25 +325,15 @@ def rollback_batch(
         raise ConfigurationError("front_layers cannot exceed the step count")
 
     m = spots.size
-    blocks = [(lo, min(lo + BLOCK, m)) for lo in range(0, m, BLOCK)]
-    workers = min(engine_threads(), len(blocks))
     with np.errstate(over="ignore"):  # an overflowing tree is refused just below
         job = _Rollback(timeline, mkt, lp, spots, front_layers, binds)
         top = job.rs.max() * job.pw[-1]
     if not np.isfinite(top):
         raise DomainError(f"spot {float(spots.max())!r} overflows the {steps}-step tree: "
                           f"its top conversion value ratio * S * u^{steps} is not finite")
-    # the caller allocates every workspace: worker threads allocating their
-    # own would each grow a separate malloc arena
-    spaces = [_Workspace(min(BLOCK, m), steps + 1) for _ in range(workers)]
-    if workers == 1:
-        job.run_blocks(spaces[0], blocks)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(job.run_blocks, ws, blocks[k::workers])
-                       for k, ws in enumerate(spaces)]
-            for f in futures:
-                f.result()
+    ws = _Workspace(min(BLOCK, m), steps + 1)
+    for lo in range(0, m, BLOCK):
+        job._roll_block(ws, lo, min(lo + BLOCK, m))
 
     return BatchResult(equity=job.equity, debt=job.debt, params=lp, binds=job.binds,
                        fronts=job.fronts)

@@ -88,12 +88,19 @@ class TestGridValidation:
         ["--s-step", -1],
         ["--s-min", 120, "--s-max", 100],
         ["--s-step", "nan"],
+        ["--s-step", 1e-300],  # 1.5e+302 points
+        ["--s-min", 0, "--s-max", 1e308, "--s-step", 1e-10],  # inf points
     ])
     def test_bad_spot_grid_exits_2(self, tmp_path, capsys, grid):
         rc = run(["greeks", "--date", "2004-01-02", "--steps", 20, "--out", tmp_path] + grid)
         assert rc == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "greeks.csv").exists()
+
+    def test_oversized_spot_grid_names_step_and_count(self, tmp_path, capsys):
+        rc = run(["greeks", "--date", "2004-01-02", "--s-step", 1e-300, "--out", tmp_path])
+        assert rc == 2
+        assert "--s-step 1e-300 gives 1.5e+302 spot points" in capsys.readouterr().err
 
     def test_spot_grid_stops_at_s_max(self, tmp_path):
         assert run(["greeks", "--date", "2004-01-02", "--s-min", 100, "--s-max", 100.8,
@@ -202,12 +209,6 @@ class TestGridValidation:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_bad_thread_setting_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CBLAB_THREADS", "0")
-        rc = run(["price", "--steps", 20, "--out", tmp_path])
-        assert rc == 2
-        assert "CBLAB_THREADS" in capsys.readouterr().err
-
 
 class TestDefaultDate:
     @pytest.mark.parametrize("command, names", [
@@ -245,17 +246,6 @@ class TestGreeksAndSurface:
         assert t_years[0] == "0"
         assert all(float(t) < 1826 / 365 for t in t_years)
 
-    def test_thread_override_is_deterministic(self, tmp_path, monkeypatch):
-        # 301 spots per row: three kernel blocks, so the threads share every row
-        args = ["surface", "--s-min", 50, "--s-max", 200, "--s-step", 0.5,
-                "--t-points", 3, "--steps", 60]
-        out1, out2 = tmp_path / "seq", tmp_path / "par"
-        monkeypatch.setenv("CBLAB_THREADS", "1")
-        assert run(args + ["--out", out1]) == 0
-        monkeypatch.setenv("CBLAB_THREADS", "3")
-        assert run(args + ["--out", out2]) == 0
-        assert (out1 / "surface.csv").read_bytes() == (out2 / "surface.csv").read_bytes()
-
 
 class TestHedgeStress:
     def test_columns_and_scaling(self, tmp_path):
@@ -285,6 +275,15 @@ class TestHedgeStress:
         assert rc == 2
         err = capsys.readouterr().err
         assert all(name in err for name in names), err
+        assert not (tmp_path / "o").exists()
+
+    def test_scaled_increment_overflow_exits_2(self, tmp_path, capsys):
+        """The tree and the increment are finite, but increment * contract
+        size / nominal is not: refused, naming the contract size."""
+        rc = run(["hedge-stress", "--s-min", 100, "--s-max", 100, "--shock=5e306",
+                  "--steps", 20, "--out", tmp_path / "o"])
+        assert rc == 2
+        assert "--contract-size" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_at_most_two_grid_rollbacks(self, tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
-"""Rollback-kernel identities: threaded = serial, chunked = unchunked, and the
-current kernel = the kernel it replaced, all bit for bit (`np.array_equal`).
+"""Rollback-kernel identities: batched = pointwise, chunked = unchunked, and
+the current kernel = the kernel it replaced, all bit for bit
+(`np.array_equal`).
 
 The reference digests were recorded with the previous, unblocked single-thread
 kernel on the input sweeps of acceptance criteria 1-4 plus a putable variant
@@ -10,8 +11,6 @@ in any output fails here.
 """
 
 import hashlib
-import os
-import sys
 import tracemalloc
 from dataclasses import replace
 from datetime import date
@@ -20,7 +19,6 @@ import numpy as np
 import pytest
 
 from cblab import (
-    ConfigurationError,
     FDGrid,
     PutTerms,
     VaRSpec,
@@ -199,23 +197,6 @@ def _assert_same(a, b):
     assert all(np.array_equal(x, y) for x, y in zip(a.fronts, b.fronts))
 
 
-def test_threaded_equals_serial(monkeypatch):
-    """More threads than cores, switching threads as often as the interpreter
-    allows: a lost or misplaced block write would change the output."""
-    spots = np.linspace(60.0, 160.0, 700)
-    monkeypatch.setenv("CBLAB_THREADS", "1")
-    serial = rollback_batch(TABLE1, MARKET, JAN2004, spots, 100, front_layers=2, binds=True)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for threads in ("2", "5"):
-            monkeypatch.setenv("CBLAB_THREADS", threads)
-            threaded = rollback_batch(TABLE1, MARKET, JAN2004, spots, 100, front_layers=2, binds=True)
-            _assert_same(serial, threaded)
-    finally:
-        sys.setswitchinterval(interval)
-
-
 @pytest.mark.parametrize("m", [1, 127, 128, 129, 257, 500])
 def test_chunked_equals_unchunked(monkeypatch, m):
     spots = np.linspace(80.0, 140.0, m)
@@ -225,14 +206,12 @@ def test_chunked_equals_unchunked(monkeypatch, m):
     _assert_same(chunked, whole)
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_node_major_blocks_equal_pointwise(sweeps, monkeypatch, threads):
+def test_node_major_blocks_equal_pointwise(sweeps):
     """BLOCK + 1 spots leave a last block of one row; with every layer a
     front (the expiry layer included, written through the transposed view)
     and bind counts on, each spot's outputs equal its own one-spot rollback."""
     terms, t0, steps = sweeps["putable"][0], JAN2004, 12
     spots = np.linspace(40.0, 200.0, lattice.BLOCK + 1)
-    monkeypatch.setenv("CBLAB_THREADS", threads)
     res = rollback_batch(terms, MARKET, t0, spots, steps, front_layers=steps, binds=True)
     assert np.all(res.binds.sum(axis=1) > 0)
     for k in range(spots.size):
@@ -245,34 +224,19 @@ def test_node_major_blocks_equal_pointwise(sweeps, monkeypatch, threads):
         assert all(np.array_equal(f[k : k + 1], g) for f, g in zip(res.fronts, one.fronts))
 
 
-def test_default_threads_are_the_usable_cores(monkeypatch):
-    monkeypatch.delenv("CBLAB_THREADS", raising=False)
-    assert lattice.engine_threads() == len(os.sched_getaffinity(0))
-    monkeypatch.setenv("CBLAB_THREADS", "3")
-    assert lattice.engine_threads() == 3
-
-
-@pytest.mark.parametrize("bad", ["0", "-2", "two"])
-def test_bad_thread_setting_rejected(monkeypatch, bad):
-    monkeypatch.setenv("CBLAB_THREADS", bad)
-    with pytest.raises(ConfigurationError):
-        rollback_batch(TABLE1, MARKET, JAN2004, np.array([100.0]), 10)
-
-
-def test_memory_bounded_by_blocks_not_batch(monkeypatch):
-    """A 2,000-spot, N=200 rollback holds O(workers * BLOCK * (N+1)) doubles of
-    workspace, not O(m * (N+1)): the whole-batch buffers would need 6 * 2000 *
-    201 doubles (19 MB)."""
+def test_memory_bounded_by_blocks_not_batch():
+    """A 2,000-spot, N=200 rollback holds one BLOCK * (N+1) workspace of five
+    float and four bool buffers, not O(m * (N+1)): the whole-batch buffers
+    would need 6 * 2000 * 201 doubles (19 MB).  A second workspace would
+    break the 512 KiB allowance for the O(m) outputs and O(N) tables."""
     m, n = 2000, 200
+    workspace = (5 * 8 + 4) * lattice.BLOCK * (n + 1)
     spots = np.linspace(50.0, 200.0, m)
-    for threads in ("1", "2"):
-        monkeypatch.setenv("CBLAB_THREADS", threads)
-        workers = int(threads)
-        tracemalloc.start()
-        try:
-            rollback_batch(TABLE1, MARKET, JAN2004, spots, n)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 10 * workers * lattice.BLOCK * (n + 1) + 2**20
-        assert peak < 8 * 6 * m * (n + 1) / 2
+    tracemalloc.start()
+    try:
+        rollback_batch(TABLE1, MARKET, JAN2004, spots, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < workspace + 2**19
+    assert peak < 8 * 6 * m * (n + 1) / 2

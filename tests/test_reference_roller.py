@@ -1,13 +1,13 @@
 """The rollback kernel against a plain reference roller, on random term sheets.
 
 `reference_rollback` is the tree with nothing left out for speed: one (m, i+1)
-array per layer, no blocks, no threads, no reused buffers, and the node rule
-written out from the `lattice.decide` docstring.  Hypothesis draws the term
-sheets (call, put and conversion windows that open and close inside the tree,
-puts above the call, zero coupons, trees coarse enough that a coupon lands in
-the expiry layer), the spot batches (block edges included), the front layers
-and the thread count, and `rollback_batch` must match the reference bit for
-bit.  The same draws check value invariants that hold for every sheet.
+array per layer, no blocks, no reused buffers, and the node rule written out
+from the `lattice.decide` docstring.  Hypothesis draws the term sheets (call,
+put and conversion windows that open and close inside the tree, puts above the
+call, zero coupons, trees coarse enough that a coupon lands in the expiry
+layer), the spot batches (block edges included) and the front layers, and
+`rollback_batch` must match the reference bit for bit.  The same draws check
+value invariants that hold for every sheet.
 
 The kernel skips the nodes that the block's lowest spot shows to convert
 whatever their held value.  That needs conversion and a call in force and a
@@ -23,7 +23,6 @@ from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -155,26 +154,24 @@ def bands(draw):
 # print_blob: a failure prints the @reproduce_failure line that replays it exactly
 @settings(derandomize=True, database=None, deadline=None, max_examples=200, print_blob=True)
 @given(st.one_of(instruments(), instruments(live=True)), st.one_of(batches(), bands()),
-       st.one_of(st.integers(3, 12), st.integers(3, 120)), st.integers(0, 3), st.integers(1, 3))
+       st.one_of(st.integers(3, 12), st.integers(3, 120)), st.integers(0, 3))
 # the root converts whatever its held value (c_0 = 0)
-@example((REF, JAN2004, REF_MKT), np.array([150.0, 180.0, 240.0]), 40, 0, 1)
+@example((REF, JAN2004, REF_MKT), np.array([150.0, 180.0, 240.0]), 40, 0)
 # one block whose rows straddle the call level (110 clean, on a coupon date)
-@example((REF, JAN2004, REF_MKT), np.linspace(125.0, 100.0, lattice.BLOCK), 60, 0, 2)
+@example((REF, JAN2004, REF_MKT), np.linspace(125.0, 100.0, lattice.BLOCK), 60, 0)
 # a put above the call, conversion above both
 @example((replace(REF, put=PutTerms(125.0, JAN2004, date(2005, 1, 2))), JAN2004, REF_MKT),
-         np.array([128.0, 140.0, 150.0]), 50, 1, 1)
+         np.array([128.0, 140.0, 150.0]), 50, 1)
 # conversion ends mid-tree
 @example((replace(REF, conversion=replace(REF.conversion, end=date(2005, 6, 2))), JAN2004,
-          REF_MKT), np.linspace(115.0, 125.0, 20), 50, 0, 1)
+          REF_MKT), np.linspace(115.0, 125.0, 20), 50, 0)
 # front layers that are themselves skipped, and skipping below them
-@example((REF, JAN2004, REF_MKT), np.array([135.0, 130.0, 140.0]), 30, 3, 1)
-def test_kernel_matches_reference_roller(instrument, spots, steps, front_layers, threads):
+@example((REF, JAN2004, REF_MKT), np.array([135.0, 130.0, 140.0]), 30, 3)
+def test_kernel_matches_reference_roller(instrument, spots, steps, front_layers):
     terms, t0, mkt = instrument
     front_layers = min(front_layers, steps)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("CBLAB_THREADS", str(threads))
-        res = lattice.rollback_batch(terms, mkt, t0, spots, steps, front_layers, binds=True)
-        doubled = lattice.rollback_batch(terms.with_nominal_scaled(2.0), mkt, t0, spots, steps)
+    res = lattice.rollback_batch(terms, mkt, t0, spots, steps, front_layers, binds=True)
+    doubled = lattice.rollback_batch(terms.with_nominal_scaled(2.0), mkt, t0, spots, steps)
     equity, debt, binds, fronts = reference_rollback(terms, mkt, t0, spots, steps, front_layers)
 
     assert np.array_equal(res.equity, equity)
