@@ -206,12 +206,13 @@ def test_chunked_equals_unchunked(monkeypatch, m):
     _assert_same(chunked, whole)
 
 
-def test_node_major_blocks_equal_pointwise(sweeps):
-    """BLOCK + 1 spots leave a last block of one row; with every layer a
-    front (the expiry layer included, written through the transposed view)
+@pytest.mark.parametrize("tail", [1, 2])
+def test_node_major_blocks_equal_pointwise(sweeps, tail):
+    """BLOCK + tail spots leave a last block of `tail` rows; with every layer
+    a front (the expiry layer included, written through the transposed view)
     and bind counts on, each spot's outputs equal its own one-spot rollback."""
     terms, t0, steps = sweeps["putable"][0], JAN2004, 12
-    spots = np.linspace(40.0, 200.0, lattice.BLOCK + 1)
+    spots = np.linspace(40.0, 200.0, lattice.BLOCK + tail)
     res = rollback_batch(terms, MARKET, t0, spots, steps, front_layers=steps, binds=True)
     assert np.all(res.binds.sum(axis=1) > 0)
     for k in range(spots.size):
