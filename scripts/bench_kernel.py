@@ -100,7 +100,7 @@ def measure_decide(repeats: int) -> dict:
     timeline = cblab.termsheet.Timeline(terms, T0)
     lp = cblab.build_crr_params(mkt.sigma, mkt.rate, timeline.tau_maturity, steps)
     spots = np.linspace(60.0, 160.0, rows)
-    # node-major, as `lattice._Workspace` holds it: node j's row is every spot's value
+    # node-major, as a `lattice` rollback block holds it: node j's row is every spot's value
     powers = lp.up ** np.arange(-steps, steps + 1, 2, dtype=float)
     conv = (timeline.ratio * spots) * powers[:, None]
     E, B, V, vs = (np.empty_like(conv) for _ in range(4))

@@ -3,7 +3,8 @@
 # `make figures` dataset, the stdout of make_figures.sh, the stdout of every
 # demo script, and the artifacts and stdout of a few small CLI runs that the
 # figures leave out (no --date, the report format, a negative shock, narrow
-# greeks and compare grids).  Each tree runs from its own fresh working
+# greeks and compare grids, and two coarse grids whose expiry layer takes
+# bucketed coupons: three on the 3-step tree, one on the 9-layer FD march).  Each tree runs from its own fresh working
 # directory, so the `wrote out/...` lines compare equal.  Exits 1 on any difference.
 #
 #   sh scripts/same_outputs.sh REV        (or: make same-outputs REV=...)
@@ -29,6 +30,8 @@ hedge-stress --shock -0.5 --s-min 90 --s-max 120 --s-step 5 --steps 200
 var --scenarios 200 --steps 100
 greeks --date 2005-03-15 --s-min 80 --s-max 130 --s-step 5 --steps 200
 compare --date 2005-03-15 --s-min 95 --s-max 115 --s-step 1 --steps 200 --fd-nodes 201
+price --steps 3
+compare --date 2002-01-02 --s-min 95 --s-max 105 --s-step 5 --steps 3 --fd-nodes 5
 RUNS
 }
 

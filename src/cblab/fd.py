@@ -7,10 +7,10 @@ Marches the pair of equations
 
 backward from expiry with central differences in S and forward Euler in time,
 re-imposing the contract constraints (put floor, conversion floor, call cap)
-and the S=0 / S=S_max boundary rows after every layer.  The node decision and
-the E/B classification are `lattice.decide`, the one node rule, applied at
-expiry and at every interior layer, so the two methods are directly
-comparable; only the discretization differs.
+and the S=0 / S=S_max boundary rows after every layer.  The expiry layer is
+`lattice.expire` and every interior layer's node decision and E/B
+classification is `lattice.decide`, the tree's own code, so the two methods
+apply the same contract in the same places; only the discretization differs.
 
 The march holds V and B as one flat state Z = [V_0..V_{n-1}, B_0..B_{n-1}]
 in two preallocated buffers that swap roles every layer, so one five-call
@@ -31,12 +31,13 @@ from datetime import date
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericalError
-from .lattice import decide
+from .lattice import decide, expire
 from .termsheet import ConvertibleTerms, MarketParams, Timeline, year_fraction
 
 __all__ = ["FDGrid", "FDSolution", "solve_tf_fd", "fd_profile", "stable_time_layers"]
 
 _FINITE_CHECK_EVERY = 2000
+MAX_FD_LAYERS = 10**7  # time-layer cap of a march: each per-layer input is an n_t vector
 
 
 def _stability_limit(sigma: float, risky_rate: float, s_max: float, ds: float) -> float:
@@ -64,8 +65,11 @@ def stable_time_layers(
     """Smallest layer count satisfying the explicit-scheme stability bound."""
     _check_space(s_max, n_s)
     ds = s_max / (n_s - 1)
-    dt_max = _stability_limit(sigma, risky_rate, s_max, ds)
-    return int(math.ceil(horizon / dt_max)) + 1
+    steps = horizon / _stability_limit(sigma, risky_rate, s_max, ds)
+    if not steps < MAX_FD_LAYERS:  # an inf count included, before int() sees it
+        raise ConfigurationError(f"a stable march needs {steps + 1:.4g} time layers, "
+                                 f"more than {MAX_FD_LAYERS:,}")
+    return int(math.ceil(steps)) + 1
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,8 @@ class FDGrid:
         _check_space(self.s_max, self.n_s)
         if self.n_t < 2:
             raise ConfigurationError("need at least 2 time layers")
+        if self.n_t > MAX_FD_LAYERS:
+            raise ConfigurationError(f"{self.n_t:,} time layers exceed the limit of {MAX_FD_LAYERS:,}")
 
     @property
     def ds(self) -> float:
@@ -194,15 +200,9 @@ def solve_tf_fd(
     masks = [np.empty(n_s, dtype=bool) for _ in range(3)]  # decided, converted, scratch
     conv_on, conv_off = ratio * S, np.zeros(n_s)
 
-    # expiry layer: redeem or convert, i.e. the node rule with no call and no put
-    E.fill(0.0)
-    B = Z[n_s:]
-    B.fill(timeline.redemption)
-    decide(E, B, held, v_star, conv_on if conv_active[n_t - 1] else conv_off, np.inf, 0.0, *masks)
-    np.add(E, B, out=Z[:n_s])
-    if inject[n_t - 1] != 0.0:
-        # pre-expiry coupon bucketing into the final layer: received either way
-        Z += inject[n_t - 1]
+    expire(E, Z[n_s:], held, v_star, conv_on if conv_active[n_t - 1] else conv_off,
+           timeline.redemption, inject[n_t - 1], *masks)
+    np.add(E, Z[n_s:], out=Z[:n_s])
 
     # snapshot bookkeeping
     want = {0, n_t - 1}

@@ -8,15 +8,16 @@ Q3 the dirty put price and Q4 the conversion value.  Conversion is the only
 outcome settled in shares; cash outcomes (redemption, call, put) keep their
 value in B, which is what couples the credit spread to the exercise decisions.
 
-`decide` is the one implementation of that rule and its E/B split.  The tree's
-interior layers, its expiry layer (no call, no put: redeem or convert) and the
-finite-difference solver in `fd` all run it.
+`decide` is the one implementation of that rule and its E/B split, and
+`expire` the one expiry layer (no call, no put: redeem or convert, plus any
+coupon bucketed into it).  The tree and the finite-difference solver in `fd`
+both run them.
 
 The rollback kernel is vectorized over a batch of root spot prices: every spot
 still gets its own full tree, and batch results are bit-identical to pricing
 each spot alone (all operations are elementwise).  A batch runs serially in
-blocks of BLOCK spots through one workspace, so its memory is bounded by one
-block whatever the batch size.  `rollback_batch` is the one engine:
+blocks of BLOCK spots that reuse one block's buffers, so its memory is bounded
+whatever the batch size.  `rollback_batch` is the one engine:
 `price_tf_crr` (one spot's value split) and `price_profile_raw` are views of
 it, and it counts the nodes each constraint decided only when its caller asks
 (`binds`).
@@ -50,12 +51,13 @@ __all__ = [
     "PriceResult",
     "build_crr_params",
     "decide",
+    "expire",
     "price_tf_crr",
     "price_profile_raw",
     "rollback_batch",
 ]
 
-BLOCK = 128  # spots per kernel block: the workspace is bounded whatever the batch size
+BLOCK = 128  # spots per kernel block: the buffers are bounded whatever the batch size
 
 
 @dataclass(frozen=True)
@@ -67,13 +69,6 @@ class LatticeParams:
     up: float
     down: float
     p_up: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.p_up < 1.0:
-            raise ConfigurationError(
-                f"risk-neutral probability {self.p_up:.6f} outside (0,1); "
-                "dt too large for this sigma/rate"
-            )
 
 
 @dataclass(frozen=True)
@@ -115,6 +110,9 @@ def build_crr_params(sigma: float, rate: float, horizon: float, steps: int) -> L
     if up == down:
         raise ConfigurationError(f"sigma {sigma:g} is too small for a {steps}-step tree to move")
     p_up = (math.exp(rate * dt) - down) / (up - down)
+    if not 0.0 < p_up < 1.0:
+        raise ConfigurationError(f"risk-neutral probability {p_up:.6f} outside (0,1); "
+                                 "dt too large for this sigma/rate")
     return LatticeParams(steps=steps, dt=dt, up=up, down=down, p_up=p_up)
 
 
@@ -144,6 +142,18 @@ def decide(E, B, V, vs, conv, call, put, ncont, convb, tmp) -> None:
     np.copyto(B, 0.0, where=convb)
 
 
+def expire(E, B, V, vs, conv, redemption, coupon, ncont, convb, tmp) -> None:
+    """The expiry layer, in place: redeem or convert (`decide` with no call and
+    no put from E = 0, B = redemption), then add to B `coupon`, a pre-maturity
+    coupon that a coarse grid buckets into this layer: received cash either
+    way, since conversion at expiry forfeits the final coupon, not this one."""
+    E.fill(0.0)
+    B.fill(redemption)
+    decide(E, B, V, vs, conv, np.inf, 0.0, ncont, convb, tmp)
+    if coupon != 0.0:
+        B += coupon
+
+
 @dataclass(frozen=True)
 class BatchResult:
     """Vectorized rollback output for a batch of root spots."""
@@ -159,22 +169,11 @@ class BatchResult:
         return self.equity + self.debt
 
 
-class _Workspace:
-    """The reusable node-major (N+1, rows) buffers: the E/B split, V
-    (also the rollback scratch), V*, conversion values, and four node masks.
-    `block` views them as contiguous (N+1, rows) arrays for a block of `rows`
-    spots, so a layer's band [0, c) is one run of c * rows elements."""
-
-    def __init__(self, rows: int, width: int):
-        self.buffers = [np.empty((width, rows), dtype=t) for t in (float,) * 5 + (bool,) * 4]
-
-    def block(self, rows: int) -> list[np.ndarray]:
-        return [b.reshape(-1)[: b.shape[0] * rows].reshape(-1, rows) for b in self.buffers]
-
-
 class _Rollback:
-    """Per-layer inputs of one rollback, shared read-only by every block, and
-    the output arrays each block fills in its own rows."""
+    """One rollback: its per-layer inputs, the node-major buffers that every
+    block reuses (E, B, V (also the rollback scratch), V*, conversion values
+    and four node masks, min(BLOCK, m) spots wide), and the output arrays,
+    which each block fills in its own rows."""
 
     def __init__(self, timeline: Timeline, mkt: MarketParams, lp: LatticeParams,
                  spots: np.ndarray, front_layers: int, binds: bool):
@@ -202,6 +201,7 @@ class _Rollback:
         self.front_layers = front_layers
 
         m = spots.size
+        self.buffers = [np.empty((N + 1, min(BLOCK, m)), dtype=t) for t in (float,) * 5 + (bool,) * 4]
         self.equity, self.debt = np.empty(m), np.empty(m)
         self.fronts = [np.empty((m, k + 1)) for k in range(front_layers + 1)]
         # rows: conversion, call, put
@@ -220,26 +220,20 @@ class _Rollback:
         c = np.clip((first - N + self.layers + 1) // 2, 0, self.layers + 1)
         return np.where(self.conv_active[:N], c, self.layers + 1).tolist()
 
-    def _roll_block(self, ws: _Workspace, lo: int, hi: int) -> None:
+    def _roll_block(self, lo: int, hi: int) -> None:
         N, pw, p, q = self.N, self.pw, self.p, self.q
-        E, B, V, VS, C, NC, CB, TMP, AUX = ws.block(hi - lo)
+        rows = hi - lo  # the block is each buffer's leading contiguous (N+1, rows) run
+        E, B, V, VS, C, NC, CB, TMP, AUX = (b.reshape(-1)[: (N + 1) * rows].reshape(-1, rows)
+                                           for b in self.buffers)
         rs = self.rs[lo:hi]
         binds = None if self.binds is None else self.binds[:, lo:hi]
         fronts = [f[lo:hi].T for f in self.fronts]
 
-        # expiry: redeem or convert, i.e. the node rule with no call and no put
         if self.conv_active[N]:
             np.multiply(rs, pw[0::2, None], out=C)
         else:
             C.fill(0.0)
-        E.fill(0.0)
-        B.fill(self.redemption)
-        decide(E, B, V, VS, C, np.inf, 0.0, NC, CB, TMP)
-        if self.inject[N] != 0.0:
-            # a coupon paid strictly before maturity that buckets into the terminal
-            # layer (coarse trees only) is received cash either way: conversion at
-            # expiry forfeits the final coupon, not this one
-            B += self.inject[N]
+        expire(E, B, V, VS, C, self.redemption, self.inject[N], NC, CB, TMP)
         if binds is not None:
             binds[0] += np.count_nonzero(CB, axis=0)
         if self.front_layers >= N:
@@ -311,8 +305,8 @@ def rollback_batch(
     `front_layers` > 0 additionally records the constrained node values V of
     the first few layers (needed for lattice delta/gamma); `binds` counts the
     nodes decided by conversion, call and put.  Spots run serially in blocks
-    of BLOCK through one workspace; every spot gets its own full tree, so
-    results do not depend on the batch or the blocking.
+    of BLOCK; every spot gets its own full tree, so results do not depend on
+    the batch or the blocking.
     """
     spots = np.asarray(spots, dtype=float)
     if spots.ndim != 1 or spots.size == 0:
@@ -320,20 +314,21 @@ def rollback_batch(
     if not np.all(np.isfinite(spots)) or np.any(spots <= 0):
         raise DomainError("spot prices must be finite and > 0")
     timeline = Timeline(terms, t0)
-    lp = build_crr_params(mkt.sigma, mkt.rate, timeline.tau_maturity, steps)
-    if front_layers > steps:
-        raise ConfigurationError("front_layers cannot exceed the step count")
-
-    m = spots.size
-    with np.errstate(over="ignore"):  # an overflowing tree is refused just below
-        job = _Rollback(timeline, mkt, lp, spots, front_layers, binds)
-        top = job.rs.max() * job.pw[-1]
+    try:
+        lp = build_crr_params(mkt.sigma, mkt.rate, timeline.tau_maturity, steps)
+        if front_layers > steps:
+            raise ConfigurationError("front_layers cannot exceed the step count")
+        with np.errstate(over="ignore"):  # an overflowing tree is refused just below
+            job = _Rollback(timeline, mkt, lp, spots, front_layers, binds)
+            top = job.rs.max() * job.pw[-1]
+    except OverflowError as exc:  # math.exp of a growth, discount or coupon factor
+        raise ConfigurationError(f"rate {mkt.rate:g}, credit spread {mkt.credit_spread:g} and "
+                                 f"volatility {mkt.sigma:g} overflow the {steps}-step tree") from exc
     if not np.isfinite(top):
         raise DomainError(f"spot {float(spots.max())!r} overflows the {steps}-step tree: "
                           f"its top conversion value ratio * S * u^{steps} is not finite")
-    ws = _Workspace(min(BLOCK, m), steps + 1)
-    for lo in range(0, m, BLOCK):
-        job._roll_block(ws, lo, min(lo + BLOCK, m))
+    for lo in range(0, spots.size, BLOCK):
+        job._roll_block(lo, min(lo + BLOCK, spots.size))
 
     return BatchResult(equity=job.equity, debt=job.debt, params=lp, binds=job.binds,
                        fronts=job.fronts)

@@ -114,7 +114,7 @@ def surface(
         except CBLabError as exc:
             raise type(exc)(f"surface row t={t}: {exc}") from exc
         dlt, gma = _front_greeks(res, spots)
-        out["value"][i] = res.fronts[0][:, 0]
+        out["value"][i] = res.value
         out["equity"][i] = res.equity
         out["debt"][i] = res.debt
         out["delta"][i] = dlt

@@ -38,6 +38,7 @@ _PHILOX_M = np.uint64(0xD2B74407B1CE6E93)
 _PHILOX_W = np.uint64(0x9E3779B97F4A7C15)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _ROUNDS = 10
+HIST_BINS = 100  # bins of the stock and bond-value densities
 
 
 def _mulhilo64(a: np.ndarray, b: np.uint64) -> tuple[np.ndarray, np.ndarray]:
@@ -170,8 +171,16 @@ def simulate_stock(spec: VaRSpec) -> np.ndarray:
     u = philox_uniforms(spec.seed, spec.n_scenarios)
     z = ndtri(u)
     h = spec.horizon_years
-    drift_term = (spec.drift - 0.5 * spec.scen_sigma**2) * h
-    return spec.spot * np.exp(drift_term + spec.scen_sigma * math.sqrt(h) * z)
+    try:
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            drift_term = (spec.drift - 0.5 * spec.scen_sigma**2) * h
+            s = spec.spot * np.exp(drift_term + spec.scen_sigma * math.sqrt(h) * z)
+        if np.all((s > 0) & (s < np.inf)):
+            return s
+    except OverflowError:  # scen_sigma**2 past the float range
+        pass
+    raise ConfigurationError(f"scenario drift {spec.drift:g} and volatility {spec.scen_sigma:g} "
+                             "take a horizon stock price out of (0, inf)")
 
 
 def revalue(
@@ -202,12 +211,7 @@ def density_histogram(values, bins: int) -> Histogram:
     return Histogram(edges=edges, counts=counts)
 
 
-def run_var(
-    spec: VaRSpec,
-    terms: ConvertibleTerms,
-    mkt: MarketParams,
-    hist_bins: int = 100,
-) -> VaRResult:
+def run_var(spec: VaRSpec, terms: ConvertibleTerms, mkt: MarketParams) -> VaRResult:
     """Full VaR experiment: simulate, reprice, take the loss quantile, and
     build the stock / bond-value densities."""
     # compared in days, so no horizon date past the calendar is ever formed
@@ -228,6 +232,6 @@ def run_var(
         pnl=pnl,
         var_abs=var_abs,
         var_pct=var_abs / v0 * 100.0,
-        stock_hist=density_histogram(scen, hist_bins),
-        value_hist=density_histogram(v_h, hist_bins),
+        stock_hist=density_histogram(scen, HIST_BINS),
+        value_hist=density_histogram(v_h, HIST_BINS),
     )

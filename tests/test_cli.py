@@ -2,12 +2,13 @@
 
 import argparse
 import json
+import warnings
 
 import pytest
 
 from cblab import cli, hedge, lattice, sensitivities, var
 from cblab.cli import build_parser, main
-from cblab.reports import config_hash
+from cblab.reports import Report, config_hash, write_rows
 from cblab.termsheet import load_terms, reference_terms_path
 
 
@@ -61,6 +62,10 @@ class TestPrice:
         out = tmp_path / "o"
         assert run(["price", "--steps", 100, "--out", out, "--format", "report"]) == 0
         assert (out / "price.txt").exists()
+        with pytest.raises(ValueError, match="unknown output format 'xml'"):
+            write_rows(Report(config={}, columns=["S"], rows=[(1.0,)], summary=[]),
+                       out / "price.xml", "xml")
+        assert not (out / "price.xml").exists()
 
     def test_golden_reference_price(self, tmp_path):
         """Frozen values for the packaged instrument at the two-year mark."""
@@ -130,6 +135,24 @@ class TestGridValidation:
         assert "no positive, finite stable time step" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["price", "--rate", "1e5"],
+        ["price", "--vol", "1e308"],
+        ["price", "--spread", "1e5", "--steps", 10],
+        ["price", "--spread=-1e5", "--steps", 10],
+        ["greeks", "--date", "2002-01-02", "--rate", "1e5", "--s-min", 100, "--s-max", 100],
+        ["hedge-stress", "--vol", "1e308", "--s-min", 100, "--s-max", 100],
+    ], ids=["rate", "vol", "spread", "negative-spread", "greeks", "hedge-stress"])
+    def test_overflowing_market_exits_2(self, tmp_path, capsys, command):
+        """A growth, discount or coupon factor past the float range is refused
+        by the tree's setup, naming the market inputs."""
+        rc = run(command + ["--out", tmp_path / "o"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "overflow the" in err
+        assert all(name in err for name in ("rate ", "credit spread ", "volatility ")), err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("t_points", [0, -3])
     def test_bad_time_grid_exits_2(self, tmp_path, capsys, t_points):
         rc = run(["surface", "--t-points", t_points, "--s-min", 100, "--s-max", 100,
@@ -143,6 +166,7 @@ class TestGridValidation:
         ["--fd-s-max", 0],
         ["--fd-s-max", "nan"],
         ["--fd-s-max", "inf"],
+        ["--fd-nodes", 100_000_000],  # 2.7e15 time layers
     ])
     def test_bad_fd_grid_exits_2(self, tmp_path, capsys, grid):
         rc = run(["compare", "--date", "2004-01-02", "--s-min", 100, "--s-max", 101,
@@ -344,6 +368,28 @@ class TestVar:
     def test_non_finite_scenario_input_exits_2(self, tmp_path, capsys, option, value, names):
         rc = run(["var", option, value, "--scenarios", 10, "--steps", 20,
                   "--out", tmp_path / "o"])
+        assert rc == 2
+        assert names in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+    @pytest.mark.parametrize("option, value, names", [
+        ("--scen-vol", "1e200", "scenario drift 0.05 and volatility 1e+200"),
+        ("--drift", "1e300", "scenario drift 1e+300 and volatility 0.3"),
+        ("--drift", "-1e300", "scenario drift -1e+300 and volatility 0.3"),
+    ])
+    def test_overflowing_scenario_input_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                option, value, names):
+        """Finite scenario inputs that take a horizon stock price out of
+        (0, inf) are refused by name before any repricing, without a warning."""
+        def no_repricing(*args, **kwargs):
+            pytest.fail("scenarios repriced before they were checked")
+
+        monkeypatch.setattr(var, "rollback_batch", no_repricing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run(["var", f"{option}={value}", "--scenarios", 10, "--steps", 10,
+                      "--out", tmp_path / "o"])
         assert rc == 2
         assert names in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

@@ -2,6 +2,7 @@
 and agreement with the lattice."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from datetime import date
@@ -21,7 +22,7 @@ from cblab import (
     price_tf_crr,
     solve_tf_fd,
 )
-from cblab.fd import stable_time_layers
+from cblab.fd import MAX_FD_LAYERS, stable_time_layers
 from cblab.termsheet import Timeline, year_fraction
 
 
@@ -65,6 +66,23 @@ class TestGrid:
         for s_max in (math.nan, math.inf):
             with pytest.raises(ConfigurationError):
                 FDGrid(s_max=s_max, n_s=11, n_t=100)
+        with pytest.raises(ConfigurationError, match="at least 2 time layers"):
+            FDGrid(s_max=400.0, n_s=11, n_t=1)
+        with pytest.raises(ConfigurationError, match="10,000,001 time layers exceed the limit"):
+            FDGrid(s_max=400.0, n_s=11, n_t=MAX_FD_LAYERS + 1)
+        FDGrid(s_max=400.0, n_s=11, n_t=MAX_FD_LAYERS)
+
+    @pytest.mark.parametrize("sigma, n_s, layers", [
+        (0.30, 10**8, "2.7e+15"),
+        (30.0, 401, "4.32e+08"),
+        (0.30, 4 * 10**157, "inf"),  # the layer count overflows the float range
+    ], ids=["fine-spot-grid", "high-vol", "overflowing-count"])
+    def test_auto_grid_layer_count_capped(self, sigma, n_s, layers):
+        """The auto grid's layer count is refused before any per-layer array
+        exists (2.7e15 layers would need petabytes)."""
+        mkt = MarketParams(rate=0.05, credit_spread=0.02, sigma=sigma)
+        with pytest.raises(ConfigurationError, match=re.escape(f"needs {layers} time layers, more than 10,000,000")):
+            FDGrid.auto(mkt, 3.0, n_s=n_s)
 
 
 class TestStraightBondReduction:
@@ -161,6 +179,29 @@ class TestSolutionShape:
         idx = int(np.argmin(np.abs(sol.layer_taus)))
         v, = fd_profile(sol, jan2004, [100.5])
         assert v == pytest.approx(0.5 * (sol.value[idx][100] + sol.value[idx][101]), rel=1e-14)
+
+    @pytest.mark.parametrize("day", [date(2003, 12, 31), date(2007, 1, 3)],
+                             ids=["before-t0", "after-maturity"])
+    def test_snapshot_outside_the_span_refused(self, table1, market, jan2004, day):
+        grid = FDGrid.auto(market, year_fraction(jan2004, table1.maturity), n_s=5)
+        with pytest.raises(DomainError, match=f"snapshot date {day} outside"):
+            solve_tf_fd(table1, market, jan2004, grid, snapshot_dates=[jan2004, day])
+
+    @pytest.mark.parametrize("n_s, n_t, coupon", [(3, 4, 6.44), (5, 9, 2.07)])
+    def test_coupons_bucketed_into_the_expiry_layer(self, table1, market, issue, n_s, n_t, coupon):
+        """On a coarse grid, coupons paid after the last interior layer land in
+        the expiry layer as cash whether the node redeems or converts."""
+        span = year_fraction(issue, table1.maturity)
+        grid = FDGrid.auto(market, span, n_s=n_s)
+        assert grid.n_t == n_t
+        sol = solve_tf_fd(table1, market, issue, grid)
+        taus = np.linspace(0.0, span, n_t)
+        c = Timeline(table1, issue).coupon_injections(taus, market.rate + market.credit_spread)[-1]
+        assert c == pytest.approx(coupon, abs=5e-3)
+        S = sol.spots  # ratio 1, redemption = nominal + final coupon = 102
+        assert sol.layer_taus[-1] == span
+        assert np.array_equal(sol.value[-1], np.maximum(S, 102.0) + c)
+        assert np.array_equal(sol.debt[-1], np.where(S > 102.0, 0.0, 102.0) + c)
 
     def test_profile_refuses_extrapolation(self, solved, jan2004, table1):
         sol, _ = solved

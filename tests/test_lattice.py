@@ -58,7 +58,8 @@ class TestBuildCrrParams:
 
     def test_unstable_probability_rejected(self):
         # huge dt with tiny sigma pushes p out of (0,1)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError,
+                           match=r"^risk-neutral probability \d+\.\d{6} outside \(0,1\); dt too"):
             build_crr_params(0.01, 0.5, 10.0, 1)
 
     def test_bad_inputs(self):
@@ -348,6 +349,8 @@ class TestProfile:
             price_profile_raw(table1, market, jan2004, [], 100)
         with pytest.raises(DomainError):
             price_profile_raw(table1, market, jan2004, [[100.0, 110.0]], 100)
+        with pytest.raises(ConfigurationError, match="front_layers cannot exceed the step count"):
+            rollback_batch(table1, market, jan2004, [100.0], 2, front_layers=3)
 
     def test_rejects_overflowing_tree(self, table1, market, jan2004):
         """A finite spot whose top conversion value ratio * S * u^N is not
@@ -356,6 +359,16 @@ class TestProfile:
         assert np.all(np.isfinite(price_profile_raw(table1, market, jan2004, spots, 20).value))
         with pytest.raises(DomainError, match=r"spot 1e\+307 .*200-step tree"):
             price_profile_raw(table1, market, jan2004, spots, 200)
+
+    def test_rejects_overflowing_market(self, table1, issue):
+        """A rate, spread or volatility whose growth, discount or coupon factor
+        leaves the float range is refused by name; a large finite one prices."""
+        wide = MarketParams(rate=0.05, credit_spread=1e3, sigma=0.3)
+        assert price_tf_crr(table1, wide, issue, 100.0, 500).price == pytest.approx(100.0, rel=1e-12)
+        wider = MarketParams(rate=0.05, credit_spread=1e5, sigma=0.3)
+        with pytest.raises(ConfigurationError, match=r"^rate 0\.05, credit spread 100000 and "
+                                                     r"volatility 0\.3 overflow the 10-step tree$"):
+            price_tf_crr(table1, wider, issue, 100.0, 10)
 
     @pytest.mark.parametrize("order", ["reversed", "shuffled"])
     def test_grid_order_only_permutes_outputs(self, table1, market, jan2004, order):

@@ -188,11 +188,21 @@ class TestExerciseRights:
         with pytest.raises(ConfigurationError, match=f"^{name} price must be > 0"):
             right(price, date(2004, 1, 2), date(2007, 1, 2))
 
-    @pytest.mark.parametrize("right, name", [(CallTerms, "call"), (PutTerms, "put")])
+    @pytest.mark.parametrize("right, name", [(CallTerms, "call"), (PutTerms, "put"),
+                                             (ConversionTerms, "conversion")])
     def test_window_ending_before_it_starts_names_the_right(self, right, name):
         with pytest.raises(ConfigurationError, match=f"^{name} window start is after its end"):
             right(110.0, date(2006, 1, 2), date(2004, 1, 2))
         right(110.0, date(2004, 1, 2), date(2004, 1, 2))  # a one-day window is valid
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(issue=date(2007, 1, 2)), "issue date must precede maturity"),
+        (dict(call=CallTerms(110.0, date(2001, 1, 2), date(2005, 1, 2))),
+         "call window must lie inside the bond life"),
+    ], ids=["issue-at-maturity", "call-before-issue"])
+    def test_sheet_outside_its_life_refused(self, table1, change, message):
+        with pytest.raises(ConfigurationError, match=message):
+            replace(table1, **change)
 
 
 class TestMarketParams:
@@ -204,6 +214,12 @@ class TestMarketParams:
     def test_sigma_must_be_finite(self, sigma):
         with pytest.raises(ConfigurationError):
             MarketParams(rate=0.05, credit_spread=0.02, sigma=sigma)
+
+    @pytest.mark.parametrize("rates", [dict(rate=float("nan")), dict(credit_spread=float("inf"))],
+                             ids=["rate-nan", "spread-inf"])
+    def test_rate_and_spread_must_be_finite(self, rates):
+        with pytest.raises(ConfigurationError, match="rate and credit spread must be finite"):
+            MarketParams(**{"rate": 0.05, "credit_spread": 0.02, "sigma": 0.3, **rates})
 
     def test_negative_spread_allowed(self):
         MarketParams(rate=0.05, credit_spread=-0.001, sigma=0.3)

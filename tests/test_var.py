@@ -50,6 +50,10 @@ class TestPhiloxStream:
         u = philox_uniforms(123, 100_000)
         assert u.min() > 0.0 and u.max() < 1.0
 
+    def test_needs_one_draw(self):
+        with pytest.raises(DomainError, match="n >= 1"):
+            philox_uniforms(0, 0)
+
     def test_uniformity(self):
         u = philox_uniforms(9, 200_000)
         d, _ = stats.kstest(u, "uniform")
@@ -188,13 +192,13 @@ class TestRevalueAndRun:
 
     def test_run_var_small(self, table1, market):
         spec = spec_with(n_scenarios=200, steps=120)
-        res = run_var(spec, table1, market, hist_bins=20)
+        res = run_var(spec, table1, market)
         assert res.pnl.shape == (200,)
         assert res.var_pct == pytest.approx(res.var_abs / res.value0 * 100.0, rel=1e-14)
         assert res.stock_hist.counts.sum() == 200
         assert res.value_hist.counts.sum() == 200
         # deterministic end to end
-        res2 = run_var(spec, table1, market, hist_bins=20)
+        res2 = run_var(spec, table1, market)
         assert np.array_equal(res.pnl, res2.pnl)
         assert res.var_abs == res2.var_abs
 
@@ -202,21 +206,21 @@ class TestRevalueAndRun:
         from cblab import price_tf_crr
 
         spec = spec_with(scen_sigma=0.0, n_scenarios=5, steps=120)
-        res = run_var(spec, table1, market, hist_bins=3)
+        res = run_var(spec, table1, market)
         s_det = 100.0 * math.exp(0.05 * spec.horizon_years)
         v_det = price_tf_crr(table1, market, spec.horizon_date, s_det, 120).price
         assert res.var_abs == pytest.approx(-(v_det - res.value0), rel=1e-12)
 
     def test_nominal_scaling_equivariance(self, table1, market):
         spec = spec_with(n_scenarios=50, steps=120)
-        res1 = run_var(spec, table1, market, hist_bins=5)
-        res2 = run_var(spec, table1.with_nominal_scaled(2.0), market, hist_bins=5)
+        res1 = run_var(spec, table1, market)
+        res2 = run_var(spec, table1.with_nominal_scaled(2.0), market)
         assert res2.var_abs == pytest.approx(2.0 * res1.var_abs, rel=1e-12)
         assert res2.var_pct == pytest.approx(res1.var_pct, rel=1e-12)
 
     def test_report_lines_roundtrip_fields(self, table1, market):
         spec = spec_with(n_scenarios=30, steps=120)
-        res = run_var(spec, table1, market, hist_bins=4)
+        res = run_var(spec, table1, market)
         text = "\n".join(res.report_lines())
         assert "value0:" in text and "var_pct:" in text
         assert "stock_hist_counts:" in text and "value_hist_counts:" in text
