@@ -1,7 +1,10 @@
 """Time the batch rollback kernel: ms per spot for batch widths m in
-{1, 128, 500, 1000} at N=500 and m in {1, 500} at N=100; the decision kernel
+{1, 2, 32, 128, 500, 1000} at N=500 and m in {1, 500} at N=100; the decision kernel
 `lattice.decide` alone on one node-major (501, BLOCK) block, the layout the
-kernel runs it on; the pointwise `price_tf_crr` at spot 100 and N=500 (the
+kernel runs it on; the continuation band's crossover (per layer, what the
+conversion values and `decide` cost on a continuing run of d * rows node-spots
+against the certificate that skips them, for rows 8 and BLOCK); the pointwise
+`price_tf_crr` at spot 100 and N=500 (the
 batch-width-1 path); `philox_uniforms` at 10^6 draws; the explicit FD march:
 seconds and layers/s for `solve_tf_fd` on the reference grid; and whole
 `cli.main` runs of `price`, `surface`, `greeks`, `hedge-stress`, `var` (10,000
@@ -42,7 +45,8 @@ import numpy as np
 import cblab
 from cblab import cli
 
-CELLS = tuple((m, 500) for m in (1, 128, 500, 1000)) + tuple((m, 100) for m in (1, 500))
+CELLS = tuple((m, 500) for m in (1, 2, 32, 128, 500, 1000)) + tuple((m, 100) for m in (1, 500))
+BAND_RUNS = (256, 512, 1024, 2048, 4096)  # node-spots in one layer's continuation run
 T0 = date(2004, 1, 2)
 PHILOX_DRAWS = 10**6
 # the make_figures.sh configs, minus --out
@@ -116,6 +120,45 @@ def measure_decide(repeats: int) -> dict:
             "ns_per_node": round(1e9 * best / conv.size, 3)}
 
 
+def measure_band(repeats: int) -> dict:
+    """Per run size, the microseconds the conversion values and `decide` spend
+    on a run of continuing nodes (the work on d + 1 nodes less that on 1, since
+    the rest of a band is decided anyway) and those of the certificate that
+    replaces them; the crossover is the smallest run that pays at every width."""
+    certify = getattr(cblab.lattice._Rollback, "continues", None)
+    if certify is None:  # a kernel from before the band
+        return None
+    loops, runs = 50, []
+    for rows in (8, cblab.lattice.BLOCK):
+        d_max = max(BAND_RUNS) // rows + 1
+        rs = np.linspace(0.6, 1.6, rows)  # ratio * spot of a 60-160 block
+        pw = np.linspace(0.5, 1.0, 2 * d_max)
+        E, B = np.zeros((d_max, rows)), np.full((d_max, rows), 105.0)  # held 105 > every conv
+        V, vs, conv = (np.empty_like(E) for _ in range(3))
+        masks = [np.empty(E.shape, dtype=bool) for _ in range(3)]
+
+        def decided(n):
+            for _ in range(loops):
+                np.multiply(rs, pw[: 2 * n : 2, None], out=conv[:n])
+                cblab.lattice.decide(E[:n], B[:n], V[:n], vs[:n], conv[:n], 130.0, 0.0,
+                                     *(x[:n] for x in masks))
+
+        def certified(n):
+            for _ in range(loops):
+                certify(E[:n], B[:n], V[:n], 130.0, 1.6)
+
+        one = _best_of(repeats, lambda: decided(1))
+        for cells in BAND_RUNS:
+            d = cells // rows
+            saved = _best_of(repeats, lambda: decided(d + 1)) - one
+            cost = _best_of(repeats, lambda: certified(d))
+            runs.append({"rows": rows, "cells": d * rows, "decide_us": round(1e6 * saved / loops, 3),
+                         "certify_us": round(1e6 * cost / loops, 3)})
+    paying = [c for c in BAND_RUNS
+              if all(r["decide_us"] > r["certify_us"] for r in runs if r["cells"] >= c)]
+    return {"runs": runs, "crossover_cells": min(paying, default=None)}
+
+
 def measure_pointwise(repeats: int) -> dict:
     terms, mkt = cblab.reference_terms(), cblab.reference_market()
     best = _best_of(repeats, lambda: cblab.price_tf_crr(terms, mkt, T0, 100.0, 500))
@@ -162,6 +205,7 @@ def main() -> None:
         "numpy": np.__version__,
         "cells": measure(args.repeats),
         "decide": measure_decide(args.repeats),
+        "band": measure_band(args.repeats),
         "price_tf_crr": measure_pointwise(args.repeats),
         "philox_uniforms": measure_philox(args.repeats),
         "fd": measure_fd(args.repeats),

@@ -38,6 +38,7 @@ __all__ = ["FDGrid", "FDSolution", "solve_tf_fd", "fd_profile", "stable_time_lay
 
 _FINITE_CHECK_EVERY = 2000
 MAX_FD_LAYERS = 10**7  # time-layer cap of a march: each per-layer input is an n_t vector
+MAX_FD_NODES = 10**5  # spot-node cap: a march holds about 30 vectors of n_s or 2 * n_s doubles
 
 
 def _stability_limit(sigma: float, risky_rate: float, s_max: float, ds: float) -> float:
@@ -86,6 +87,8 @@ class FDGrid:
             raise ConfigurationError("need at least 2 time layers")
         if self.n_t > MAX_FD_LAYERS:
             raise ConfigurationError(f"{self.n_t:,} time layers exceed the limit of {MAX_FD_LAYERS:,}")
+        if self.n_s > MAX_FD_NODES:
+            raise ConfigurationError(f"{self.n_s:,} spot nodes exceed the limit of {MAX_FD_NODES:,}")
 
     @property
     def ds(self) -> float:

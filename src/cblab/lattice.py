@@ -32,6 +32,25 @@ converts; the kernel writes E = conv, B = 0 into the nodes from c_i that the
 next layer reads and skips the rest.  The output is bit-identical to deciding
 every node.  Node-major (N+1, rows) buffers make a band [0, c_i) one contiguous
 run of c_i * rows values, so each numpy call on it runs one flat loop.
+
+Below c_i most nodes continue, and `decide` leaves a continuing node as it is.
+So the kernel decides only [d_i, c_i) when the run [0, d_i) is certified:
+- floor: once per rollback, H_i = a * L_{i+1} + coupon_i with a = min(disc_E,
+  disc_B), L_N = redemption + the expiry coupon and L_i = max(put_i, min(H_i,
+  call_i)).  In exact arithmetic L_i is under every decided value V* and H_i
+  under every held value V; L_i is not under V where a put binds.
+- guess: per block and layer, d_i <= c_i counts the nodes whose largest
+  conversion value (the block's top ratio * spot times a prefix maximum of the
+  power table) is below H_i less a 1e-9 relative margin.
+- certificate: with V = E + B on [0, d_i), max V <= call_i and min V >= the
+  larger of put_i and the run's top conversion value.  Then `decide` would keep
+  every node of the run, so skipping it changes no bit; otherwise d_i = 0 and
+  the whole band is decided.  The floor is only a guess; the certificate is
+  exact.
+- gate: a layer certifies only a run of at least BAND_CELLS node-spots
+  (d_i * rows), where the certificate's two reductions and one add cost less
+  than the decisions they skip; the floor and the guess are computed lazily, so
+  a block whose band never reaches the gate pays nothing.
 """
 
 from __future__ import annotations
@@ -39,6 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +78,11 @@ __all__ = [
 ]
 
 BLOCK = 128  # spots per kernel block: the buffers are bounded whatever the batch size
+# a layer certifies its continuation run only from this many node-spots up: below
+# it the certificate costs more than the decisions it skips (BENCH_16.json crossover)
+BAND_CELLS = 2048
+# the largest tree: a block's buffers take (N+1) * BLOCK * 44 bytes, 56 MB at the cap
+MAX_TREE_STEPS = 10**4
 
 
 @dataclass(frozen=True)
@@ -111,7 +136,7 @@ def build_crr_params(sigma: float, rate: float, horizon: float, steps: int) -> L
         raise ConfigurationError(f"sigma {sigma:g} is too small for a {steps}-step tree to move")
     p_up = (math.exp(rate * dt) - down) / (up - down)
     if not 0.0 < p_up < 1.0:
-        raise ConfigurationError(f"risk-neutral probability {p_up:.6f} outside (0,1); "
+        raise ConfigurationError(f"risk-neutral probability {p_up:.6g} outside (0,1); "
                                  "dt too large for this sigma/rate")
     return LatticeParams(steps=steps, dt=dt, up=up, down=down, p_up=p_up)
 
@@ -193,6 +218,8 @@ class _Rollback:
         # suffix minimum of pw: non-decreasing, and equal to pw wherever pw is,
         # so the frontier search is exact even if pow() ever broke monotonicity
         self.pw_floor = np.minimum.accumulate(self.pw[::-1])[::-1]
+        # prefix maximum of pw: at index k, at least every conversion power at or below k
+        self.pw_ceil = np.maximum.accumulate(self.pw)
         self.layers = np.arange(N)
         self.rs = timeline.ratio * spots
         self.disc_E = math.exp(-mkt.rate * lp.dt)
@@ -220,6 +247,52 @@ class _Rollback:
         c = np.clip((first - N + self.layers + 1) // 2, 0, self.layers + 1)
         return np.where(self.conv_active[:N], c, self.layers + 1).tolist()
 
+    @cached_property
+    def held_floor(self) -> np.ndarray:
+        """H_i for each layer i < N: a floor under every held value, computed
+        once per rollback.  Every decided value V*_{i+1} is at least L_{i+1}
+        (L_N = redemption + the expiry coupon, L_i = max(put_i, min(H_i,
+        call_i))), and E, B >= 0, so the rolled-back value is at least
+        H_i = min(disc_E, disc_B) * L_{i+1} + coupon_i, in exact arithmetic."""
+        N, a = self.N, min(self.disc_E, self.disc_B)
+        calls, puts, inject = (x.tolist() for x in (self.call_levels, self.put_levels, self.inject))
+        held, floor = [0.0] * N, self.redemption + inject[N]
+        for i in range(N - 1, -1, -1):
+            held[i] = a * floor + inject[i]
+            floor = max(puts[i], min(held[i], calls[i]))
+        return np.array(held)
+
+    def band(self, rs_max: float, cs: list[int], rows: int) -> tuple[list[int], list[float]]:
+        """For each layer i < N, a guess d_i <= c_i at the run of nodes [0, d_i)
+        that continue for every spot of a block whose highest ratio * spot is
+        `rs_max`, and the least held value that certifies it: the dirty put or
+        the run's top conversion value.  The guess takes the nodes whose
+        largest conversion value is below H_i, less a 1e-9 relative margin; a
+        run shorter than BAND_CELLS cells (d_i * rows) is not worth certifying
+        and gets d_i = 0.  A block that cannot reach BAND_CELLS pays nothing."""
+        N = self.N
+        if max(cs) * rows < BAND_CELLS:
+            return [0] * N, [0.0] * N
+        prod = rs_max * self.pw_ceil  # non-decreasing, and >= every spot's conv at and below
+        first = np.searchsorted(prod, self.held_floor * (1.0 - 1e-9), side="left")
+        # node j of layer i reads pw[N - i + 2j]; conversion off: every conv is 0
+        d = np.where(self.conv_active[:N], (first - N + self.layers + 1) // 2, N)
+        d = np.clip(d, 0, cs)
+        d[d * rows < BAND_CELLS] = 0
+        # the run's top conversion value, at node d_i - 1 (any node where d_i = 0)
+        top_conv = np.where(self.conv_active[:N], prod[np.maximum(N - self.layers + 2 * d - 2, 0)],
+                            0.0)
+        return d.tolist(), np.maximum(self.put_levels[:N], top_conv).tolist()
+
+    @staticmethod
+    def continues(E, B, V, call: float, low: float) -> bool:
+        """The certificate of a guessed run: `decide` leaves every node of it
+        as it is iff each held value V = E + B (written into V) is at most the
+        call and at least `low`, the larger of the put and the run's top
+        conversion value."""
+        np.add(E, B, out=V)
+        return V.max() <= call and V.min() >= low
+
     def _roll_block(self, lo: int, hi: int) -> None:
         N, pw, p, q = self.N, self.pw, self.p, self.q
         rows = hi - lo  # the block is each buffer's leading contiguous (N+1, rows) run
@@ -240,12 +313,12 @@ class _Rollback:
             np.add(E, B, out=fronts[N])
 
         cs = self.frontier(rs.min())
+        ds, lows = self.band(rs.max(), cs, rows)
         for i in range(N - 1, -1, -1):
-            w, c = i + 1, cs[i]
+            w, c, d = i + 1, cs[i], ds[i]
             # nodes this layer must hold: [0, cs[i-1]] for the next layer, all of a front
             top = w if i <= self.front_layers else max(c, cs[i - 1] + 1)
-            Ec, Bc, Vc, vs, conv = E[:c], B[:c], V[:c], VS[:c], C[:top]
-            ncont, convb = NC[:c], CB[:c]
+            Ec, Bc, Vc = E[:c], B[:c], V[:c]
             # in-place rollback: X <- disc * (p * X_up + q * X_down), V as scratch
             for X, Xc, disc in ((E, Ec, self.disc_E), (B, Bc, self.disc_B)):
                 np.multiply(X[1 : c + 1], p, out=Vc)
@@ -254,24 +327,31 @@ class _Rollback:
                 np.multiply(Xc, disc, out=Xc)
             if self.inject[i] != 0.0:
                 Bc += self.inject[i]
+
+            call_level = self.call_levels[i]
+            if d:
+                if self.continues(E[:d], B[:d], V[:d], call_level, lows[i]):
+                    Ec, Bc, Vc = E[d:c], B[d:c], V[d:c]  # decide only [d, c)
+                else:
+                    d = 0  # the guess failed its certificate: decide the whole band
+            vs, conv, ncont, convb = VS[d:c], C[d:top], NC[d:c], CB[d:c]
             if self.conv_active[i]:
-                np.multiply(rs, pw[N - i : N - i + 2 * top : 2, None], out=conv)
+                np.multiply(rs, pw[N - i + 2 * d : N - i + 2 * top : 2, None], out=conv)
             else:
                 conv.fill(0.0)
 
-            call_level = self.call_levels[i]
-            decide(Ec, Bc, Vc, vs, conv[:c], call_level, self.put_levels[i], ncont, convb,
-                   TMP[:c])
+            decide(Ec, Bc, Vc, vs, conv[: c - d], call_level, self.put_levels[i], ncont, convb,
+                   TMP[d:c])
             if top > c:
                 # nodes c.. convert whatever their held value V: conv > call >= min(V, call)
                 # and conv >= put, so V* = conv and `decide` would set E = conv, B = 0
-                np.copyto(E[c:top], conv[c:])
+                np.copyto(E[c:top], conv[c - d :])
                 B[c:top] = 0.0
 
             if binds is not None:
                 # cash = decided, not converted; the call bound where the
                 # value was clipped to exactly the call level, the put elsewhere
-                cash, callb = AUX[:c], TMP[:c]
+                cash, callb = AUX[d:c], TMP[d:c]
                 np.logical_xor(ncont, convb, out=cash)
                 n_cash = np.count_nonzero(cash, axis=0)
                 np.greater(Vc, call_level, out=callb)
@@ -314,6 +394,8 @@ def rollback_batch(
     if not np.all(np.isfinite(spots)) or np.any(spots <= 0):
         raise DomainError("spot prices must be finite and > 0")
     timeline = Timeline(terms, t0)
+    if steps > MAX_TREE_STEPS:  # before the tree's O(N) tables and buffers exist
+        raise ConfigurationError(f"{steps:,} tree steps exceed the limit of {MAX_TREE_STEPS:,}")
     try:
         lp = build_crr_params(mkt.sigma, mkt.rate, timeline.tau_maturity, steps)
         if front_layers > steps:

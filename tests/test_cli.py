@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from cblab import cli, hedge, lattice, sensitivities, var
+from cblab import cli, fd, hedge, lattice, sensitivities, var
 from cblab.cli import build_parser, main
 from cblab.reports import Report, config_hash, write_rows
 from cblab.termsheet import load_terms, reference_terms_path
@@ -174,6 +174,35 @@ class TestGridValidation:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "compare.csv").exists()
+
+    def test_fd_spot_nodes_capped_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        """At --vol 1e-8 a 10^8-node grid needs only 5 stable layers; the node
+        cap refuses it before the march allocates its n_s vectors."""
+        def no_fd_work(*args, **kwargs):
+            pytest.fail("FD march started past the spot-node cap")
+
+        monkeypatch.setattr(fd, "solve_tf_fd", no_fd_work)
+        rc = run(["compare", "--date", "2004-01-02", "--vol", "1e-8", "--s-min", 100,
+                  "--s-max", 101, "--s-step", 1, "--steps", 20, "--fd-nodes", 100_000_000,
+                  "--out", tmp_path])
+        assert rc == 2
+        assert "100,000,000 spot nodes exceed the limit of 100,000" in capsys.readouterr().err
+        assert not (tmp_path / "compare.csv").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["price"],
+        ["greeks", "--date", "2004-01-02", "--s-min", 100, "--s-max", 100],
+        ["var", "--scenarios", 20],
+    ], ids=["price", "greeks", "var"])
+    def test_tree_steps_capped_before_any_tree(self, tmp_path, capsys, monkeypatch, command):
+        def no_tree(*args, **kwargs):
+            pytest.fail("tree built past the step cap")
+
+        monkeypatch.setattr(lattice, "_Rollback", no_tree)
+        rc = run(command + ["--steps", 10_001, "--out", tmp_path / "o"])
+        assert rc == 2
+        assert "10,001 tree steps exceed the limit of 10,000" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_fd_grid_refused_before_lattice_work(self, tmp_path, capsys, monkeypatch):
         def no_lattice_work(*args, **kwargs):

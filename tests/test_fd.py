@@ -22,7 +22,7 @@ from cblab import (
     price_tf_crr,
     solve_tf_fd,
 )
-from cblab.fd import MAX_FD_LAYERS, stable_time_layers
+from cblab.fd import MAX_FD_LAYERS, MAX_FD_NODES, stable_time_layers
 from cblab.termsheet import Timeline, year_fraction
 
 
@@ -71,6 +71,9 @@ class TestGrid:
         with pytest.raises(ConfigurationError, match="10,000,001 time layers exceed the limit"):
             FDGrid(s_max=400.0, n_s=11, n_t=MAX_FD_LAYERS + 1)
         FDGrid(s_max=400.0, n_s=11, n_t=MAX_FD_LAYERS)
+        with pytest.raises(ConfigurationError, match="100,001 spot nodes exceed the limit"):
+            FDGrid(s_max=400.0, n_s=MAX_FD_NODES + 1, n_t=100)
+        FDGrid(s_max=400.0, n_s=MAX_FD_NODES, n_t=100)
 
     @pytest.mark.parametrize("sigma, n_s, layers", [
         (0.30, 10**8, "2.7e+15"),

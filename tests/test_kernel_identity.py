@@ -241,3 +241,28 @@ def test_memory_bounded_by_blocks_not_batch():
         tracemalloc.stop()
     assert peak < workspace + 2**19
     assert peak < 8 * 6 * m * (n + 1) / 2
+
+
+def test_band_skips_most_decisions(sweeps, monkeypatch):
+    """On the VaR scenarios almost every node below the conversion frontier
+    continues, and the certified run keeps `decide` off all but a few
+    percent of them; without the run (`BAND_CELLS` out of reach) it sees
+    them all."""
+    terms, t0, spots, steps, _ = sweeps["c4_scenarios"]
+    decide = lattice.decide
+
+    def cells_decided(band_cells):
+        cells = [0]
+
+        def counting(E, *args):
+            cells[0] += E.size
+            decide(E, *args)
+
+        monkeypatch.setattr(lattice, "BAND_CELLS", band_cells)
+        monkeypatch.setattr(lattice, "decide", counting)
+        rollback_batch(terms, MARKET, t0, spots, steps)
+        monkeypatch.setattr(lattice, "decide", decide)
+        return cells[0]
+
+    gate = lattice.BAND_CELLS
+    assert cells_decided(gate) < 0.1 * cells_decided(np.inf)

@@ -57,10 +57,14 @@ class TestBuildCrrParams:
         assert lp.p_up < 0.5
 
     def test_unstable_probability_rejected(self):
-        # huge dt with tiny sigma pushes p out of (0,1)
+        # huge dt with tiny sigma pushes p out of (0,1); six significant digits
         with pytest.raises(ConfigurationError,
-                           match=r"^risk-neutral probability \d+\.\d{6} outside \(0,1\); dt too"):
+                           match=r"^risk-neutral probability 2330\.91 outside \(0,1\); dt too"):
             build_crr_params(0.01, 0.5, 10.0, 1)
+        # exp(1e5 * 0.006) is finite, and p about 8.1e261 prints in six digits, not 262
+        with pytest.raises(ConfigurationError,
+                           match=r"^risk-neutral probability 8\.11752e\+261 outside \(0,1\); dt too"):
+            build_crr_params(0.3, 1e5, 3.0, 500)
 
     def test_bad_inputs(self):
         with pytest.raises(ConfigurationError):

@@ -14,6 +14,12 @@ whatever their held value.  That needs conversion and a call in force and a
 lowest spot near the rest of the block, so half the sheets have both rights
 open over the whole life and half the batches are narrow spot bands; pinned
 examples cover the skip's edge cases.
+
+The kernel also skips `decide` on a certified run of continuing nodes up from
+node 0, in layers where that run holds at least `lattice.BAND_CELLS` node-spots;
+batches of up to 200 spots on trees of up to 120 steps cross that gate, and
+the draws reach both the certified run and its fallback.  A call below the
+sheet's cash value pins the fallback.
 """
 
 import math
@@ -23,6 +29,7 @@ from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -39,6 +46,9 @@ from cblab.termsheet import (
 
 ISSUE = date(2002, 1, 2)
 REF, REF_MKT, JAN2004 = reference_terms(), reference_market(), date(2004, 1, 2)
+# call 95 against a cash value of about 109 at a 1% rate and no credit spread
+LOW_CALL = (replace(REF, call=CallTerms(95.0, ISSUE, REF.maturity)), JAN2004,
+            MarketParams(rate=0.01, credit_spread=0.0, sigma=0.3))
 
 
 # Hypothesis caches the constants it reads from the source, while pytest collects,
@@ -167,6 +177,8 @@ def bands(draw):
           REF_MKT), np.linspace(115.0, 125.0, 20), 50, 0)
 # front layers that are themselves skipped, and skipping below them
 @example((REF, JAN2004, REF_MKT), np.array([135.0, 130.0, 140.0]), 30, 3)
+# the call sits below the cash value: a guessed continuation run fails its certificate
+@example(LOW_CALL, np.linspace(60.0, 100.0, lattice.BLOCK), 60, 0)
 def test_kernel_matches_reference_roller(instrument, spots, steps, front_layers):
     terms, t0, mkt = instrument
     front_layers = min(front_layers, steps)
@@ -192,3 +204,26 @@ def test_kernel_matches_reference_roller(instrument, spots, steps, front_layers)
         assert np.all(value <= np.maximum(np.maximum(call0, put0), conv0))
     # doubling the nominal and everything quoted on it doubles the value exactly
     assert np.array_equal(doubled.value, 2.0 * value)
+
+
+@pytest.mark.parametrize("instrument, spots, outcome", [
+    ((REF, JAN2004, REF_MKT), np.linspace(95.0, 105.0, lattice.BLOCK), True),
+    (LOW_CALL, np.linspace(60.0, 100.0, lattice.BLOCK), False),
+], ids=["certified", "fallback"])
+def test_band_certificate_outcome(monkeypatch, instrument, spots, outcome):
+    """The reference sheet certifies guessed continuation runs; the low call
+    refuses some, so the whole band is decided there.  Either way the
+    result is the reference roller's."""
+    seen = []
+    certify = lattice._Rollback.continues
+
+    def spy(*args):
+        seen.append(bool(certify(*args)))
+        return seen[-1]
+
+    monkeypatch.setattr(lattice._Rollback, "continues", staticmethod(spy))
+    terms, t0, mkt = instrument
+    res = lattice.rollback_batch(terms, mkt, t0, spots, 60)
+    assert outcome in seen
+    equity, debt, _, _ = reference_rollback(terms, mkt, t0, spots, 60, 0)
+    assert np.array_equal(res.equity, equity) and np.array_equal(res.debt, debt)
