@@ -8,7 +8,9 @@ against the certificate that skips them, for rows 8 and BLOCK); the pointwise
 batch-width-1 path); `philox_uniforms` at 10^6 draws; the explicit FD march:
 seconds and layers/s for `solve_tf_fd` on the reference grid; and whole
 `cli.main` runs of `price`, `surface`, `greeks`, `hedge-stress`, `var` (10,000
-scenarios) and `compare` at their `scripts/make_figures.sh` configs.
+scenarios) and `compare` at their `scripts/make_figures.sh` configs; and the
+cold start: fresh `python3 -m cblab.cli price --steps 3` and
+`python3 -c "import cblab"` processes, start to exit.
 
     PYTHONPATH=src python scripts/bench_kernel.py [--repeats 5] [--label after]
 
@@ -20,7 +22,9 @@ conversion values at every node; no call or put, as the kernel runs it; E and
 B are restored before each call, outside the timing), and the FD grid is
 `FDGrid.auto` (401 spot nodes, the minimal stable layer count).
 The CLI runs keep their own dates, write into a temporary directory and
-discard their stdout.  Prints one JSON object with the machine record (nproc,
+discard their stdout.  The cold-start cell is instead the median of
+COLD_STARTS fresh processes each, run one after another with `PYTHONPATH`
+at the timed `cblab`.  Prints one JSON object with the machine record (nproc,
 numpy version, and the `git describe --always --dirty` of the checkout the
 timed `cblab` is imported from, "unknown" outside git) and the cells, so two
 checkouts measured back to back on the same machine can be compared.
@@ -34,7 +38,9 @@ import io
 import json
 import os
 import platform
+import statistics
 import subprocess
+import sys
 import tempfile
 import time
 from datetime import date
@@ -49,6 +55,7 @@ CELLS = tuple((m, 500) for m in (1, 2, 32, 128, 500, 1000)) + tuple((m, 100) for
 BAND_RUNS = (256, 512, 1024, 2048, 4096)  # node-spots in one layer's continuation run
 T0 = date(2004, 1, 2)
 PHILOX_DRAWS = 10**6
+COLD_STARTS = 5  # fresh processes per cold-start command
 # the make_figures.sh configs, minus --out
 CLI_RUNS = {
     "price": ["price", "--spot", "100", "--date", "2002-01-02", "--steps", "500"],
@@ -192,6 +199,23 @@ def measure_cli(repeats: int) -> dict:
     return cells
 
 
+def measure_cold_start() -> dict:
+    env = dict(os.environ, PYTHONPATH=str(Path(cblab.__file__).parents[1]))
+    cells = {}
+    with tempfile.TemporaryDirectory() as out:
+        for name, argv in (("cli_price", ["-m", "cblab.cli", "price", "--steps", "3", "--out", out]),
+                           ("import", ["-c", "import cblab"])):
+            times = []
+            for _ in range(COLD_STARTS):
+                t = time.perf_counter()
+                subprocess.run([sys.executable, *argv], env=env, cwd=out, check=True,
+                               stdout=subprocess.DEVNULL)
+                times.append(time.perf_counter() - t)
+            cells[name] = {"median_s": round(statistics.median(times), 4),
+                           "runs_s": [round(x, 4) for x in times]}
+    return cells
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
@@ -210,6 +234,7 @@ def main() -> None:
         "philox_uniforms": measure_philox(args.repeats),
         "fd": measure_fd(args.repeats),
         "cli": measure_cli(args.repeats),
+        "cold_start": measure_cold_start(),
     }
     print(json.dumps(record))
 

@@ -56,6 +56,7 @@ So the kernel decides only [d_i, c_i) when the run [0, d_i) is certified:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
@@ -70,6 +71,7 @@ __all__ = [
     "NodeValue",
     "PriceResult",
     "build_crr_params",
+    "check_steps",
     "decide",
     "expire",
     "price_tf_crr",
@@ -118,6 +120,16 @@ class PriceResult:
     def price(self) -> float:
         """Dirty price at the root."""
         return self.node.value
+
+
+def check_steps(steps) -> int:
+    """A tree's step count as an int: a Python or numpy integer up to
+    MAX_TREE_STEPS; a bool, a float (even 10.0) or a string is refused."""
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise ConfigurationError(f"tree steps must be an integer, got {steps!r}")
+    if steps > MAX_TREE_STEPS:  # before the tree's O(N) tables and buffers exist
+        raise ConfigurationError(f"{steps:,} tree steps exceed the limit of {MAX_TREE_STEPS:,}")
+    return int(steps)
 
 
 def build_crr_params(sigma: float, rate: float, horizon: float, steps: int) -> LatticeParams:
@@ -388,14 +400,13 @@ def rollback_batch(
     of BLOCK; every spot gets its own full tree, so results do not depend on
     the batch or the blocking.
     """
+    steps = check_steps(steps)
     spots = np.asarray(spots, dtype=float)
     if spots.ndim != 1 or spots.size == 0:
         raise DomainError("spots must be a nonempty 1-D array")
     if not np.all(np.isfinite(spots)) or np.any(spots <= 0):
         raise DomainError("spot prices must be finite and > 0")
     timeline = Timeline(terms, t0)
-    if steps > MAX_TREE_STEPS:  # before the tree's O(N) tables and buffers exist
-        raise ConfigurationError(f"{steps:,} tree steps exceed the limit of {MAX_TREE_STEPS:,}")
     try:
         lp = build_crr_params(mkt.sigma, mkt.rate, timeline.tau_maturity, steps)
         if front_layers > steps:

@@ -12,14 +12,15 @@ in these numbers are signal, not noise.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
 
 from .errors import CBLabError, ConfigurationError, DomainError
-from .lattice import BatchResult, rollback_batch
-from .termsheet import ConvertibleTerms, MarketParams
+from .lattice import BatchResult, check_steps, rollback_batch
+from .termsheet import ConvertibleTerms, MarketParams, Timeline
 
 __all__ = ["GreekPoint", "Surface", "greek_point", "surface"]
 
@@ -88,6 +89,15 @@ def greek_point(terms: ConvertibleTerms, mkt: MarketParams, t: date, spot: float
     return surface(terms, mkt, (t,), np.array([float(spot)]), steps).point(0, 0)
 
 
+@contextmanager
+def _row_context(t: date):
+    """Re-raise a CBLabError with the surface row's date in front."""
+    try:
+        yield
+    except CBLabError as exc:
+        raise type(exc)(f"surface row t={t}: {exc}") from exc
+
+
 def surface(
     terms: ConvertibleTerms,
     mkt: MarketParams,
@@ -96,23 +106,25 @@ def surface(
     steps: int,
 ) -> Surface:
     """Evaluate prices and Greeks over a (t, S) rectangle; one tree per point,
-    whole spot rows batched.  Either grid may come in any order.  The engine
-    checks the spots and each date, and its refusal names the row's date."""
+    whole spot rows batched.  Either grid may come in any order.  Every date
+    and the step count are checked before any row is priced; the engine checks
+    the spots.  A refusal names the row's date."""
     t_grid = tuple(t_grid)
     spots = np.asarray(spot_grid, dtype=float)
     if not t_grid:
         raise DomainError("the date grid must be nonempty")
+    for t in t_grid:
+        with _row_context(t):
+            if check_steps(steps) < 3:
+                raise ConfigurationError("greeks need at least 3 tree steps to maturity")
+            Timeline(terms, t)
 
     ratio = terms.conversion.ratio
     nt, ns = len(t_grid), spots.size
     out = {k: np.empty((nt, ns)) for k in ("value", "equity", "debt", "delta", "delta_pct", "gamma")}
     for i, t in enumerate(t_grid):
-        try:
-            if steps < 3:
-                raise ConfigurationError("greeks need at least 3 tree steps to maturity")
+        with _row_context(t):
             res = rollback_batch(terms, mkt, t, spots, steps, front_layers=2)
-        except CBLabError as exc:
-            raise type(exc)(f"surface row t={t}: {exc}") from exc
         dlt, gma = _front_greeks(res, spots)
         out["value"][i] = res.value
         out["equity"][i] = res.equity

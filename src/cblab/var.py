@@ -3,9 +3,12 @@
 Scenario generation draws log-normal stock prices at the horizon from a
 counter-based Philox-2x64-10 stream (implemented here so the bit stream is
 pinned by this file and its golden tests, independent of any library's RNG
-policy), mapped to normals through the inverse CDF.  Each scenario is repriced
-on its own full tree at the horizon date; the loss quantile is read from the
-sorted P&L without interpolation.
+policy), mapped to normals through the inverse CDF, scipy's `ndtri`.  Each
+scenario is repriced on its own full tree at the horizon date; the loss
+quantile is read from the sorted P&L without interpolation.
+
+This module is cblab's only user of scipy, and it imports `ndtri` on the first
+simulation: importing cblab, and every command but `var`, loads only numpy.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConfigurationError, DomainError
 from .lattice import price_tf_crr, rollback_batch
@@ -168,6 +170,8 @@ class VaRResult:
 def simulate_stock(spec: VaRSpec) -> np.ndarray:
     """Horizon stock prices S0 * exp((mu - sigma^2/2) h + sigma sqrt(h) Z)
     with Z from the seeded Philox stream; bit-reproducible."""
+    from scipy.special import ndtri  # here, not at the top: only a simulation loads scipy
+
     u = philox_uniforms(spec.seed, spec.n_scenarios)
     z = ndtri(u)
     h = spec.horizon_years

@@ -2,7 +2,12 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import warnings
+from datetime import date
+from pathlib import Path
 
 import pytest
 
@@ -454,6 +459,37 @@ class TestCompare:
             # identical model, different discretizations: the FD side carries
             # its forward-Euler error, about 5e-7 relative on this grid
             assert abs(float(row[3])) / float(row[2]) < 1e-6
+
+
+# run in a fresh interpreter: price and compare through cli.main, then one simulation
+COLD_START = """
+import json, sys
+import cblab
+from cblab import cli, var
+out = sys.argv[1]
+assert cli.main(["price", "--steps", "3", "--out", out]) == 0
+assert cli.main(["compare", "--date", "2002-01-02", "--s-min", "95", "--s-max", "105",
+                 "--s-step", "5", "--steps", "3", "--fd-nodes", "5", "--out", out]) == 0
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+spec = var.VaRSpec(eval_date=cblab.reference_terms().issue, spot=100.0, n_scenarios=64, seed=7)
+s = var.simulate_stock(spec)
+print(json.dumps({"before": before, "after": "scipy.special" in sys.modules, "s": s.tobytes().hex()}))
+"""
+
+
+class TestColdStart:
+    def test_only_a_simulation_loads_scipy(self, tmp_path):
+        """Importing cblab and running price and compare load no scipy; the
+        first simulation loads scipy.special and gives the same bits."""
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path / "o")], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        child = json.loads(proc.stdout.splitlines()[-1])
+        assert child["before"] == []
+        assert child["after"]
+        spec = var.VaRSpec(eval_date=date(2002, 1, 2), spot=100.0, n_scenarios=64, seed=7)
+        assert bytes.fromhex(child["s"]) == var.simulate_stock(spec).tobytes()
 
 
 class TestConfig:

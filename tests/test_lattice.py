@@ -8,6 +8,7 @@ that never splits the value.
 
 import inspect
 import math
+import re
 from dataclasses import replace
 from datetime import date
 
@@ -355,6 +356,36 @@ class TestProfile:
             price_profile_raw(table1, market, jan2004, [[100.0, 110.0]], 100)
         with pytest.raises(ConfigurationError, match="front_layers cannot exceed the step count"):
             rollback_batch(table1, market, jan2004, [100.0], 2, front_layers=3)
+
+    @pytest.mark.parametrize("steps", [2.5, np.float64(10.0), "10", True],
+                             ids=["float", "numpy_float", "str", "bool"])
+    def test_rejects_non_integer_steps(self, table1, market, jan2004, monkeypatch, steps):
+        """A step count that is not an integer is refused by value before any
+        table is built, on every path into the engine."""
+        def no_tables(*args, **kwargs):
+            pytest.fail("a table was built for a non-integer step count")
+
+        msg = "tree steps must be an integer, got " + re.escape(repr(steps))
+        with monkeypatch.context() as m:
+            m.setattr(lattice, "Timeline", no_tables)
+            with pytest.raises(ConfigurationError, match=f"^{msg}$"):
+                rollback_batch(table1, market, jan2004, [100.0], steps)
+            with pytest.raises(ConfigurationError, match=f"^{msg}$"):
+                price_tf_crr(table1, market, jan2004, 100.0, steps)
+            m.setattr(sensitivities, "Timeline", no_tables)
+            with pytest.raises(ConfigurationError, match=f"^surface row t=2004-01-02: {msg}$"):
+                sensitivities.surface(table1, market, [jan2004], [100.0], steps)
+        spec = var.VaRSpec(eval_date=jan2004, spot=100.0, n_scenarios=4, steps=steps)
+        with pytest.raises(ConfigurationError, match=f"^{msg}$"):
+            var.run_var(spec, table1, market)
+
+    @pytest.mark.parametrize("steps", [np.int64(10), np.int32(10), np.uint16(10)])
+    def test_numpy_integer_steps_price_as_int(self, table1, market, jan2004, steps):
+        spots = np.array([90.0, 100.0, 110.0])
+        res = rollback_batch(table1, market, jan2004, spots, steps)
+        ref = rollback_batch(table1, market, jan2004, spots, 10)
+        assert type(res.params.steps) is int
+        assert np.array_equal(res.equity, ref.equity) and np.array_equal(res.debt, ref.debt)
 
     def test_rejects_overflowing_tree(self, table1, market, jan2004):
         """A finite spot whose top conversion value ratio * S * u^N is not

@@ -124,13 +124,23 @@ class TestSurface:
             assert srf.delta[1, j] == gp.delta
             assert srf.gamma[1, j] == gp.gamma
 
-    def test_grid_validation(self, table1, market, jan2004):
+    def test_grid_validation(self, table1, market, jan2004, monkeypatch):
         with pytest.raises(DomainError, match="date grid"):
             surface(table1, market, [], [100.0], 200)
         with pytest.raises(DomainError, match="surface row t=2004-01-02"):
             surface(table1, market, [jan2004], [], 200)
-        with pytest.raises(DomainError, match="surface row t=2007-01-02"):
+        # a date at maturity is refused before any row is priced
+        rolled, engine = [], sensitivities.rollback_batch
+
+        def counted(terms, mkt, t, *args, **kwargs):
+            rolled.append(t)
+            return engine(terms, mkt, t, *args, **kwargs)
+
+        monkeypatch.setattr(sensitivities, "rollback_batch", counted)
+        with pytest.raises(DomainError, match="^surface row t=2007-01-02: anchor 2007-01-02 "
+                                              "must satisfy issue <= t0 < maturity$"):
             surface(table1, market, [jan2004, table1.maturity], [100.0], 200)
+        assert rolled == []
 
     def test_value_equals_component_sum(self, table1, market, jan2004):
         srf = surface(table1, market, [jan2004], np.arange(90.0, 111.0, 5.0), 200)
