@@ -5,11 +5,14 @@ kernel runs it on; the continuation band's crossover (per layer, what the
 conversion values and `decide` cost on a continuing run of d * rows node-spots
 against the certificate that skips them, for rows 8 and BLOCK); the pointwise
 `price_tf_crr` at spot 100 and N=500 (the
-batch-width-1 path); `philox_uniforms` at 10^6 draws; the explicit FD march:
-seconds and layers/s for `solve_tf_fd` on the reference grid; and whole
-`cli.main` runs of `price`, `surface`, `greeks`, `hedge-stress`, `var` (10,000
-scenarios) and `compare` at their `scripts/make_figures.sh` configs; and the
-cold start: fresh `python3 -m cblab.cli price --steps 3` and
+batch-width-1 path); `philox_uniforms` at 10^6 draws; `var.ndtri` on 10^4
+Philox uniforms, next to `scipy.special.ndtri` when scipy is installed; the
+explicit FD march: seconds and layers/s for `solve_tf_fd` on the reference
+grid; and whole `cli.main` runs of `price`, `surface`, `greeks`,
+`hedge-stress`, `var` (10,000 scenarios) and `compare` at their
+`scripts/make_figures.sh` configs; and the cold start: fresh
+`python3 -m cblab.cli price --steps 3`,
+`python3 -m cblab.cli var --scenarios 16 --steps 50` and
 `python3 -c "import cblab"` processes, start to exit.
 
     PYTHONPATH=src python scripts/bench_kernel.py [--repeats 5] [--label after]
@@ -55,6 +58,7 @@ CELLS = tuple((m, 500) for m in (1, 2, 32, 128, 500, 1000)) + tuple((m, 100) for
 BAND_RUNS = (256, 512, 1024, 2048, 4096)  # node-spots in one layer's continuation run
 T0 = date(2004, 1, 2)
 PHILOX_DRAWS = 10**6
+NDTRI_DRAWS = 10**4
 COLD_STARTS = 5  # fresh processes per cold-start command
 # the make_figures.sh configs, minus --out
 CLI_RUNS = {
@@ -178,6 +182,20 @@ def measure_philox(repeats: int) -> dict:
             "draws_per_s": round(PHILOX_DRAWS / best)}
 
 
+def measure_ndtri(repeats: int) -> dict:
+    """ms for the in-repo `ndtri` (None in a checkout without one) and for
+    scipy's (None without scipy) on the same Philox uniforms."""
+    u = cblab.var.philox_uniforms(0, NDTRI_DRAWS)
+    try:
+        from scipy.special import ndtri as scipy_ndtri
+    except ImportError:
+        scipy_ndtri = None
+    cells = {"draws": NDTRI_DRAWS}
+    for name, fn in (("in_repo_ms", getattr(cblab.var, "ndtri", None)), ("scipy_ms", scipy_ndtri)):
+        cells[name] = None if fn is None else round(1e3 * _best_of(repeats, lambda: fn(u)), 4)
+    return cells
+
+
 def measure_fd(repeats: int) -> dict:
     terms, mkt = cblab.reference_terms(), cblab.reference_market()
     grid = cblab.FDGrid.auto(mkt, cblab.year_fraction(T0, terms.maturity))
@@ -204,6 +222,8 @@ def measure_cold_start() -> dict:
     cells = {}
     with tempfile.TemporaryDirectory() as out:
         for name, argv in (("cli_price", ["-m", "cblab.cli", "price", "--steps", "3", "--out", out]),
+                           ("cli_var", ["-m", "cblab.cli", "var", "--scenarios", "16",
+                                        "--steps", "50", "--out", out]),
                            ("import", ["-c", "import cblab"])):
             times = []
             for _ in range(COLD_STARTS):
@@ -232,6 +252,7 @@ def main() -> None:
         "band": measure_band(args.repeats),
         "price_tf_crr": measure_pointwise(args.repeats),
         "philox_uniforms": measure_philox(args.repeats),
+        "ndtri": measure_ndtri(args.repeats),
         "fd": measure_fd(args.repeats),
         "cli": measure_cli(args.repeats),
         "cold_start": measure_cold_start(),

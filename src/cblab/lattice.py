@@ -71,6 +71,7 @@ __all__ = [
     "NodeValue",
     "PriceResult",
     "build_crr_params",
+    "check_integer",
     "check_steps",
     "decide",
     "expire",
@@ -122,14 +123,21 @@ class PriceResult:
         return self.node.value
 
 
+def check_integer(value, what: str) -> int:
+    """`value` as an int if it is a Python or numpy integer; a bool, a float
+    (even 10.0) or a string is refused with an error naming `what`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_steps(steps) -> int:
-    """A tree's step count as an int: a Python or numpy integer up to
-    MAX_TREE_STEPS; a bool, a float (even 10.0) or a string is refused."""
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
-        raise ConfigurationError(f"tree steps must be an integer, got {steps!r}")
+    """A tree's step count as an int: an integer (`check_integer`) up to
+    MAX_TREE_STEPS."""
+    steps = check_integer(steps, "tree steps")
     if steps > MAX_TREE_STEPS:  # before the tree's O(N) tables and buffers exist
         raise ConfigurationError(f"{steps:,} tree steps exceed the limit of {MAX_TREE_STEPS:,}")
-    return int(steps)
+    return steps
 
 
 def build_crr_params(sigma: float, rate: float, horizon: float, steps: int) -> LatticeParams:

@@ -391,6 +391,12 @@ class TestVar:
             assert "holding" in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
 
+    def test_scenarios_over_the_cap_exit_2(self, tmp_path, capsys):
+        rc = run(["var", "--scenarios", var.MAX_SCENARIOS + 1, "--out", tmp_path / "o"])
+        assert rc == 2
+        assert "10,000,001 scenarios exceed the limit" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("option, value, names", [
         ("--drift", "nan", "drift"),
         ("--drift", "inf", "drift"),
@@ -461,7 +467,7 @@ class TestCompare:
             assert abs(float(row[3])) / float(row[2]) < 1e-6
 
 
-# run in a fresh interpreter: price and compare through cli.main, then one simulation
+# run in a fresh interpreter: price, compare and var through cli.main, then one simulation
 COLD_START = """
 import json, sys
 import cblab
@@ -470,24 +476,24 @@ out = sys.argv[1]
 assert cli.main(["price", "--steps", "3", "--out", out]) == 0
 assert cli.main(["compare", "--date", "2002-01-02", "--s-min", "95", "--s-max", "105",
                  "--s-step", "5", "--steps", "3", "--fd-nodes", "5", "--out", out]) == 0
-before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert cli.main(["var", "--scenarios", "4", "--steps", "3", "--out", out]) == 0
 spec = var.VaRSpec(eval_date=cblab.reference_terms().issue, spot=100.0, n_scenarios=64, seed=7)
 s = var.simulate_stock(spec)
-print(json.dumps({"before": before, "after": "scipy.special" in sys.modules, "s": s.tobytes().hex()}))
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"scipy": scipy, "s": s.tobytes().hex()}))
 """
 
 
 class TestColdStart:
-    def test_only_a_simulation_loads_scipy(self, tmp_path):
-        """Importing cblab and running price and compare load no scipy; the
-        first simulation loads scipy.special and gives the same bits."""
+    def test_no_command_loads_scipy(self, tmp_path):
+        """Importing cblab, running price, compare and var, and a simulation
+        load no scipy module, and the simulation gives the same bits."""
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path / "o")], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         child = json.loads(proc.stdout.splitlines()[-1])
-        assert child["before"] == []
-        assert child["after"]
+        assert child["scipy"] == []
         spec = var.VaRSpec(eval_date=date(2002, 1, 2), spot=100.0, n_scenarios=64, seed=7)
         assert bytes.fromhex(child["s"]) == var.simulate_stock(spec).tobytes()
 

@@ -375,9 +375,8 @@ class TestProfile:
             m.setattr(sensitivities, "Timeline", no_tables)
             with pytest.raises(ConfigurationError, match=f"^surface row t=2004-01-02: {msg}$"):
                 sensitivities.surface(table1, market, [jan2004], [100.0], steps)
-        spec = var.VaRSpec(eval_date=jan2004, spot=100.0, n_scenarios=4, steps=steps)
         with pytest.raises(ConfigurationError, match=f"^{msg}$"):
-            var.run_var(spec, table1, market)
+            var.VaRSpec(eval_date=jan2004, spot=100.0, n_scenarios=4, steps=steps)
 
     @pytest.mark.parametrize("steps", [np.int64(10), np.int32(10), np.uint16(10)])
     def test_numpy_integer_steps_price_as_int(self, table1, market, jan2004, steps):

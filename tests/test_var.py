@@ -22,7 +22,7 @@ from cblab import (
     simulate_stock,
     var_quantile,
 )
-from cblab.var import _mulhilo64, _PHILOX_M, philox_uniforms
+from cblab.var import MAX_SCENARIOS, _mulhilo64, _PHILOX_M, philox_uniforms
 
 GOLDEN_SEED0 = [
     0.78907205294696259, 0.40140164708432829, 0.15055945503530438,
@@ -118,6 +118,41 @@ class TestSimulateStock:
             for bad in (math.nan, math.inf):
                 with pytest.raises(ConfigurationError, match=name):
                     spec_with(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["holding_days", "n_scenarios", "seed"])
+    @pytest.mark.parametrize("bad", [1.5, 2.5, np.float64(2.0), "2", True],
+                             ids=["1.5", "2.5", "numpy_float", "str", "bool"])
+    def test_rejects_non_integer_fields(self, field, bad):
+        """A fractional holding period would diffuse over h days but reprice
+        at a whole-day horizon date; a holding period, scenario count or seed
+        that is not an integer is refused by field name, not passed on to the
+        calendar or the stream."""
+        with pytest.raises(ConfigurationError, match=f"^{field} must be an integer, got "):
+            spec_with(**{field: bad})
+
+    def test_numpy_integer_counts_are_ints(self):
+        spec = spec_with(holding_days=np.int64(2), n_scenarios=np.uint16(3), steps=np.int32(20))
+        assert [type(v) for v in (spec.holding_days, spec.n_scenarios, spec.steps)] == [int] * 3
+        assert spec.horizon_date == date(2004, 1, 4)
+        assert np.array_equal(simulate_stock(spec),
+                              simulate_stock(spec_with(holding_days=2, n_scenarios=3)))
+
+    @pytest.mark.parametrize("steps, msg", [
+        (2.5, "tree steps must be an integer, got 2.5"),
+        (0, "steps must be >= 1"),
+        (10**4 + 1, "10,001 tree steps exceed the limit of 10,000"),
+    ])
+    def test_rejects_bad_steps_when_built(self, steps, msg):
+        """The tree's step count is checked with the spec, before any scenario is drawn."""
+        with pytest.raises(ConfigurationError, match=f"^{msg}$"):
+            spec_with(steps=steps)
+
+    def test_caps_scenarios(self):
+        """Just over the cap is refused with the spec, before the stream allocates anything."""
+        assert spec_with(n_scenarios=MAX_SCENARIOS).n_scenarios == 10**7
+        with pytest.raises(ConfigurationError,
+                           match="^10,000,001 scenarios exceed the limit of 10,000,000$"):
+            spec_with(n_scenarios=MAX_SCENARIOS + 1)
 
 
 class TestVarQuantile:
