@@ -1,17 +1,19 @@
-"""Time the batch rollback kernel: ms per spot for batch widths m in
-{1, 2, 32, 128, 500, 1000} at N=500 and m in {1, 500} at N=100; the decision kernel
+"""Time the batch rollback kernel: ms per spot for batch widths m in {1, 2, 32,
+128, 500, 1000} at N=500 and m in {1, 500} at N=100; the decision kernel
 `lattice.decide` alone on one node-major (501, BLOCK) block, the layout the
 kernel runs it on; the continuation band's crossover (per layer, what the
 conversion values and `decide` cost on a continuing run of d * rows node-spots
 against the certificate that skips them, for rows 8 and BLOCK); the pointwise
-`price_tf_crr` at spot 100 and N=500 (the
-batch-width-1 path); `philox_uniforms` at 10^6 draws; `var.ndtri` on 10^4
-Philox uniforms, next to `scipy.special.ndtri` when scipy is installed; the
-explicit FD march: seconds and layers/s for `solve_tf_fd` on the reference
-grid; and whole `cli.main` runs of `price`, `surface`, `greeks`,
-`hedge-stress`, `var` (10,000 scenarios) and `compare` at their
-`scripts/make_figures.sh` configs; and the cold start: fresh
-`python3 -m cblab.cli price --steps 3`,
+`price_tf_crr` at spot 100 and N=500 (the batch-width-1 path); the quote mix:
+ms per request of `price_tf_crr` (P), `greek_point` (G) and `hedge_increment`
+(H) at N=500 over QUOTE_POINTS seeded (date, spot) points across the bond's
+life, each with the share of its rollback layers below expiry that call
+`lattice.decide`; `philox_uniforms` at 10^6 draws; `var.ndtri` on 10^4 Philox
+uniforms, next to `scipy.special.ndtri` when scipy is installed; the explicit
+FD march: seconds and layers/s for `solve_tf_fd` on the reference grid; and
+whole `cli.main` runs of `price`, `surface`, `greeks`, `hedge-stress`, `var`
+(10,000 scenarios) and `compare` at their `scripts/make_figures.sh` configs;
+and the cold start: fresh `python3 -m cblab.cli price --steps 3`,
 `python3 -m cblab.cli var --scenarios 16 --steps 50` and
 `python3 -c "import cblab"` processes, start to exit.
 
@@ -41,12 +43,13 @@ import io
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +60,8 @@ from cblab import cli
 CELLS = tuple((m, 500) for m in (1, 2, 32, 128, 500, 1000)) + tuple((m, 100) for m in (1, 500))
 BAND_RUNS = (256, 512, 1024, 2048, 4096)  # node-spots in one layer's continuation run
 T0 = date(2004, 1, 2)
+QUOTE_POINTS = 20  # seeded (date, spot) points per request kind in the quote mix
+QUOTE_SHOCK = 0.5  # the hedge requests' spot shock
 PHILOX_DRAWS = 10**6
 NDTRI_DRAWS = 10**4
 COLD_STARTS = 5  # fresh processes per cold-start command
@@ -176,6 +181,54 @@ def measure_pointwise(repeats: int) -> dict:
     return {"N": 500, "ms_per_call": round(1e3 * best, 4)}
 
 
+def _decide_share(call, steps: int) -> float:
+    """The share of the rollback layers below expiry on which `call`, whose
+    trees all have `steps` steps, runs `lattice.decide`: every block's expiry
+    layer runs `expire`, which runs `decide` once, and rolls back `steps`
+    layers under it."""
+    lattice, counts = cblab.lattice, {"decide": 0, "expire": 0}
+    decide, expire = lattice.decide, lattice.expire
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            fn(*args)
+        return wrapped
+
+    lattice.decide, lattice.expire = counting("decide", decide), counting("expire", expire)
+    try:
+        call()
+    finally:
+        lattice.decide, lattice.expire = decide, expire
+    return (counts["decide"] - counts["expire"]) / (counts["expire"] * steps)
+
+
+def measure_quote_mix(repeats: int) -> dict:
+    """Per request kind, ms per request over the same QUOTE_POINTS points, as
+    the `quote_stream` benchmark draws them (dates uniform over the bond's
+    life, spots uniform in 50-200, seed 0), and the share of layers that call
+    `decide`."""
+    terms, mkt = cblab.reference_terms(), cblab.reference_market()
+    rng, life = random.Random(0), (terms.maturity - terms.issue).days
+    points = [(terms.issue + timedelta(days=int(rng.random() * life)), 50.0 + 150.0 * rng.random())
+              for _ in range(QUOTE_POINTS)]
+    kinds = {
+        "P": lambda t, s: cblab.price_tf_crr(terms, mkt, t, s, 500),
+        "G": lambda t, s: cblab.greek_point(terms, mkt, t, s, 500),
+        "H": lambda t, s: cblab.hedge_increment(terms, mkt, t, s, QUOTE_SHOCK, 500),
+    }
+    cells = {}
+    for kind, serve in kinds.items():
+        def sweep(serve=serve):
+            for t, s in points:
+                serve(t, s)
+
+        best = _best_of(repeats, sweep)
+        cells[kind] = {"ms_per_request": round(1e3 * best / QUOTE_POINTS, 4),
+                       "decide_share": round(_decide_share(sweep, 500), 4)}
+    return {"N": 500, "points": QUOTE_POINTS, "requests": cells}
+
+
 def measure_philox(repeats: int) -> dict:
     best = _best_of(repeats, lambda: cblab.var.philox_uniforms(0, PHILOX_DRAWS))
     return {"draws": PHILOX_DRAWS, "seconds": round(best, 4),
@@ -251,6 +304,7 @@ def main() -> None:
         "decide": measure_decide(args.repeats),
         "band": measure_band(args.repeats),
         "price_tf_crr": measure_pointwise(args.repeats),
+        "quote_mix": measure_quote_mix(args.repeats),
         "philox_uniforms": measure_philox(args.repeats),
         "ndtri": measure_ndtri(args.repeats),
         "fd": measure_fd(args.repeats),

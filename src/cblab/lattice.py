@@ -33,8 +33,14 @@ next layer reads and skips the rest.  The output is bit-identical to deciding
 every node.  Node-major (N+1, rows) buffers make a band [0, c_i) one contiguous
 run of c_i * rows values, so each numpy call on it runs one flat loop.
 
-Below c_i most nodes continue, and `decide` leaves a continuing node as it is.
-So the kernel decides only [d_i, c_i) when the run [0, d_i) is certified:
+Below c_i most nodes continue, and `decide` leaves a continuing node as it is:
+a node continues iff its held value V = E + B is at most the dirty call and at
+least the dirty put and its conversion value (ties continue).  So a layer skips
+`decide` on whatever part of its band a certificate shows to continue.  One
+threshold, BAND_CELLS node-spots, picks the certificate's shape.
+
+A band [0, c_i) of at least BAND_CELLS node-spots (c_i * rows) certifies a
+guessed run [0, d_i) and decides only [d_i, c_i):
 - floor: once per rollback, H_i = a * L_{i+1} + coupon_i with a = min(disc_E,
   disc_B), L_N = redemption + the expiry coupon and L_i = max(put_i, min(H_i,
   call_i)).  In exact arithmetic L_i is under every decided value V* and H_i
@@ -47,10 +53,19 @@ So the kernel decides only [d_i, c_i) when the run [0, d_i) is certified:
   every node of the run, so skipping it changes no bit; otherwise d_i = 0 and
   the whole band is decided.  The floor is only a guess; the certificate is
   exact.
-- gate: a layer certifies only a run of at least BAND_CELLS node-spots
+- gate: a run certifies only if it holds at least BAND_CELLS node-spots
   (d_i * rows), where the certificate's two reductions and one add cost less
   than the decisions they skip; the floor and the guess are computed lazily, so
   a block whose band never reaches the gate pays nothing.
+
+A band under BAND_CELLS node-spots (every band of a one- or two-spot batch at
+N=500) is certified whole, node by node: one add, elementwise comparisons with
+the conversion values, the call where it is finite and the put where it is
+positive (E, B >= 0 in the tree), and one count.  If every node continues,
+the layer skips `decide` and the bind counts, since nothing bound; otherwise it
+decides the whole band.  On pointwise quotes over the bond's life `decide` is
+left out on about three layers in four: where it runs, it usually changes only
+node c_i - 1.
 """
 
 from __future__ import annotations
@@ -81,8 +96,9 @@ __all__ = [
 ]
 
 BLOCK = 128  # spots per kernel block: the buffers are bounded whatever the batch size
-# a layer certifies its continuation run only from this many node-spots up: below
-# it the certificate costs more than the decisions it skips (BENCH_16.json crossover)
+# a layer certifies a guessed continuation run only from this many node-spots up,
+# where its reductions cost less than the decisions it skips (BENCH_16.json
+# crossover); a smaller band is certified whole, node by node
 BAND_CELLS = 2048
 # the largest tree: a block's buffers take (N+1) * BLOCK * 44 bytes, 56 MB at the cap
 MAX_TREE_STEPS = 10**4
@@ -230,7 +246,10 @@ class _Rollback:
         self.redemption = timeline.redemption
 
         risky = mkt.rate + mkt.credit_spread
-        self.inject = timeline.coupon_injections(taus, risky)
+        # the layer loop reads its scalars from lists: a float or bool, not a numpy scalar
+        self.injects = timeline.coupon_injections(taus, risky).tolist()
+        self.calls, self.puts, self.active = (
+            x.tolist() for x in (self.call_levels, self.put_levels, self.conv_active))
 
         # node conversion value at layer i, node j: ratio * spot * u^(2j-i);
         # the powers u^-N..u^N are tabulated once, layer i reads pw[N-i : N+i+1 : 2]
@@ -275,7 +294,7 @@ class _Rollback:
         call_i))), and E, B >= 0, so the rolled-back value is at least
         H_i = min(disc_E, disc_B) * L_{i+1} + coupon_i, in exact arithmetic."""
         N, a = self.N, min(self.disc_E, self.disc_B)
-        calls, puts, inject = (x.tolist() for x in (self.call_levels, self.put_levels, self.inject))
+        calls, puts, inject = self.calls, self.puts, self.injects
         held, floor = [0.0] * N, self.redemption + inject[N]
         for i in range(N - 1, -1, -1):
             held[i] = a * floor + inject[i]
@@ -313,6 +332,22 @@ class _Rollback:
         np.add(E, B, out=V)
         return V.max() <= call and V.min() >= low
 
+    @staticmethod
+    def keeps(E, B, V, conv, call: float, put: float) -> bool:
+        """The certificate of a whole band under BAND_CELLS node-spots:
+        `decide` would decide none of its nodes, and so leave E and B as they
+        are, iff each held value V = E + B (written into V) is at most the call
+        and at least the conversion value and the put, ties included.  A call of +inf holds every V, and so does
+        a put of 0, since E, B >= 0 in the tree.  Its masks are temporaries of
+        under BAND_CELLS bools, cheaper than slicing the block's."""
+        np.add(E, B, out=V)
+        held = V >= conv  # also false where V is NaN
+        if call < math.inf:
+            held &= V <= call
+        if put > 0.0:
+            held &= V >= put
+        return np.count_nonzero(held) == held.size
+
     def _roll_block(self, lo: int, hi: int) -> None:
         N, pw, p, q = self.N, self.pw, self.p, self.q
         rows = hi - lo  # the block is each buffer's leading contiguous (N+1, rows) run
@@ -322,11 +357,11 @@ class _Rollback:
         binds = None if self.binds is None else self.binds[:, lo:hi]
         fronts = [f[lo:hi].T for f in self.fronts]
 
-        if self.conv_active[N]:
+        if self.active[N]:
             np.multiply(rs, pw[0::2, None], out=C)
         else:
             C.fill(0.0)
-        expire(E, B, V, VS, C, self.redemption, self.inject[N], NC, CB, TMP)
+        expire(E, B, V, VS, C, self.redemption, self.injects[N], NC, CB, TMP)
         if binds is not None:
             binds[0] += np.count_nonzero(CB, axis=0)
         if self.front_layers >= N:
@@ -334,6 +369,7 @@ class _Rollback:
 
         cs = self.frontier(rs.min())
         ds, lows = self.band(rs.max(), cs, rows)
+        calls, puts, injects, active = self.calls, self.puts, self.injects, self.active
         for i in range(N - 1, -1, -1):
             w, c, d = i + 1, cs[i], ds[i]
             # nodes this layer must hold: [0, cs[i-1]] for the next layer, all of a front
@@ -345,43 +381,47 @@ class _Rollback:
                 np.multiply(Xc, q, out=Xc)
                 np.add(Xc, Vc, out=Xc)
                 np.multiply(Xc, disc, out=Xc)
-            if self.inject[i] != 0.0:
-                Bc += self.inject[i]
+            if injects[i] != 0.0:
+                Bc += injects[i]
 
-            call_level = self.call_levels[i]
+            call_level, put_level = calls[i], puts[i]
             if d:
                 if self.continues(E[:d], B[:d], V[:d], call_level, lows[i]):
                     Ec, Bc, Vc = E[d:c], B[d:c], V[d:c]  # decide only [d, c)
                 else:
                     d = 0  # the guess failed its certificate: decide the whole band
-            vs, conv, ncont, convb = VS[d:c], C[d:top], NC[d:c], CB[d:c]
-            if self.conv_active[i]:
+            conv = C[d:top]
+            if active[i]:
                 np.multiply(rs, pw[N - i + 2 * d : N - i + 2 * top : 2, None], out=conv)
             else:
                 conv.fill(0.0)
 
-            decide(Ec, Bc, Vc, vs, conv[: c - d], call_level, self.put_levels[i], ncont, convb,
-                   TMP[d:c])
+            # BAND_CELLS picks the certificate: the guessed run [0, d) at or
+            # above it, the whole band below it (there d = 0, and the band is
+            # decided in full or not at all: often only node c - 1 binds, or none)
+            convc = conv[: c - d]
+            if c * rows >= BAND_CELLS or not self.keeps(Ec, Bc, Vc, convc, call_level, put_level):
+                vs, ncont, convb = VS[d:c], NC[d:c], CB[d:c]
+                decide(Ec, Bc, Vc, vs, convc, call_level, put_level, ncont, convb, TMP[d:c])
+                if binds is not None:
+                    # cash = decided, not converted; the call bound where the
+                    # value was clipped to exactly the call level, the put elsewhere
+                    cash, callb = AUX[d:c], TMP[d:c]
+                    np.logical_xor(ncont, convb, out=cash)
+                    n_cash = np.count_nonzero(cash, axis=0)
+                    np.greater(Vc, call_level, out=callb)
+                    np.logical_and(callb, cash, out=callb)
+                    np.equal(vs, call_level, out=cash)
+                    np.logical_and(callb, cash, out=callb)
+                    n_call = np.count_nonzero(callb, axis=0)
+                    binds[0] += np.count_nonzero(convb, axis=0)
+                    binds[1] += n_call
+                    binds[2] += n_cash - n_call
             if top > c:
                 # nodes c.. convert whatever their held value V: conv > call >= min(V, call)
                 # and conv >= put, so V* = conv and `decide` would set E = conv, B = 0
                 np.copyto(E[c:top], conv[c - d :])
                 B[c:top] = 0.0
-
-            if binds is not None:
-                # cash = decided, not converted; the call bound where the
-                # value was clipped to exactly the call level, the put elsewhere
-                cash, callb = AUX[d:c], TMP[d:c]
-                np.logical_xor(ncont, convb, out=cash)
-                n_cash = np.count_nonzero(cash, axis=0)
-                np.greater(Vc, call_level, out=callb)
-                np.logical_and(callb, cash, out=callb)
-                np.equal(vs, call_level, out=cash)
-                np.logical_and(callb, cash, out=callb)
-                n_call = np.count_nonzero(callb, axis=0)
-                binds[0] += np.count_nonzero(convb, axis=0)
-                binds[1] += n_call
-                binds[2] += n_cash - n_call
             if i <= self.front_layers:
                 np.add(E[:w], B[:w], out=fronts[i])
 
@@ -409,6 +449,9 @@ def rollback_batch(
     the batch or the blocking.
     """
     steps = check_steps(steps)
+    front_layers = check_integer(front_layers, "front_layers")
+    if front_layers < 0:
+        raise ConfigurationError(f"front_layers must be >= 0, got {front_layers}")
     spots = np.asarray(spots, dtype=float)
     if spots.ndim != 1 or spots.size == 0:
         raise DomainError("spots must be a nonempty 1-D array")

@@ -169,6 +169,8 @@ class VaRSpec:
     def __post_init__(self) -> None:
         for field in ("holding_days", "n_scenarios", "seed"):
             object.__setattr__(self, field, check_integer(getattr(self, field), field))
+        if not 0 <= self.seed < 2**64:  # the Philox key is one 64-bit word
+            raise ConfigurationError(f"seed must be in [0, 2**64), got {self.seed}")
         # before any draw: the trees are built only after every scenario is simulated
         object.__setattr__(self, "steps", check_steps(self.steps))
         if self.steps < 1:

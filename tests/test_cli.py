@@ -412,6 +412,14 @@ class TestVar:
         assert names in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_key_exits_2(self, tmp_path, capsys, seed):
+        """The Philox key is one 64-bit word: a seed outside it is refused, not wrapped."""
+        rc = run(["var", "--seed", seed, "--scenarios", 10, "--steps", 20, "--out", tmp_path / "o"])
+        assert rc == 2
+        assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
     @pytest.mark.parametrize("option, value, names", [
         ("--scen-vol", "1e200", "scenario drift 0.05 and volatility 1e+200"),

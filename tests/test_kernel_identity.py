@@ -13,7 +13,7 @@ in any output fails here.
 import hashlib
 import tracemalloc
 from dataclasses import replace
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -246,8 +246,9 @@ def test_memory_bounded_by_blocks_not_batch():
 def test_band_skips_most_decisions(sweeps, monkeypatch):
     """On the VaR scenarios almost every node below the conversion frontier
     continues, and the certified run keeps `decide` off all but a few
-    percent of them; without the run (`BAND_CELLS` out of reach) it sees
-    them all."""
+    percent of them.  Without the run (`BAND_CELLS` out of reach) every layer
+    certifies its whole band instead, and on these 128-spot blocks nearly
+    every layer has a node that binds, so `decide` sees nearly all of them."""
     terms, t0, spots, steps, _ = sweeps["c4_scenarios"]
     decide = lattice.decide
 
@@ -266,3 +267,30 @@ def test_band_skips_most_decisions(sweeps, monkeypatch):
 
     gate = lattice.BAND_CELLS
     assert cells_decided(gate) < 0.1 * cells_decided(np.inf)
+
+
+@pytest.mark.parametrize("width", [1, 2], ids=["price", "hedge"])
+def test_small_band_skips_most_decisions(monkeypatch, width):
+    """At batch width 1 (a price or a Greek point) and 2 (a hedge increment:
+    the spot and the spot shocked by 0.5, one front layer) no band reaches
+    BAND_CELLS, and a layer runs `decide` only where its whole-band
+    certificate fails.  Over 20 seeded (date, spot) points across the bond's
+    life at N=200 that is under half of the layers below expiry (22% and
+    29% measured).  Every block's expiry layer runs `decide` once, through
+    `expire`."""
+    counts = {"decide": 0, "expire": 0}
+    for name in counts:
+        def counting(*args, name=name, fn=getattr(lattice, name)):
+            counts[name] += 1
+            fn(*args)
+
+        monkeypatch.setattr(lattice, name, counting)
+    rng, steps = np.random.default_rng(0), 200
+    life = (TABLE1.maturity - TABLE1.issue).days
+    for _ in range(20):
+        t0 = TABLE1.issue + timedelta(days=int(rng.integers(0, life)))
+        spot = rng.uniform(50.0, 200.0)
+        rollback_batch(TABLE1, MARKET, t0, np.array([spot, spot + 0.5][:width]), steps,
+                       front_layers=width - 1)
+    assert counts["expire"] == 20
+    assert counts["decide"] - counts["expire"] < 0.5 * counts["expire"] * steps

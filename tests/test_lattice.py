@@ -357,6 +357,23 @@ class TestProfile:
         with pytest.raises(ConfigurationError, match="front_layers cannot exceed the step count"):
             rollback_batch(table1, market, jan2004, [100.0], 2, front_layers=3)
 
+    @pytest.mark.parametrize("front_layers, msg", [
+        (-1, "front_layers must be >= 0, got -1"),
+        (1.5, "front_layers must be an integer, got 1.5"),
+        (True, "front_layers must be an integer, got True"),
+        (np.float64(1.0), "front_layers must be an integer, got np.float64(1.0)"),
+        (3, "front_layers cannot exceed the step count"),
+    ], ids=["negative", "float", "bool", "numpy_float", "over_steps"])
+    def test_rejects_bad_front_layers(self, table1, market, jan2004, front_layers, msg):
+        """Only 0 <= front_layers <= steps: -1 would return no fronts, a
+        float end in a raw TypeError and True count as 1."""
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(msg)}$"):
+            rollback_batch(table1, market, jan2004, [100.0], 2, front_layers=front_layers)
+
+    def test_numpy_integer_front_layers(self, table1, market, jan2004):
+        res = rollback_batch(table1, market, jan2004, [100.0], 2, front_layers=np.int64(2))
+        assert [f.shape for f in res.fronts] == [(1, 1), (1, 2), (1, 3)]
+
     @pytest.mark.parametrize("steps", [2.5, np.float64(10.0), "10", True],
                              ids=["float", "numpy_float", "str", "bool"])
     def test_rejects_non_integer_steps(self, table1, market, jan2004, monkeypatch, steps):

@@ -20,6 +20,15 @@ node 0, in layers where that run holds at least `lattice.BAND_CELLS` node-spots;
 batches of up to 200 spots on trees of up to 120 steps cross that gate, and
 the draws reach both the certified run and its fallback.  A call below the
 sheet's cash value pins the fallback.
+
+Below that gate a layer certifies its whole band [0, c_i) or none of it: if
+every held value is at most the call and at least the conversion value and
+the put, `decide` would keep every node, and the kernel skips it; otherwise it
+decides the whole band.  Every batch of up to 17 spots on these trees takes
+that path on every layer, and so does a wider one on its narrow layers.  A
+property test holds the check to `decide` itself on small arrays with exact
+ties, and a pinned single spot reaches the fallback: the call binds at node
+c_i - 1, the last node below the frontier.
 """
 
 import math
@@ -179,6 +188,8 @@ def bands(draw):
 @example((REF, JAN2004, REF_MKT), np.array([135.0, 130.0, 140.0]), 30, 3)
 # the call sits below the cash value: a guessed continuation run fails its certificate
 @example(LOW_CALL, np.linspace(60.0, 100.0, lattice.BLOCK), 60, 0)
+# one spot: the call binds at node c_i - 1, so the whole-band certificate fails there
+@example((REF, JAN2004, REF_MKT), np.array([100.0]), 40, 0)
 def test_kernel_matches_reference_roller(instrument, spots, steps, front_layers):
     terms, t0, mkt = instrument
     front_layers = min(front_layers, steps)
@@ -227,3 +238,70 @@ def test_band_certificate_outcome(monkeypatch, instrument, spots, outcome):
     assert outcome in seen
     equity, debt, _, _ = reference_rollback(terms, mkt, t0, spots, 60, 0)
     assert np.array_equal(res.equity, equity) and np.array_equal(res.debt, debt)
+
+
+@pytest.mark.parametrize("spots", [np.array([100.0]), np.array([110.0, 110.5])],
+                         ids=["price", "hedge"])
+def test_small_band_certificate_outcomes(monkeypatch, spots):
+    """At batch width 1 or 2 every band is under BAND_CELLS: on the reference
+    sheet some layers keep their whole band and skip `decide`, and the layers
+    where the call binds decide it; the values and the bind counts are the
+    reference roller's."""
+    seen = []
+    certify = lattice._Rollback.keeps
+
+    def spy(*args):
+        seen.append(bool(certify(*args)))
+        return seen[-1]
+
+    monkeypatch.setattr(lattice._Rollback, "keeps", staticmethod(spy))
+    res = lattice.rollback_batch(REF, REF_MKT, JAN2004, spots, 40, 1, binds=True)
+    assert len(seen) == 40 and set(seen) == {True, False}
+    equity, debt, binds, fronts = reference_rollback(REF, REF_MKT, JAN2004, spots, 40, 1)
+    assert np.array_equal(res.equity, equity) and np.array_equal(res.debt, debt)
+    assert np.array_equal(res.binds, binds) and binds[1].sum() > 0
+    assert all(np.array_equal(got, want) for got, want in zip(res.fronts, fronts))
+
+
+# held values, conversion values, calls and puts drawn from one set of levels,
+# so that V == call, V == conv and V == put all occur
+LEVELS = st.sampled_from([0.0, 50.0, 99.5, 100.0, 110.0, 131.25])
+
+
+@st.composite
+def small_bands(draw):
+    """(E, B, conv, call, put) for a band of up to 4 nodes and 3 spots, with
+    E, B >= 0 as in the tree: each held value is a level split exactly into E
+    and B (all in one part or half in each) or the sum of two free values."""
+    shape = (draw(st.integers(0, 4)), draw(st.integers(1, 3)))
+    E, B, conv = np.empty(shape), np.empty(shape), np.empty(shape)
+    for k in np.ndindex(shape):
+        v = draw(LEVELS)
+        E[k], B[k] = draw(st.sampled_from([(v, 0.0), (0.0, v), (v / 2, v / 2),
+                                           (draw(st.floats(0.0, 200.0)),
+                                            draw(st.floats(0.0, 200.0)))]))
+        conv[k] = draw(LEVELS)
+    call = draw(st.one_of(LEVELS, st.just(math.inf)))
+    put = draw(st.one_of(st.just(0.0), LEVELS))
+    return E, B, conv, call, put
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400, print_blob=True)
+@given(small_bands())
+def test_small_band_certificate_is_decide(band):
+    """The whole-band certificate holds exactly when `decide` decides no node,
+    and then `decide` leaves E and B bitwise as they were.  (A decided node
+    may be rewritten with its own bits, say V > call with E = conv = V and
+    B = 0; the certificate fails there and `decide` runs, so that is exact.)"""
+    E, B, conv, call, put = band
+    V = np.empty_like(E)
+    keeps = lattice._Rollback.keeps(E, B, V, conv, call, put)
+    assert np.array_equal(V, E + B)
+
+    E2, B2 = E.copy(), B.copy()
+    ncont, convb, tmp = (np.empty(E.shape, dtype=bool) for _ in range(3))
+    lattice.decide(E2, B2, np.empty_like(E), np.empty_like(E), conv, call, put, ncont, convb,
+                   tmp)
+    assert keeps == (not ncont.any())
+    if keeps:
+        assert E2.tobytes() == E.tobytes() and B2.tobytes() == B.tobytes()

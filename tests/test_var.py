@@ -6,6 +6,7 @@ to the generator is a breaking change and must fail here.
 """
 
 import math
+import re
 from datetime import date
 
 import numpy as np
@@ -129,6 +130,21 @@ class TestSimulateStock:
         calendar or the stream."""
         with pytest.raises(ConfigurationError, match=f"^{field} must be an integer, got "):
             spec_with(**{field: bad})
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_rejects_seed_outside_the_key(self, seed):
+        """The Philox key is one 64-bit word: -1 would draw the scenarios of
+        2**64 - 1 and 2**70 those of 0, under a different configuration."""
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"seed must be in [0, 2**64), got {seed}") + "$"):
+            spec_with(seed=seed)
+
+    def test_accepts_the_largest_seed(self):
+        spec = spec_with(seed=2**64 - 1, n_scenarios=3)
+        assert spec.seed == 2**64 - 1
+        assert np.array_equal(simulate_stock(spec), simulate_stock(spec_with(seed=2**64 - 1,
+                                                                             n_scenarios=3)))
+        assert not np.array_equal(simulate_stock(spec), simulate_stock(spec_with(n_scenarios=3)))
 
     def test_numpy_integer_counts_are_ints(self):
         spec = spec_with(holding_days=np.int64(2), n_scenarios=np.uint16(3), steps=np.int32(20))
