@@ -1,9 +1,12 @@
 """Time the batch rollback kernel: ms per spot for batch widths m in {1, 2, 32,
-128, 500, 1000} at N=500 and m in {1, 500} at N=100; the decision kernel
-`lattice.decide` alone on one node-major (501, BLOCK) block, the layout the
-kernel runs it on; the continuation band's crossover (per layer, what the
-conversion values and `decide` cost on a continuing run of d * rows node-spots
-against the certificate that skips them, for rows 8 and BLOCK); the pointwise
+128, 500, 1000} at N=500 and m in {1, 500} at N=100; the VaR chunk: 500 spots in
+the order `simulate_stock` draws them (the reference VaR config, seed 0) at
+N=500, with the height H and the spots per block the kernel runs them in; the
+decision kernel `lattice.decide` alone on one node-major (H, rows) block, the
+layout the kernel runs a 500-spot batch over 60-160 in; the continuation
+band's crossover (per layer, what the conversion values and `decide` cost on a
+continuing run of d * rows node-spots against the certificate that skips them,
+for rows 8 and that batch's rows); the pointwise
 `price_tf_crr` at spot 100 and N=500 (the batch-width-1 path); the quote mix:
 ms per request of `price_tf_crr` (P), `greek_point` (G) and `hedge_increment`
 (H) at N=500 over QUOTE_POINTS seeded (date, spot) points across the bond's
@@ -20,11 +23,13 @@ and the cold start: fresh `python3 -m cblab.cli price --steps 3`,
     PYTHONPATH=src python scripts/bench_kernel.py [--repeats 5] [--label after]
 
 Each cell is the best of `--repeats` timed calls after one warm-up call, at the
-reference instrument's 2004-01-02 date; the rollback spots are spread over
-60-160, the decision block is the expiry layer of BLOCK such trees at N=500,
-one row of spots per node as the kernel stores it (E = 0, B = redemption,
-conversion values at every node; no call or put, as the kernel runs it; E and
-B are restored before each call, outside the timing), and the FD grid is
+reference instrument's 2004-01-02 date (the VaR chunk at its horizon date); the
+rollback spots are spread over 60-160, the decision block is the expiry layer
+of one kernel block of such trees at N=500, H nodes of `rows` spots as the
+kernel stores it (E = 0, B = redemption, conversion values at every node; no
+call or put, as the kernel runs it; E and B are restored before each call,
+outside the timing); a kernel from before sorted blocks reports H = N+1 and
+min(BLOCK, m) spots per block; and the FD grid is
 `FDGrid.auto` (401 spot nodes, the minimal stable layer count).
 The CLI runs keep their own dates, write into a temporary directory and
 discard their stdout.  The cold-start cell is instead the median of
@@ -104,6 +109,16 @@ def _best_of(repeats: int, call, reset=lambda: None) -> float:
     return best
 
 
+def kernel_block(terms, mkt, t0, spots, steps: int) -> tuple[int, int]:
+    """(H, rows): the nodes and the spots of the blocks `rollback_batch` runs
+    this batch in."""
+    job_of = getattr(cblab.lattice, "_rollback_job", None)
+    if job_of is None:  # a kernel from before sorted blocks: full-height blocks of BLOCK spots
+        return steps + 1, min(cblab.lattice.BLOCK, len(spots))
+    job = job_of(terms, mkt, t0, spots, steps)
+    return job.height, job.rows
+
+
 def measure(repeats: int) -> list[dict]:
     terms, mkt = cblab.reference_terms(), cblab.reference_market()
     cells = []
@@ -114,15 +129,33 @@ def measure(repeats: int) -> list[dict]:
     return cells
 
 
+def measure_var_chunk(repeats: int) -> dict:
+    terms, mkt = cblab.reference_terms(), cblab.reference_market()
+    spec = cblab.VaRSpec(eval_date=T0, spot=100.0, n_scenarios=500, seed=0, steps=500)
+    spots = cblab.simulate_stock(spec)
+    height, rows = kernel_block(terms, mkt, spec.horizon_date, spots, spec.steps)
+    best = _best_of(repeats, lambda: cblab.rollback_batch(terms, mkt, spec.horizon_date, spots,
+                                                          spec.steps))
+    return {"m": spots.size, "N": spec.steps, "height": height, "rows": rows,
+            "blocks": -(-spots.size // rows), "ms": round(1e3 * best, 4),
+            "ms_per_spot": round(1e3 * best / spots.size, 4)}
+
+
+def wide_block(terms, mkt, steps: int) -> tuple[int, int]:
+    """(H, rows) of the kernel's blocks for 500 spots over 60-160 at T0."""
+    return kernel_block(terms, mkt, T0, np.linspace(60.0, 160.0, 500), steps)
+
+
 def measure_decide(repeats: int) -> dict:
     terms, mkt = cblab.reference_terms(), cblab.reference_market()
-    steps, rows = 500, cblab.lattice.BLOCK
+    steps = 500
+    nodes, rows = wide_block(terms, mkt, steps)
     timeline = cblab.termsheet.Timeline(terms, T0)
     lp = cblab.build_crr_params(mkt.sigma, mkt.rate, timeline.tau_maturity, steps)
     spots = np.linspace(60.0, 160.0, rows)
     # node-major, as a `lattice` rollback block holds it: node j's row is every spot's value
     powers = lp.up ** np.arange(-steps, steps + 1, 2, dtype=float)
-    conv = (timeline.ratio * spots) * powers[:, None]
+    conv = (timeline.ratio * spots) * powers[:nodes, None]
     E, B, V, vs = (np.empty_like(conv) for _ in range(4))
     ncont, convb, tmp = (np.empty(conv.shape, dtype=bool) for _ in range(3))
 
@@ -132,7 +165,7 @@ def measure_decide(repeats: int) -> dict:
 
     best = _best_of(repeats, lambda: cblab.lattice.decide(E, B, V, vs, conv, np.inf, 0.0,
                                                           ncont, convb, tmp), reset)
-    return {"nodes": steps + 1, "rows": rows, "ms_per_block": round(1e3 * best, 4),
+    return {"nodes": nodes, "rows": rows, "ms_per_block": round(1e3 * best, 4),
             "ns_per_node": round(1e9 * best / conv.size, 3)}
 
 
@@ -145,7 +178,8 @@ def measure_band(repeats: int) -> dict:
     if certify is None:  # a kernel from before the band
         return None
     loops, runs = 50, []
-    for rows in (8, cblab.lattice.BLOCK):
+    _, wide_rows = wide_block(cblab.reference_terms(), cblab.reference_market(), 500)
+    for rows in (8, wide_rows):
         d_max = max(BAND_RUNS) // rows + 1
         rs = np.linspace(0.6, 1.6, rows)  # ratio * spot of a 60-160 block
         pw = np.linspace(0.5, 1.0, 2 * d_max)
@@ -301,6 +335,7 @@ def main() -> None:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cells": measure(args.repeats),
+        "var_chunk": measure_var_chunk(args.repeats),
         "decide": measure_decide(args.repeats),
         "band": measure_band(args.repeats),
         "price_tf_crr": measure_pointwise(args.repeats),

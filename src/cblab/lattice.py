@@ -16,8 +16,8 @@ both run them.
 The rollback kernel is vectorized over a batch of root spot prices: every spot
 still gets its own full tree, and batch results are bit-identical to pricing
 each spot alone (all operations are elementwise).  A batch runs serially in
-blocks of BLOCK spots that reuse one block's buffers, so its memory is bounded
-whatever the batch size.  `rollback_batch` is the one engine:
+blocks that reuse one block's buffers, so its memory is bounded whatever the
+batch size.  `rollback_batch` is the one engine:
 `price_tf_crr` (one spot's value split) and `price_profile_raw` are views of
 it, and it counts the nodes each constraint decided only when its caller asks
 (`binds`).
@@ -30,8 +30,22 @@ index and with the spot, and rounding a product is monotone, so the block's
 lowest spot fixes per layer a first node c_i from which every spot of the block
 converts; the kernel writes E = conv, B = 0 into the nodes from c_i that the
 next layer reads and skips the rest.  The output is bit-identical to deciding
-every node.  Node-major (N+1, rows) buffers make a band [0, c_i) one contiguous
+every node.  Node-major (H, rows) buffers make a band [0, c_i) one contiguous
 run of c_i * rows values, so each numpy call on it runs one flat loop.
+
+The blocks run over the spots in ascending order (a stable sort), and the
+outputs come back in the caller's order.  A block of neighbouring spots gets a
+tighter frontier from its lowest spot and a longer guessed run (below) from its
+highest.  With c_i the frontier of the batch's lowest spot, at or above every
+block's, no layer touches a node at or above the height
+H = max(front_layers, c_i for every layer i >= front_layers) + 1 <= N + 1: a
+front layer holds its i + 1 nodes, and any other layer [0, max(c_i, c_{i-1} + 1)).
+So the buffers are H nodes tall, and the expiry layer runs on [0, H) only; its
+conversions above H, when counted, are the same conv > redemption comparison
+on the same products, a slab of H nodes at a time.  A block holds
+block_rows(m, N, H) = min(m, BLOCK * (N+1) // H) spots, so the workspace stays
+within BLOCK full-height rows whatever H.  A 500-spot VaR chunk at N=500 has
+H = 254-255 and runs in two blocks of about 250 spots.
 
 Below c_i most nodes continue, and `decide` leaves a continuing node as it is:
 a node continues iff its held value V = E + B is at most the dirty call and at
@@ -95,12 +109,14 @@ __all__ = [
     "rollback_batch",
 ]
 
-BLOCK = 128  # spots per kernel block: the buffers are bounded whatever the batch size
+# a block's workspace in full-height rows: BLOCK * (N+1) node-spots, whatever the batch
+# size; a batch of frontier height H runs block_rows(m, N, H) spots per block in it
+BLOCK = 128
 # a layer certifies a guessed continuation run only from this many node-spots up,
 # where its reductions cost less than the decisions it skips (BENCH_16.json
 # crossover); a smaller band is certified whole, node by node
 BAND_CELLS = 2048
-# the largest tree: a block's buffers take (N+1) * BLOCK * 44 bytes, 56 MB at the cap
+# the largest tree: a block's buffers take at most (N+1) * BLOCK * 44 bytes, 56 MB at the cap
 MAX_TREE_STEPS = 10**4
 
 
@@ -177,6 +193,13 @@ def build_crr_params(sigma: float, rate: float, horizon: float, steps: int) -> L
     return LatticeParams(steps=steps, dt=dt, up=up, down=down, p_up=p_up)
 
 
+def block_rows(m: int, steps: int, height: int) -> int:
+    """Spots per kernel block for a batch of m spots on a `steps`-step tree
+    whose blocks hold `height` nodes: as many as fit BLOCK full-height rows
+    of (steps + 1) nodes, and at most m."""
+    return min(m, BLOCK * (steps + 1) // height)
+
+
 def decide(E, B, V, vs, conv, call, put, ncont, convb, tmp) -> None:
     """The node rule, in place: V* = max(min(V, call), put, conv), V = E + B.
 
@@ -231,13 +254,15 @@ class BatchResult:
 
 
 class _Rollback:
-    """One rollback: its per-layer inputs, the node-major buffers that every
-    block reuses (E, B, V (also the rollback scratch), V*, conversion values
-    and four node masks, min(BLOCK, m) spots wide), and the output arrays,
-    which each block fills in its own rows."""
+    """One rollback: its per-layer inputs, the spots in ascending order, the
+    node-major buffers that every block reuses (E, B, V (also the rollback
+    scratch), V*, conversion values and four node masks, `height` nodes tall
+    and `rows` spots wide), and the output arrays in that order, which each
+    block fills in its own rows."""
 
     def __init__(self, timeline: Timeline, mkt: MarketParams, lp: LatticeParams,
                  spots: np.ndarray, front_layers: int, binds: bool):
+        self.lp = lp
         N = self.N = lp.steps
         taus = timeline.tau_maturity * np.arange(N + 1) / N
         self.call_levels = timeline.call_dirty(taus)
@@ -260,14 +285,22 @@ class _Rollback:
         # prefix maximum of pw: at index k, at least every conversion power at or below k
         self.pw_ceil = np.maximum.accumulate(self.pw)
         self.layers = np.arange(N)
-        self.rs = timeline.ratio * spots
+        # blocks of neighbouring spots: stable, so equal spots keep the caller's order
+        self.order = np.argsort(spots, kind="stable")
+        self.rs = timeline.ratio * spots[self.order]  # non-decreasing: the ratio is >= 0
         self.disc_E = math.exp(-mkt.rate * lp.dt)
         self.disc_B = math.exp(-risky * lp.dt)
         self.p, self.q = lp.p_up, 1.0 - lp.p_up
         self.front_layers = front_layers
 
+        # the lowest spot's frontier is at or above every block's, so no block
+        # reads or writes a node at or above the height H it sets
         m = spots.size
-        self.buffers = [np.empty((N + 1, min(BLOCK, m)), dtype=t) for t in (float,) * 5 + (bool,) * 4]
+        self.cs = self.frontier(self.rs[0])
+        self.height = max([front_layers, *self.cs[front_layers:]]) + 1
+        self.rows = block_rows(m, N, self.height)
+        self.buffers = [np.empty((self.height, self.rows), dtype=t)
+                        for t in (float,) * 5 + (bool,) * 4]
         self.equity, self.debt = np.empty(m), np.empty(m)
         self.fronts = [np.empty((m, k + 1)) for k in range(front_layers + 1)]
         # rows: conversion, call, put
@@ -349,26 +382,35 @@ class _Rollback:
         return np.count_nonzero(held) == held.size
 
     def _roll_block(self, lo: int, hi: int) -> None:
-        N, pw, p, q = self.N, self.pw, self.p, self.q
-        rows = hi - lo  # the block is each buffer's leading contiguous (N+1, rows) run
-        E, B, V, VS, C, NC, CB, TMP, AUX = (b.reshape(-1)[: (N + 1) * rows].reshape(-1, rows)
+        N, H, pw, p, q = self.N, self.height, self.pw, self.p, self.q
+        rows = hi - lo  # the block is each buffer's leading contiguous (H, rows) run
+        E, B, V, VS, C, NC, CB, TMP, AUX = (b.reshape(-1)[: H * rows].reshape(H, rows)
                                            for b in self.buffers)
-        rs = self.rs[lo:hi]
+        rs = self.rs[lo:hi]  # ascending
         binds = None if self.binds is None else self.binds[:, lo:hi]
         fronts = [f[lo:hi].T for f in self.fronts]
 
         if self.active[N]:
-            np.multiply(rs, pw[0::2, None], out=C)
+            np.multiply(rs, pw[0 : 2 * H : 2, None], out=C)
         else:
             C.fill(0.0)
         expire(E, B, V, VS, C, self.redemption, self.injects[N], NC, CB, TMP)
         if binds is not None:
             binds[0] += np.count_nonzero(CB, axis=0)
+            if self.active[N]:
+                # expiry nodes H..N convert where `expire` would: conv > redemption
+                # (V = redemption, no call, no put); counted a slab of H nodes at a time
+                for k in range(H, N + 1, H):
+                    n = min(H, N + 1 - k)
+                    np.multiply(rs, pw[2 * k : 2 * (k + n) : 2, None], out=C[:n])
+                    np.greater(C[:n], self.redemption, out=NC[:n])
+                    binds[0] += np.count_nonzero(NC[:n], axis=0)
         if self.front_layers >= N:
             np.add(E, B, out=fronts[N])
 
-        cs = self.frontier(rs.min())
-        ds, lows = self.band(rs.max(), cs, rows)
+        # the first block holds the batch's lowest spot, whose frontier is known
+        cs = self.cs if lo == 0 else self.frontier(rs[0])
+        ds, lows = self.band(rs[-1], cs, rows)
         calls, puts, injects, active = self.calls, self.puts, self.injects, self.active
         for i in range(N - 1, -1, -1):
             w, c, d = i + 1, cs[i], ds[i]
@@ -431,23 +473,10 @@ class _Rollback:
         self.debt[lo:hi] = B[0]
 
 
-def rollback_batch(
-    terms: ConvertibleTerms,
-    mkt: MarketParams,
-    t0: date,
-    spots: np.ndarray,
-    steps: int,
-    front_layers: int = 0,
-    binds: bool = False,
-) -> BatchResult:
-    """Roll the split-value tree back to t0 for a whole vector of root spots.
-
-    `front_layers` > 0 additionally records the constrained node values V of
-    the first few layers (needed for lattice delta/gamma); `binds` counts the
-    nodes decided by conversion, call and put.  Spots run serially in blocks
-    of BLOCK; every spot gets its own full tree, so results do not depend on
-    the batch or the blocking.
-    """
+def _rollback_job(terms: ConvertibleTerms, mkt: MarketParams, t0: date, spots, steps,
+                  front_layers=0, binds: bool = False) -> _Rollback:
+    """`rollback_batch`'s inputs, checked, as one rollback before any block
+    runs: its `height` and `rows` are the blocks the batch runs in."""
     steps = check_steps(steps)
     front_layers = check_integer(front_layers, "front_layers")
     if front_layers < 0:
@@ -464,18 +493,45 @@ def rollback_batch(
             raise ConfigurationError("front_layers cannot exceed the step count")
         with np.errstate(over="ignore"):  # an overflowing tree is refused just below
             job = _Rollback(timeline, mkt, lp, spots, front_layers, binds)
-            top = job.rs.max() * job.pw[-1]
+            top = job.rs[-1] * job.pw[-1]
     except OverflowError as exc:  # math.exp of a growth, discount or coupon factor
         raise ConfigurationError(f"rate {mkt.rate:g}, credit spread {mkt.credit_spread:g} and "
                                  f"volatility {mkt.sigma:g} overflow the {steps}-step tree") from exc
     if not np.isfinite(top):
         raise DomainError(f"spot {float(spots.max())!r} overflows the {steps}-step tree: "
                           f"its top conversion value ratio * S * u^{steps} is not finite")
-    for lo in range(0, spots.size, BLOCK):
-        job._roll_block(lo, min(lo + BLOCK, spots.size))
+    return job
 
-    return BatchResult(equity=job.equity, debt=job.debt, params=lp, binds=job.binds,
-                       fronts=job.fronts)
+
+def rollback_batch(
+    terms: ConvertibleTerms,
+    mkt: MarketParams,
+    t0: date,
+    spots: np.ndarray,
+    steps: int,
+    front_layers: int = 0,
+    binds: bool = False,
+) -> BatchResult:
+    """Roll the split-value tree back to t0 for a whole vector of root spots.
+
+    `front_layers` > 0 additionally records the constrained node values V of
+    the first few layers (needed for lattice delta/gamma); `binds` counts the
+    nodes decided by conversion, call and put.  Spots run serially, in
+    ascending order, in blocks of `block_rows` spots; every spot gets its own
+    full tree, so results do not depend on the batch, its order or the
+    blocking, and they come back in the order of `spots`.
+    """
+    job = _rollback_job(terms, mkt, t0, spots, steps, front_layers, binds)
+    m = job.order.size
+    for lo in range(0, m, job.rows):
+        job._roll_block(lo, min(lo + job.rows, m))
+
+    # back to the caller's order: spot k ran at sorted position back[k]
+    back = np.empty_like(job.order)
+    back[job.order] = np.arange(m)
+    return BatchResult(equity=job.equity[back], debt=job.debt[back], params=job.lp,
+                       binds=None if job.binds is None else job.binds[:, back],
+                       fronts=[f[back] for f in job.fronts])
 
 
 def price_tf_crr(

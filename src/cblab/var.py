@@ -83,15 +83,19 @@ def philox_uniforms(seed: int, n: int) -> np.ndarray:
 
     Counter blocks 0,1,2,... each yield two output words; word w maps to
     ((w >> 11) + 0.5) * 2**-53.  Pure function of (seed, n): the stream is
-    identical on every platform and library version.
+    identical on every platform and library version.  The seed is the key,
+    one 64-bit word: an integer in [0, 2**64), so no two seeds share a stream.
     """
+    seed, n = check_integer(seed, "seed"), check_integer(n, "uniform count")
+    if not 0 <= seed < 2**64:
+        raise ConfigurationError(f"seed must be in [0, 2**64), got {seed}")
     if n < 1:
         raise DomainError("need n >= 1 uniforms")
     blocks = (n + 1) // 2
     x0 = np.arange(blocks, dtype=np.uint64)
     x1 = np.zeros(blocks, dtype=np.uint64)
     # 1-element array, not scalar: numpy scalars warn on wrap-around adds
-    key = np.full(1, seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+    key = np.full(1, seed, dtype=np.uint64)
     for _ in range(_ROUNDS):
         hi, lo = _mulhilo64(x0, _PHILOX_M)
         x0 = hi ^ key ^ x1

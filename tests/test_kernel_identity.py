@@ -197,8 +197,24 @@ def _assert_same(a, b):
     assert all(np.array_equal(x, y) for x, y in zip(a.fronts, b.fronts))
 
 
-@pytest.mark.parametrize("m", [1, 127, 128, 129, 257, 500])
+def block_width(terms, t0, lowest, steps, front_layers):
+    """The kernel's spots per block for a batch too wide for one block whose
+    lowest spot is `lowest`: `lattice.block_rows` at the frontier height that
+    spot sets."""
+    height = lattice._rollback_job(terms, MARKET, t0, [lowest], steps, front_layers).height
+    return lattice.block_rows(lattice.BLOCK * (steps + 1), steps, height)
+
+
+# the block edges, as (blocks, tail) of the kernel's own block width
+EDGES = {"rows-1": (1, -1), "rows": (1, 0), "rows+1": (1, 1), "2rows+1": (2, 1)}
+
+
+@pytest.mark.parametrize("m", [1, 127, 128, 129, 257, 500, *EDGES])
 def test_chunked_equals_unchunked(monkeypatch, m):
+    """Fixed batch sizes and the batch sizes at the kernel's block edges."""
+    if m in EDGES:
+        blocks, tail = EDGES[m]
+        m = blocks * block_width(TABLE1, JAN2004, 80.0, 60, 2) + tail
     spots = np.linspace(80.0, 140.0, m)
     chunked = rollback_batch(TABLE1, MARKET, JAN2004, spots, 60, front_layers=2, binds=True)
     monkeypatch.setattr(lattice, "BLOCK", m)
@@ -208,11 +224,12 @@ def test_chunked_equals_unchunked(monkeypatch, m):
 
 @pytest.mark.parametrize("tail", [1, 2])
 def test_node_major_blocks_equal_pointwise(sweeps, tail):
-    """BLOCK + tail spots leave a last block of `tail` rows; with every layer
-    a front (the expiry layer included, written through the transposed view)
-    and bind counts on, each spot's outputs equal its own one-spot rollback."""
+    """A block's width plus `tail` spots leave a last block of `tail` rows;
+    with every layer a front (the expiry layer included, written through the
+    transposed view) and bind counts on, each spot's outputs equal its own
+    one-spot rollback."""
     terms, t0, steps = sweeps["putable"][0], JAN2004, 12
-    spots = np.linspace(40.0, 200.0, lattice.BLOCK + tail)
+    spots = np.linspace(40.0, 200.0, block_width(terms, t0, 40.0, steps, steps) + tail)
     res = rollback_batch(terms, MARKET, t0, spots, steps, front_layers=steps, binds=True)
     assert np.all(res.binds.sum(axis=1) > 0)
     for k in range(spots.size):
@@ -225,6 +242,16 @@ def test_node_major_blocks_equal_pointwise(sweeps, tail):
         assert all(np.array_equal(f[k : k + 1], g) for f, g in zip(res.fronts, one.fronts))
 
 
+def _peak_bytes(t0, spots, steps) -> int:
+    tracemalloc.start()
+    try:
+        rollback_batch(TABLE1, MARKET, t0, spots, steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 def test_memory_bounded_by_blocks_not_batch():
     """A 2,000-spot, N=200 rollback holds one BLOCK * (N+1) workspace of five
     float and four bool buffers, not O(m * (N+1)): the whole-batch buffers
@@ -233,22 +260,29 @@ def test_memory_bounded_by_blocks_not_batch():
     m, n = 2000, 200
     workspace = (5 * 8 + 4) * lattice.BLOCK * (n + 1)
     spots = np.linspace(50.0, 200.0, m)
-    tracemalloc.start()
-    try:
-        rollback_batch(TABLE1, MARKET, JAN2004, spots, n)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = _peak_bytes(JAN2004, spots, n)
     assert peak < workspace + 2**19
     assert peak < 8 * 6 * m * (n + 1) / 2
+
+
+def test_memory_bounded_at_the_var_chunk():
+    """The VaR chunk's shape, 500 spots in 95-105 at N=500 on 2004-01-03,
+    runs in blocks of about 250 spots in buffers about half as tall as the
+    tree, and peaks under the same one-workspace bound."""
+    n = 500
+    spots = np.linspace(95.0, 105.0, 500)
+    assert lattice._rollback_job(TABLE1, MARKET, date(2004, 1, 3), spots, n).rows > lattice.BLOCK
+    workspace = (5 * 8 + 4) * lattice.BLOCK * (n + 1)
+    assert _peak_bytes(date(2004, 1, 3), spots, n) < workspace + 2**19
 
 
 def test_band_skips_most_decisions(sweeps, monkeypatch):
     """On the VaR scenarios almost every node below the conversion frontier
     continues, and the certified run keeps `decide` off all but a few
     percent of them.  Without the run (`BAND_CELLS` out of reach) every layer
-    certifies its whole band instead, and on these 128-spot blocks nearly
-    every layer has a node that binds, so `decide` sees nearly all of them."""
+    certifies its whole band instead, and on these blocks of about 250 spots
+    nearly every layer has a node that binds, so `decide` sees nearly all of
+    them."""
     terms, t0, spots, steps, _ = sweeps["c4_scenarios"]
     decide = lattice.decide
 

@@ -423,8 +423,9 @@ class TestProfile:
 
     @pytest.mark.parametrize("order", ["reversed", "shuffled"])
     def test_grid_order_only_permutes_outputs(self, table1, market, jan2004, order):
-        """No computation reads the order of a spot grid: over three kernel
-        blocks, a permuted grid gives the permuted profile, surface and stress
+        """No computation reads the order of a spot grid: over two kernel
+        blocks (the kernel runs the spots sorted), a permuted grid gives the
+        permuted profile, bind counts, front layers, surface and stress
         increments bit for bit, and a reversed date grid the reversed rows."""
         grid = np.round(np.arange(50.0, 200.0, 0.5), 6)  # 300 spots
         perm = (np.arange(grid.size)[::-1] if order == "reversed"
@@ -435,6 +436,13 @@ class TestProfile:
         assert np.array_equal(moved.equity, base.equity[perm])
         assert np.array_equal(moved.debt, base.debt[perm])
         assert np.array_equal(moved.fronts[0], base.fronts[0][perm])
+
+        assert lattice._rollback_job(table1, market, jan2004, grid, 60, 2).rows < grid.size
+        base = rollback_batch(table1, market, jan2004, grid, 60, front_layers=2, binds=True)
+        moved = rollback_batch(table1, market, jan2004, grid[perm], 60, front_layers=2, binds=True)
+        assert np.array_equal(moved.value, base.value[perm])
+        assert np.array_equal(moved.binds, base.binds[:, perm])
+        assert all(np.array_equal(m, b[perm]) for m, b in zip(moved.fronts, base.fronts))
 
         dates = [date(2003, 1, 2), jan2004]
         base = sensitivities.surface(table1, market, dates, grid, 60)

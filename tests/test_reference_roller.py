@@ -149,50 +149,83 @@ def instruments(draw, live=False):
     return terms, t0, mkt
 
 
-SIZES = st.one_of(st.sampled_from([lattice.BLOCK - 1, lattice.BLOCK, lattice.BLOCK + 1]),
-                  st.integers(1, 200))
+def block_width(instrument, lowest, steps, front_layers):
+    """The kernel's spots per block for a batch too wide for one block whose
+    lowest spot is `lowest`: `lattice.block_rows` at the frontier height that
+    spot sets."""
+    terms, t0, mkt = instrument
+    height = lattice._rollback_job(terms, mkt, t0, [lowest], steps, front_layers).height
+    return lattice.block_rows(lattice.BLOCK * (steps + 1), steps, height)
+
+
 SEEDS = st.integers(0, 2**32 - 1)
+EDGE_MAX = 3 * lattice.BLOCK  # wider blocks cost the reference roller too much per example
 
 
 @st.composite
-def batches(draw):
-    """Root spots in [1, 400], unordered; batch sizes include the block edges."""
-    m = draw(SIZES)
-    return np.random.default_rng(draw(SEEDS)).uniform(1.0, 400.0, m)
+def rollbacks(draw):
+    """(instrument, spots, steps, front_layers).  The spots are a batch in
+    [1, 400], unordered, or a band [lo, lo * (1 + width)] with lo in [1, 400]
+    and width <= 10%, sorted or not.  A batch holds up to 200 spots or sits on
+    a block edge: the kernel's block width for the drawn sheet, tree and lowest
+    spot, less one, equal or plus one (a width over EDGE_MAX draws a size up
+    to 200 instead)."""
+    instrument = draw(st.one_of(instruments(), instruments(live=True)))
+    steps = draw(st.one_of(st.integers(3, 12), st.integers(3, 120)))
+    front_layers = min(draw(st.integers(0, 3)), steps)
+    band = draw(st.booleans())
+    lo = draw(st.floats(1.0, 400.0)) if band else 1.0
+    hi = lo * (1.0 + draw(st.floats(0.0, 0.1))) if band else 400.0
+    rng = np.random.default_rng(draw(SEEDS))
+    if draw(st.booleans()):
+        spots = rng.uniform(lo, hi, draw(st.integers(1, 200)))
+    else:
+        # the block width depends on the lowest spot alone: draw that first
+        lowest = rng.uniform(lo, hi)
+        rows = block_width(instrument, lowest, steps, front_layers)
+        m = (rows + draw(st.sampled_from([-1, 0, 1])) if rows <= EDGE_MAX
+             else draw(st.integers(1, 200)))
+        spots = rng.permutation(np.append(lowest, rng.uniform(lowest, hi, m - 1)))
+    if band and draw(st.booleans()):
+        spots = np.sort(spots)
+    return instrument, spots, steps, front_layers
 
 
-@st.composite
-def bands(draw):
-    """Root spots in one band [lo, lo * (1 + width)] with lo in [1, 400] and
-    width <= 10%, sorted or not."""
-    m, lo, width = draw(SIZES), draw(st.floats(1.0, 400.0)), draw(st.floats(0.0, 0.1))
-    spots = np.random.default_rng(draw(SEEDS)).uniform(lo, lo * (1.0 + width), m)
-    return np.sort(spots) if draw(st.booleans()) else spots
+REF_SHEET = (REF, JAN2004, REF_MKT)
+# every expiry node at or above the height H converts, and is counted without a buffer row
+ABOVE_H = (REF_SHEET, np.array([105.0, 100.0, 110.0]), 60, 0)
+# conversion ends 2006-01-02: no node of the last layers is skipped, so H = N + 1
+ENDS_2006 = ((replace(REF, conversion=replace(REF.conversion, end=date(2006, 1, 2))), JAN2004,
+              REF_MKT), np.linspace(90.0, 130.0, 20), 50, 0)
+# a call of 90 under the redemption of 102: some expiry nodes above H redeem
+CALL_UNDER_REDEMPTION = ((replace(REF, call=CallTerms(90.0, ISSUE, REF.maturity)), JAN2004,
+                          LOW_CALL[2]), np.array([95.0, 80.0, 110.0]), 120, 1)
 
 
 # print_blob: a failure prints the @reproduce_failure line that replays it exactly
 @settings(derandomize=True, database=None, deadline=None, max_examples=200, print_blob=True)
-@given(st.one_of(instruments(), instruments(live=True)), st.one_of(batches(), bands()),
-       st.one_of(st.integers(3, 12), st.integers(3, 120)), st.integers(0, 3))
+@given(rollbacks())
 # the root converts whatever its held value (c_0 = 0)
-@example((REF, JAN2004, REF_MKT), np.array([150.0, 180.0, 240.0]), 40, 0)
+@example((REF_SHEET, np.array([150.0, 180.0, 240.0]), 40, 0))
 # one block whose rows straddle the call level (110 clean, on a coupon date)
-@example((REF, JAN2004, REF_MKT), np.linspace(125.0, 100.0, lattice.BLOCK), 60, 0)
+@example((REF_SHEET, np.linspace(125.0, 100.0, block_width(REF_SHEET, 100.0, 60, 0)), 60, 0))
 # a put above the call, conversion above both
-@example((replace(REF, put=PutTerms(125.0, JAN2004, date(2005, 1, 2))), JAN2004, REF_MKT),
-         np.array([128.0, 140.0, 150.0]), 50, 1)
+@example(((replace(REF, put=PutTerms(125.0, JAN2004, date(2005, 1, 2))), JAN2004, REF_MKT),
+          np.array([128.0, 140.0, 150.0]), 50, 1))
 # conversion ends mid-tree
-@example((replace(REF, conversion=replace(REF.conversion, end=date(2005, 6, 2))), JAN2004,
-          REF_MKT), np.linspace(115.0, 125.0, 20), 50, 0)
+@example(((replace(REF, conversion=replace(REF.conversion, end=date(2005, 6, 2))), JAN2004,
+           REF_MKT), np.linspace(115.0, 125.0, 20), 50, 0))
 # front layers that are themselves skipped, and skipping below them
-@example((REF, JAN2004, REF_MKT), np.array([135.0, 130.0, 140.0]), 30, 3)
+@example((REF_SHEET, np.array([135.0, 130.0, 140.0]), 30, 3))
 # the call sits below the cash value: a guessed continuation run fails its certificate
-@example(LOW_CALL, np.linspace(60.0, 100.0, lattice.BLOCK), 60, 0)
+@example((LOW_CALL, np.linspace(60.0, 100.0, block_width(LOW_CALL, 60.0, 60, 0)), 60, 0))
 # one spot: the call binds at node c_i - 1, so the whole-band certificate fails there
-@example((REF, JAN2004, REF_MKT), np.array([100.0]), 40, 0)
-def test_kernel_matches_reference_roller(instrument, spots, steps, front_layers):
-    terms, t0, mkt = instrument
-    front_layers = min(front_layers, steps)
+@example((REF_SHEET, np.array([100.0]), 40, 0))
+@example(ABOVE_H)
+@example(ENDS_2006)
+@example(CALL_UNDER_REDEMPTION)
+def test_kernel_matches_reference_roller(case):
+    (terms, t0, mkt), spots, steps, front_layers = case
     res = lattice.rollback_batch(terms, mkt, t0, spots, steps, front_layers, binds=True)
     doubled = lattice.rollback_batch(terms.with_nominal_scaled(2.0), mkt, t0, spots, steps)
     equity, debt, binds, fronts = reference_rollback(terms, mkt, t0, spots, steps, front_layers)
@@ -217,9 +250,30 @@ def test_kernel_matches_reference_roller(instrument, spots, steps, front_layers)
     assert np.array_equal(doubled.value, 2.0 * value)
 
 
+@pytest.mark.parametrize("case, above", [(ABOVE_H, "converts"), (ENDS_2006, "nothing"),
+                                         (CALL_UNDER_REDEMPTION, "partly redeems")],
+                         ids=["above_h", "ends_2006", "call_under_redemption"])
+def test_pinned_heights(case, above):
+    """The pinned examples reach what they are pinned for: the expiry nodes
+    at or above the blocks' height H all convert, there are none (H = N + 1),
+    or some of them redeem."""
+    (terms, t0, mkt), spots, steps, front_layers = case
+    job = lattice._rollback_job(terms, mkt, t0, spots, steps, front_layers)
+    tl = Timeline(terms, t0)
+    # expiry node j of each spot: ratio * spot * u^(2j - N), from the kernel's power table
+    conv = (tl.ratio * np.sort(spots))[:, None] * job.pw[0::2][job.height:]
+    converts = conv > tl.redemption
+    if above == "nothing":
+        assert job.height == steps + 1
+    elif above == "converts":
+        assert job.height < steps + 1 and converts.all()
+    else:
+        assert converts.any() and not converts.all()
+
+
 @pytest.mark.parametrize("instrument, spots, outcome", [
-    ((REF, JAN2004, REF_MKT), np.linspace(95.0, 105.0, lattice.BLOCK), True),
-    (LOW_CALL, np.linspace(60.0, 100.0, lattice.BLOCK), False),
+    (REF_SHEET, np.linspace(95.0, 105.0, block_width(REF_SHEET, 95.0, 60, 0)), True),
+    (LOW_CALL, np.linspace(60.0, 100.0, block_width(LOW_CALL, 60.0, 60, 0)), False),
 ], ids=["certified", "fallback"])
 def test_band_certificate_outcome(monkeypatch, instrument, spots, outcome):
     """The reference sheet certifies guessed continuation runs; the low call

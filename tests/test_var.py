@@ -55,6 +55,21 @@ class TestPhiloxStream:
         with pytest.raises(DomainError, match="n >= 1"):
             philox_uniforms(0, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_refuses_seed_outside_the_key(self, seed):
+        """The key is one 64-bit word: a seed outside [0, 2**64) would draw the
+        stream of another seed (2**70 that of 0, -1 that of 2**64 - 1)."""
+        with pytest.raises(ConfigurationError, match=r"^seed must be in \[0, 2\*\*64\), got "):
+            philox_uniforms(seed, 3)
+        assert philox_uniforms(2**64 - 1, 3).tolist() != philox_uniforms(0, 3).tolist()
+
+    @pytest.mark.parametrize("seed, n, what", [(1.0, 3, "seed"), (True, 3, "seed"),
+                                               (0, 3.0, "uniform count"), (0, "3", "uniform count")])
+    def test_refuses_non_integers(self, seed, n, what):
+        with pytest.raises(ConfigurationError, match=f"^{what} must be an integer, got "):
+            philox_uniforms(seed, n)
+        assert philox_uniforms(np.uint64(7), np.int32(3)).tolist() == philox_uniforms(7, 3).tolist()
+
     def test_uniformity(self):
         u = philox_uniforms(9, 200_000)
         d, _ = stats.kstest(u, "uniform")
