@@ -1,7 +1,8 @@
 """Time the batch rollback kernel: ms per spot for batch widths m in {1, 2, 32,
 128, 500, 1000} at N=500 and m in {1, 500} at N=100; the VaR chunk: 500 spots in
 the order `simulate_stock` draws them (the reference VaR config, seed 0) at
-N=500, with the height H and the spots per block the kernel runs them in; the
+N=500, with the height H and the spots per block the kernel runs them in and
+the bytes of its block buffers (null on a kernel from before sorted blocks); the
 decision kernel `lattice.decide` alone on one node-major (H, rows) block, the
 layout the kernel runs a 500-spot batch over 60-160 in; the continuation
 band's crossover (per layer, what the conversion values and `decide` cost on a
@@ -109,14 +110,15 @@ def _best_of(repeats: int, call, reset=lambda: None) -> float:
     return best
 
 
-def kernel_block(terms, mkt, t0, spots, steps: int) -> tuple[int, int]:
-    """(H, rows): the nodes and the spots of the blocks `rollback_batch` runs
-    this batch in."""
+def kernel_block(terms, mkt, t0, spots, steps: int) -> tuple[int, int, int | None]:
+    """(H, rows, bytes): the nodes and the spots of the blocks `rollback_batch`
+    runs this batch in, and the bytes of their buffers (None on a kernel from
+    before sorted blocks)."""
     job_of = getattr(cblab.lattice, "_rollback_job", None)
     if job_of is None:  # a kernel from before sorted blocks: full-height blocks of BLOCK spots
-        return steps + 1, min(cblab.lattice.BLOCK, len(spots))
+        return steps + 1, min(cblab.lattice.BLOCK, len(spots)), None
     job = job_of(terms, mkt, t0, spots, steps)
-    return job.height, job.rows
+    return job.height, job.rows, sum(b.nbytes for b in job.buffers)
 
 
 def measure(repeats: int) -> list[dict]:
@@ -133,17 +135,18 @@ def measure_var_chunk(repeats: int) -> dict:
     terms, mkt = cblab.reference_terms(), cblab.reference_market()
     spec = cblab.VaRSpec(eval_date=T0, spot=100.0, n_scenarios=500, seed=0, steps=500)
     spots = cblab.simulate_stock(spec)
-    height, rows = kernel_block(terms, mkt, spec.horizon_date, spots, spec.steps)
+    height, rows, workspace = kernel_block(terms, mkt, spec.horizon_date, spots, spec.steps)
     best = _best_of(repeats, lambda: cblab.rollback_batch(terms, mkt, spec.horizon_date, spots,
                                                           spec.steps))
     return {"m": spots.size, "N": spec.steps, "height": height, "rows": rows,
-            "blocks": -(-spots.size // rows), "ms": round(1e3 * best, 4),
+            "blocks": -(-spots.size // rows), "workspace_bytes": workspace,
+            "ms": round(1e3 * best, 4),
             "ms_per_spot": round(1e3 * best / spots.size, 4)}
 
 
 def wide_block(terms, mkt, steps: int) -> tuple[int, int]:
     """(H, rows) of the kernel's blocks for 500 spots over 60-160 at T0."""
-    return kernel_block(terms, mkt, T0, np.linspace(60.0, 160.0, 500), steps)
+    return kernel_block(terms, mkt, T0, np.linspace(60.0, 160.0, 500), steps)[:2]
 
 
 def measure_decide(repeats: int) -> dict:

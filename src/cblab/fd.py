@@ -31,7 +31,7 @@ from datetime import date
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericalError
-from .lattice import decide, expire
+from .lattice import check_integer, decide, expire
 from .termsheet import ConvertibleTerms, MarketParams, Timeline, year_fraction
 
 __all__ = ["FDGrid", "FDSolution", "solve_tf_fd", "fd_profile", "stable_time_layers"]
@@ -82,6 +82,8 @@ class FDGrid:
     n_t: int
 
     def __post_init__(self) -> None:
+        for field in ("n_s", "n_t"):
+            object.__setattr__(self, field, check_integer(getattr(self, field), field))
         _check_space(self.s_max, self.n_s)
         if self.n_t < 2:
             raise ConfigurationError("need at least 2 time layers")
@@ -282,13 +284,15 @@ def fd_profile(solution: FDSolution, t: date, spots) -> np.ndarray:
 
     Nearest stored layer in time, linear interpolation in S (exact on grid
     nodes).  Spots outside [0, S_max] or dates outside the solved span are
-    refused rather than extrapolated.
+    refused rather than extrapolated, and so are non-finite spots.
     """
     if t < solution.t0 or t > solution.terms.maturity:
         raise DomainError(f"date {t} outside the solved span")
     tau = year_fraction(solution.t0, t)
     layer = int(np.argmin(np.abs(solution.layer_taus - tau)))
     spots = np.asarray(spots, dtype=float)
+    if not np.all(np.isfinite(spots)):
+        raise DomainError("spot prices must be finite")
     if np.any(spots < 0) or np.any(spots > solution.grid.s_max):
         raise DomainError("spot outside the solved grid; extrapolation refused")
     return np.interp(spots, solution.spots, solution.value[layer])

@@ -40,9 +40,9 @@ highest.  With c_i the frontier of the batch's lowest spot, at or above every
 block's, no layer touches a node at or above the height
 H = max(front_layers, c_i for every layer i >= front_layers) + 1 <= N + 1: a
 front layer holds its i + 1 nodes, and any other layer [0, max(c_i, c_{i-1} + 1)).
-So the buffers are H nodes tall, and the expiry layer runs on [0, H) only; its
-conversions above H, when counted, are the same conv > redemption comparison
-on the same products, a slab of H nodes at a time.  A block holds
+So the buffers are H nodes tall, and the expiry layer runs on [0, H) only.  A
+rollback that counts binds sets H = N + 1 instead, so that `expire`'s own
+conversion mask covers the whole expiry layer.  A block holds
 block_rows(m, N, H) = min(m, BLOCK * (N+1) // H) spots, so the workspace stays
 within BLOCK full-height rows whatever H.  A 500-spot VaR chunk at N=500 has
 H = 254-255 and runs in two blocks of about 250 spots.
@@ -116,7 +116,7 @@ BLOCK = 128
 # where its reductions cost less than the decisions it skips (BENCH_16.json
 # crossover); a smaller band is certified whole, node by node
 BAND_CELLS = 2048
-# the largest tree: a block's buffers take at most (N+1) * BLOCK * 44 bytes, 56 MB at the cap
+# the largest tree: a block's buffers take at most (N+1) * BLOCK * 43 bytes, 55 MB at the cap
 MAX_TREE_STEPS = 10**4
 
 
@@ -164,9 +164,11 @@ def check_integer(value, what: str) -> int:
 
 
 def check_steps(steps) -> int:
-    """A tree's step count as an int: an integer (`check_integer`) up to
-    MAX_TREE_STEPS."""
+    """A tree's step count as an int: an integer (`check_integer`) from 1 up
+    to MAX_TREE_STEPS."""
     steps = check_integer(steps, "tree steps")
+    if steps < 1:
+        raise ConfigurationError("steps must be >= 1")
     if steps > MAX_TREE_STEPS:  # before the tree's O(N) tables and buffers exist
         raise ConfigurationError(f"{steps:,} tree steps exceed the limit of {MAX_TREE_STEPS:,}")
     return steps
@@ -256,7 +258,7 @@ class BatchResult:
 class _Rollback:
     """One rollback: its per-layer inputs, the spots in ascending order, the
     node-major buffers that every block reuses (E, B, V (also the rollback
-    scratch), V*, conversion values and four node masks, `height` nodes tall
+    scratch), V*, conversion values and three node masks, `height` nodes tall
     and `rows` spots wide), and the output arrays in that order, which each
     block fills in its own rows."""
 
@@ -294,13 +296,14 @@ class _Rollback:
         self.front_layers = front_layers
 
         # the lowest spot's frontier is at or above every block's, so no block
-        # reads or writes a node at or above the height H it sets
+        # reads or writes a node at or above the height H it sets; bind counts
+        # take the whole expiry layer from `expire`, so they need H = N + 1
         m = spots.size
         self.cs = self.frontier(self.rs[0])
-        self.height = max([front_layers, *self.cs[front_layers:]]) + 1
+        self.height = N + 1 if binds else max([front_layers, *self.cs[front_layers:]]) + 1
         self.rows = block_rows(m, N, self.height)
         self.buffers = [np.empty((self.height, self.rows), dtype=t)
-                        for t in (float,) * 5 + (bool,) * 4]
+                        for t in (float,) * 5 + (bool,) * 3]
         self.equity, self.debt = np.empty(m), np.empty(m)
         self.fronts = [np.empty((m, k + 1)) for k in range(front_layers + 1)]
         # rows: conversion, call, put
@@ -384,8 +387,8 @@ class _Rollback:
     def _roll_block(self, lo: int, hi: int) -> None:
         N, H, pw, p, q = self.N, self.height, self.pw, self.p, self.q
         rows = hi - lo  # the block is each buffer's leading contiguous (H, rows) run
-        E, B, V, VS, C, NC, CB, TMP, AUX = (b.reshape(-1)[: H * rows].reshape(H, rows)
-                                           for b in self.buffers)
+        E, B, V, VS, C, NC, CB, TMP = (b.reshape(-1)[: H * rows].reshape(H, rows)
+                                      for b in self.buffers)
         rs = self.rs[lo:hi]  # ascending
         binds = None if self.binds is None else self.binds[:, lo:hi]
         fronts = [f[lo:hi].T for f in self.fronts]
@@ -397,14 +400,6 @@ class _Rollback:
         expire(E, B, V, VS, C, self.redemption, self.injects[N], NC, CB, TMP)
         if binds is not None:
             binds[0] += np.count_nonzero(CB, axis=0)
-            if self.active[N]:
-                # expiry nodes H..N convert where `expire` would: conv > redemption
-                # (V = redemption, no call, no put); counted a slab of H nodes at a time
-                for k in range(H, N + 1, H):
-                    n = min(H, N + 1 - k)
-                    np.multiply(rs, pw[2 * k : 2 * (k + n) : 2, None], out=C[:n])
-                    np.greater(C[:n], self.redemption, out=NC[:n])
-                    binds[0] += np.count_nonzero(NC[:n], axis=0)
         if self.front_layers >= N:
             np.add(E, B, out=fronts[N])
 
@@ -446,17 +441,18 @@ class _Rollback:
                 vs, ncont, convb = VS[d:c], NC[d:c], CB[d:c]
                 decide(Ec, Bc, Vc, vs, convc, call_level, put_level, ncont, convb, TMP[d:c])
                 if binds is not None:
-                    # cash = decided, not converted; the call bound where the
-                    # value was clipped to exactly the call level, the put elsewhere
-                    cash, callb = AUX[d:c], TMP[d:c]
+                    binds[0] += np.count_nonzero(convb, axis=0)
+                    # with the conversions counted, decide's masks take the cash
+                    # nodes (decided, not converted) and the call: bound where the
+                    # value was clipped to exactly the call level; the put elsewhere
+                    cash, callb, tmp = ncont, convb, TMP[d:c]
                     np.logical_xor(ncont, convb, out=cash)
                     n_cash = np.count_nonzero(cash, axis=0)
                     np.greater(Vc, call_level, out=callb)
                     np.logical_and(callb, cash, out=callb)
-                    np.equal(vs, call_level, out=cash)
-                    np.logical_and(callb, cash, out=callb)
+                    np.equal(vs, call_level, out=tmp)
+                    np.logical_and(callb, tmp, out=callb)
                     n_call = np.count_nonzero(callb, axis=0)
-                    binds[0] += np.count_nonzero(convb, axis=0)
                     binds[1] += n_call
                     binds[2] += n_cash - n_call
             if top > c:

@@ -177,8 +177,6 @@ class VaRSpec:
             raise ConfigurationError(f"seed must be in [0, 2**64), got {self.seed}")
         # before any draw: the trees are built only after every scenario is simulated
         object.__setattr__(self, "steps", check_steps(self.steps))
-        if self.steps < 1:
-            raise ConfigurationError("steps must be >= 1")
         if not 0.0 < self.confidence < 1.0:
             raise ConfigurationError("confidence must be in (0,1)")
         if self.n_scenarios < 1:

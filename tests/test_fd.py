@@ -74,6 +74,16 @@ class TestGrid:
         with pytest.raises(ConfigurationError, match="100,001 spot nodes exceed the limit"):
             FDGrid(s_max=400.0, n_s=MAX_FD_NODES + 1, n_t=100)
         FDGrid(s_max=400.0, n_s=MAX_FD_NODES, n_t=100)
+        # node and layer counts are integers, refused with the grid, not in the march
+        with pytest.raises(ConfigurationError, match=r"^n_s must be an integer, got 41\.5$"):
+            FDGrid(400.0, 41.5, 2000)
+        with pytest.raises(ConfigurationError, match=r"^n_t must be an integer, got 2000\.5$"):
+            FDGrid(400.0, 41, 2000.5)
+        mkt = MarketParams(rate=0.05, credit_spread=0.02, sigma=0.3)
+        with pytest.raises(ConfigurationError, match=r"^n_s must be an integer, got 41\.0$"):
+            FDGrid.auto(mkt, 1.0, n_s=41.0)
+        grid = FDGrid(400.0, np.int64(41), np.int32(2000))
+        assert (type(grid.n_s), type(grid.n_t)) == (int, int)
 
     @pytest.mark.parametrize("sigma, n_s, layers", [
         (0.30, 10**8, "2.7e+15"),
@@ -212,6 +222,13 @@ class TestSolutionShape:
             fd_profile(sol, jan2004, [401.0])
         with pytest.raises(DomainError):
             fd_profile(sol, date(2003, 12, 31), [100.0])
+
+    def test_profile_refuses_non_finite_spots(self, solved, jan2004):
+        """A NaN spot fails both range comparisons, so it is refused by name."""
+        sol, _ = solved
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="^spot prices must be finite$"):
+                fd_profile(sol, jan2004, [100.0, bad])
 
     def test_monotone_profile_where_lattice_oscillates(self, solved, jan2004):
         sol, _ = solved

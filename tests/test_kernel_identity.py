@@ -61,12 +61,10 @@ def sha(*arrays):
 
 
 def _digests(res) -> dict:
-    return {
-        "equity": sha(res.equity),
-        "debt": sha(res.debt),
-        "binds": sha(*res.binds),  # rows: conversion, call, put
-        "fronts": sha(*res.fronts),
-    }
+    digests = {"equity": sha(res.equity), "debt": sha(res.debt), "fronts": sha(*res.fronts)}
+    if res.binds is not None:
+        digests["binds"] = sha(*res.binds)  # rows: conversion, call, put
+    return digests
 
 
 # recorded with the previous kernel; see the module docstring
@@ -123,9 +121,14 @@ def sweeps():
 
 @pytest.mark.parametrize("name", sorted(REFERENCE))
 def test_matches_previous_kernel(sweeps, name):
+    """Both buffer layouts match: the frontier-height blocks of a rollback
+    without bind counts, and the full-height blocks of one with them."""
     terms, t0, spots, steps, front_layers = sweeps[name]
-    res = rollback_batch(terms, MARKET, t0, spots, steps, front_layers=front_layers, binds=True)
-    assert _digests(res) == REFERENCE[name]
+    plain = rollback_batch(terms, MARKET, t0, spots, steps, front_layers=front_layers)
+    counted = rollback_batch(terms, MARKET, t0, spots, steps, front_layers=front_layers,
+                             binds=True)
+    assert _digests(plain) == {k: v for k, v in REFERENCE[name].items() if k != "binds"}
+    assert _digests(counted) == REFERENCE[name]
 
 
 # solve_tf_fd on a 101-node auto grid, default snapshots (41 stored layers)
@@ -192,15 +195,15 @@ def test_bind_counts_do_not_change_values(sweeps):
 def _assert_same(a, b):
     assert np.array_equal(a.equity, b.equity)
     assert np.array_equal(a.debt, b.debt)
-    assert np.array_equal(a.binds, b.binds)
+    assert (a.binds is None and b.binds is None) or np.array_equal(a.binds, b.binds)
     assert len(a.fronts) == len(b.fronts)
     assert all(np.array_equal(x, y) for x, y in zip(a.fronts, b.fronts))
 
 
 def block_width(terms, t0, lowest, steps, front_layers):
     """The kernel's spots per block for a batch too wide for one block whose
-    lowest spot is `lowest`: `lattice.block_rows` at the frontier height that
-    spot sets."""
+    lowest spot is `lowest`, without bind counts: `lattice.block_rows` at the
+    frontier height that spot sets."""
     height = lattice._rollback_job(terms, MARKET, t0, [lowest], steps, front_layers).height
     return lattice.block_rows(lattice.BLOCK * (steps + 1), steps, height)
 
@@ -211,15 +214,22 @@ EDGES = {"rows-1": (1, -1), "rows": (1, 0), "rows+1": (1, 1), "2rows+1": (2, 1)}
 
 @pytest.mark.parametrize("m", [1, 127, 128, 129, 257, 500, *EDGES])
 def test_chunked_equals_unchunked(monkeypatch, m):
-    """Fixed batch sizes and the batch sizes at the kernel's block edges."""
+    """Fixed batch sizes and the batch sizes at the kernel's block edges, with
+    and without bind counts: the fixed sizes are block edges of the
+    full-height blocks that count binds, and `block_width` is the width of
+    the frontier-height blocks that do not."""
     if m in EDGES:
         blocks, tail = EDGES[m]
         m = blocks * block_width(TABLE1, JAN2004, 80.0, 60, 2) + tail
     spots = np.linspace(80.0, 140.0, m)
-    chunked = rollback_batch(TABLE1, MARKET, JAN2004, spots, 60, front_layers=2, binds=True)
+
+    def run(binds):
+        return rollback_batch(TABLE1, MARKET, JAN2004, spots, 60, front_layers=2, binds=binds)
+
+    chunked = [run(False), run(True)]
     monkeypatch.setattr(lattice, "BLOCK", m)
-    whole = rollback_batch(TABLE1, MARKET, JAN2004, spots, 60, front_layers=2, binds=True)
-    _assert_same(chunked, whole)
+    for binds, res in zip((False, True), chunked):
+        _assert_same(res, run(binds))
 
 
 @pytest.mark.parametrize("tail", [1, 2])
@@ -227,25 +237,26 @@ def test_node_major_blocks_equal_pointwise(sweeps, tail):
     """A block's width plus `tail` spots leave a last block of `tail` rows;
     with every layer a front (the expiry layer included, written through the
     transposed view) and bind counts on, each spot's outputs equal its own
-    one-spot rollback."""
+    one-spot rollback, with bind counts off as well."""
     terms, t0, steps = sweeps["putable"][0], JAN2004, 12
     spots = np.linspace(40.0, 200.0, block_width(terms, t0, 40.0, steps, steps) + tail)
-    res = rollback_batch(terms, MARKET, t0, spots, steps, front_layers=steps, binds=True)
-    assert np.all(res.binds.sum(axis=1) > 0)
-    for k in range(spots.size):
-        one = rollback_batch(terms, MARKET, t0, spots[k : k + 1], steps, front_layers=steps,
-                             binds=True)
-        assert np.array_equal(res.equity[k : k + 1], one.equity)
-        assert np.array_equal(res.debt[k : k + 1], one.debt)
-        assert np.array_equal(res.binds[:, k : k + 1], one.binds)
-        assert len(res.fronts) == len(one.fronts) == steps + 1
-        assert all(np.array_equal(f[k : k + 1], g) for f, g in zip(res.fronts, one.fronts))
+    for binds in (False, True):
+        res = rollback_batch(terms, MARKET, t0, spots, steps, front_layers=steps, binds=binds)
+        assert not binds or np.all(res.binds.sum(axis=1) > 0)
+        for k in range(spots.size):
+            one = rollback_batch(terms, MARKET, t0, spots[k : k + 1], steps,
+                                 front_layers=steps, binds=binds)
+            assert np.array_equal(res.equity[k : k + 1], one.equity)
+            assert np.array_equal(res.debt[k : k + 1], one.debt)
+            assert not binds or np.array_equal(res.binds[:, k : k + 1], one.binds)
+            assert len(res.fronts) == len(one.fronts) == steps + 1
+            assert all(np.array_equal(f[k : k + 1], g) for f, g in zip(res.fronts, one.fronts))
 
 
-def _peak_bytes(t0, spots, steps) -> int:
+def _peak_bytes(t0, spots, steps, binds=False) -> int:
     tracemalloc.start()
     try:
-        rollback_batch(TABLE1, MARKET, t0, spots, steps)
+        rollback_batch(TABLE1, MARKET, t0, spots, steps, binds=binds)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -254,15 +265,17 @@ def _peak_bytes(t0, spots, steps) -> int:
 
 def test_memory_bounded_by_blocks_not_batch():
     """A 2,000-spot, N=200 rollback holds one BLOCK * (N+1) workspace of five
-    float and four bool buffers, not O(m * (N+1)): the whole-batch buffers
+    float and three bool buffers, not O(m * (N+1)): the whole-batch buffers
     would need 6 * 2000 * 201 doubles (19 MB).  A second workspace would
-    break the 512 KiB allowance for the O(m) outputs and O(N) tables."""
+    break the 512 KiB allowance for the O(m) outputs and O(N) tables.  Bind
+    counts run full-height blocks of BLOCK spots, in the same bound."""
     m, n = 2000, 200
-    workspace = (5 * 8 + 4) * lattice.BLOCK * (n + 1)
+    workspace = (5 * 8 + 3) * lattice.BLOCK * (n + 1)
     spots = np.linspace(50.0, 200.0, m)
-    peak = _peak_bytes(JAN2004, spots, n)
-    assert peak < workspace + 2**19
-    assert peak < 8 * 6 * m * (n + 1) / 2
+    for binds in (False, True):
+        peak = _peak_bytes(JAN2004, spots, n, binds)
+        assert peak < workspace + 2**19
+        assert peak < 8 * 6 * m * (n + 1) / 2
 
 
 def test_memory_bounded_at_the_var_chunk():
@@ -272,7 +285,7 @@ def test_memory_bounded_at_the_var_chunk():
     n = 500
     spots = np.linspace(95.0, 105.0, 500)
     assert lattice._rollback_job(TABLE1, MARKET, date(2004, 1, 3), spots, n).rows > lattice.BLOCK
-    workspace = (5 * 8 + 4) * lattice.BLOCK * (n + 1)
+    workspace = (5 * 8 + 3) * lattice.BLOCK * (n + 1)
     assert _peak_bytes(date(2004, 1, 3), spots, n) < workspace + 2**19
 
 

@@ -437,7 +437,7 @@ class TestProfile:
         assert np.array_equal(moved.debt, base.debt[perm])
         assert np.array_equal(moved.fronts[0], base.fronts[0][perm])
 
-        assert lattice._rollback_job(table1, market, jan2004, grid, 60, 2).rows < grid.size
+        assert lattice._rollback_job(table1, market, jan2004, grid, 60, 2, True).rows < grid.size
         base = rollback_batch(table1, market, jan2004, grid, 60, front_layers=2, binds=True)
         moved = rollback_batch(table1, market, jan2004, grid[perm], 60, front_layers=2, binds=True)
         assert np.array_equal(moved.value, base.value[perm])

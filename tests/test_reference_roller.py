@@ -192,7 +192,8 @@ def rollbacks(draw):
 
 
 REF_SHEET = (REF, JAN2004, REF_MKT)
-# every expiry node at or above the height H converts, and is counted without a buffer row
+# every expiry node at or above the height H converts: a rollback that counts
+# binds runs this batch in full-height blocks, and one that does not skips them
 ABOVE_H = (REF_SHEET, np.array([105.0, 100.0, 110.0]), 60, 0)
 # conversion ends 2006-01-02: no node of the last layers is skipped, so H = N + 1
 ENDS_2006 = ((replace(REF, conversion=replace(REF.conversion, end=date(2006, 1, 2))), JAN2004,
@@ -227,15 +228,18 @@ CALL_UNDER_REDEMPTION = ((replace(REF, call=CallTerms(90.0, ISSUE, REF.maturity)
 def test_kernel_matches_reference_roller(case):
     (terms, t0, mkt), spots, steps, front_layers = case
     res = lattice.rollback_batch(terms, mkt, t0, spots, steps, front_layers, binds=True)
+    plain = lattice.rollback_batch(terms, mkt, t0, spots, steps, front_layers)
     doubled = lattice.rollback_batch(terms.with_nominal_scaled(2.0), mkt, t0, spots, steps)
     equity, debt, binds, fronts = reference_rollback(terms, mkt, t0, spots, steps, front_layers)
 
-    assert np.array_equal(res.equity, equity)
-    assert np.array_equal(res.debt, debt)
     assert np.array_equal(res.binds, binds)
-    assert len(res.fronts) == len(fronts)
-    for got, want in zip(res.fronts, fronts):
-        assert np.array_equal(got, want)
+    # the full-height blocks of bind counting and the frontier-height ones without
+    for run in (res, plain):
+        assert np.array_equal(run.equity, equity)
+        assert np.array_equal(run.debt, debt)
+        assert len(run.fronts) == len(fronts)
+        for got, want in zip(run.fronts, fronts):
+            assert np.array_equal(got, want)
 
     # invariants of the node rule at the root (layer 0, tau = 0)
     tl = Timeline(terms, t0)
@@ -256,9 +260,12 @@ def test_kernel_matches_reference_roller(case):
 def test_pinned_heights(case, above):
     """The pinned examples reach what they are pinned for: the expiry nodes
     at or above the blocks' height H all convert, there are none (H = N + 1),
-    or some of them redeem."""
+    or some of them redeem.  A rollback that counts binds runs each of them
+    at full height, so that `expire` counts every expiry conversion."""
     (terms, t0, mkt), spots, steps, front_layers = case
     job = lattice._rollback_job(terms, mkt, t0, spots, steps, front_layers)
+    counted = lattice._rollback_job(terms, mkt, t0, spots, steps, front_layers, binds=True)
+    assert counted.height == steps + 1
     tl = Timeline(terms, t0)
     # expiry node j of each spot: ratio * spot * u^(2j - N), from the kernel's power table
     conv = (tl.ratio * np.sort(spots))[:, None] * job.pw[0::2][job.height:]
