@@ -1,4 +1,4 @@
-.PHONY: test acceptance figures demos same-outputs clean
+.PHONY: test acceptance figures demos same-outputs mutants clean
 
 # run from the source tree: no install step needed
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -19,6 +19,11 @@ demos:
 # byte-compare figures, their stdout and demo stdout against a revision: make same-outputs REV=HEAD
 same-outputs:
 	sh scripts/same_outputs.sh $(REV)
+
+# apply each kernel and FD mutant of scripts/mutants.py to a fresh copy and require a
+# failing test (a few minutes; not part of tier-1)
+mutants:
+	python3 scripts/mutants.py
 
 clean:
 	rm -rf out build *.egg-info src/*.egg-info .pytest_cache

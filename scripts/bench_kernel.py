@@ -2,9 +2,9 @@
 128, 500, 1000} at N=500 and m in {1, 500} at N=100; the VaR chunk: 500 spots in
 the order `simulate_stock` draws them (the reference VaR config, seed 0) at
 N=500, with the height H and the spots per block the kernel runs them in and
-the bytes of its block buffers (null on a kernel from before sorted blocks); the
-decision kernel `lattice.decide` alone on one node-major (H, rows) block, the
-layout the kernel runs a 500-spot batch over 60-160 in; the continuation
+the bytes of its block buffers; the decision kernel `lattice.decide` alone on
+one node-major (H, rows) block, the layout the kernel runs a 500-spot batch
+over 60-160 in; the continuation
 band's crossover (per layer, what the conversion values and `decide` cost on a
 continuing run of d * rows node-spots against the certificate that skips them,
 for rows 8 and that batch's rows); the pointwise
@@ -29,8 +29,7 @@ rollback spots are spread over 60-160, the decision block is the expiry layer
 of one kernel block of such trees at N=500, H nodes of `rows` spots as the
 kernel stores it (E = 0, B = redemption, conversion values at every node; no
 call or put, as the kernel runs it; E and B are restored before each call,
-outside the timing); a kernel from before sorted blocks reports H = N+1 and
-min(BLOCK, m) spots per block; and the FD grid is
+outside the timing); and the FD grid is
 `FDGrid.auto` (401 spot nodes, the minimal stable layer count).
 The CLI runs keep their own dates, write into a temporary directory and
 discard their stdout.  The cold-start cell is instead the median of
@@ -110,14 +109,10 @@ def _best_of(repeats: int, call, reset=lambda: None) -> float:
     return best
 
 
-def kernel_block(terms, mkt, t0, spots, steps: int) -> tuple[int, int, int | None]:
+def kernel_block(terms, mkt, t0, spots, steps: int) -> tuple[int, int, int]:
     """(H, rows, bytes): the nodes and the spots of the blocks `rollback_batch`
-    runs this batch in, and the bytes of their buffers (None on a kernel from
-    before sorted blocks)."""
-    job_of = getattr(cblab.lattice, "_rollback_job", None)
-    if job_of is None:  # a kernel from before sorted blocks: full-height blocks of BLOCK spots
-        return steps + 1, min(cblab.lattice.BLOCK, len(spots)), None
-    job = job_of(terms, mkt, t0, spots, steps)
+    runs this batch in, and the bytes of their buffers."""
+    job = cblab.lattice._rollback_job(terms, mkt, t0, spots, steps)
     return job.height, job.rows, sum(b.nbytes for b in job.buffers)
 
 
@@ -160,14 +155,14 @@ def measure_decide(repeats: int) -> dict:
     powers = lp.up ** np.arange(-steps, steps + 1, 2, dtype=float)
     conv = (timeline.ratio * spots) * powers[:nodes, None]
     E, B, V, vs = (np.empty_like(conv) for _ in range(4))
-    ncont, convb, tmp = (np.empty(conv.shape, dtype=bool) for _ in range(3))
+    ncont, convb = (np.empty(conv.shape, dtype=bool) for _ in range(2))
 
     def reset():
         E.fill(0.0)
         B.fill(timeline.redemption)
 
     best = _best_of(repeats, lambda: cblab.lattice.decide(E, B, V, vs, conv, np.inf, 0.0,
-                                                          ncont, convb, tmp), reset)
+                                                          ncont, convb), reset)
     return {"nodes": nodes, "rows": rows, "ms_per_block": round(1e3 * best, 4),
             "ns_per_node": round(1e9 * best / conv.size, 3)}
 
@@ -177,9 +172,7 @@ def measure_band(repeats: int) -> dict:
     on a run of continuing nodes (the work on d + 1 nodes less that on 1, since
     the rest of a band is decided anyway) and those of the certificate that
     replaces them; the crossover is the smallest run that pays at every width."""
-    certify = getattr(cblab.lattice._Rollback, "continues", None)
-    if certify is None:  # a kernel from before the band
-        return None
+    certify = cblab.lattice._Rollback.continues
     loops, runs = 50, []
     _, wide_rows = wide_block(cblab.reference_terms(), cblab.reference_market(), 500)
     for rows in (8, wide_rows):
@@ -188,7 +181,7 @@ def measure_band(repeats: int) -> dict:
         pw = np.linspace(0.5, 1.0, 2 * d_max)
         E, B = np.zeros((d_max, rows)), np.full((d_max, rows), 105.0)  # held 105 > every conv
         V, vs, conv = (np.empty_like(E) for _ in range(3))
-        masks = [np.empty(E.shape, dtype=bool) for _ in range(3)]
+        masks = [np.empty(E.shape, dtype=bool) for _ in range(2)]
 
         def decided(n):
             for _ in range(loops):
@@ -273,15 +266,15 @@ def measure_philox(repeats: int) -> dict:
 
 
 def measure_ndtri(repeats: int) -> dict:
-    """ms for the in-repo `ndtri` (None in a checkout without one) and for
-    scipy's (None without scipy) on the same Philox uniforms."""
+    """ms for the in-repo `ndtri` and for scipy's (None without scipy) on the
+    same Philox uniforms."""
     u = cblab.var.philox_uniforms(0, NDTRI_DRAWS)
     try:
         from scipy.special import ndtri as scipy_ndtri
     except ImportError:
         scipy_ndtri = None
     cells = {"draws": NDTRI_DRAWS}
-    for name, fn in (("in_repo_ms", getattr(cblab.var, "ndtri", None)), ("scipy_ms", scipy_ndtri)):
+    for name, fn in (("in_repo_ms", cblab.var.ndtri), ("scipy_ms", scipy_ndtri)):
         cells[name] = None if fn is None else round(1e3 * _best_of(repeats, lambda: fn(u)), 4)
     return cells
 

@@ -1,0 +1,194 @@
+"""Mutation gate for the node rule, the rollback kernel and the FD march.
+
+Each mutant is an exact (file, old text, new text) replacement whose old text
+occurs exactly once in its file.  For every mutant the working tree is copied
+fresh into a temporary directory, the replacement is applied to the copy, and
+
+    python -m pytest -x -q -p no:cacheprovider TESTS
+
+runs in the copy with PYTHONPATH at the copy's `src`.  The mutant is killed
+when that run fails; the killing test is the first FAILED or ERROR line of
+pytest's summary.  The unmutated copy runs first and must pass, or a failure
+would say nothing about the mutants.  The gate exits 1 if the unmutated copy
+fails, or if any mutant survives or no longer applies (its old text is missing
+or not unique, say after a refactor moved the code); it never skips a mutant.
+
+    python3 scripts/mutants.py        (or: make mutants)
+
+It runs one test process at a time: a few minutes on two cores.  It is not
+part of the tier-1 suite.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TESTS = ("tests/test_kernel_identity.py", "tests/test_reference_roller.py",
+         "tests/test_lattice.py", "tests/test_fd.py")
+LATTICE, FD = "src/cblab/lattice.py", "src/cblab/fd.py"
+TIMEOUT_S = 600  # a mutant that hangs the tests is killed; the unmutated run takes about 35 s
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+
+
+MUTANTS = (
+    # the node rule's exact ties: continuation over the call, and over the put
+    Mutant("tie_call_decides", LATTICE,
+           "np.greater(V, call, out=ncont)", "np.greater_equal(V, call, out=ncont)"),
+    Mutant("tie_put_decides", LATTICE,
+           "np.not_equal(vs, V, out=convb)", "np.greater_equal(vs, V, out=convb)"),
+    # decide's "converted" mask set before the "decided" test borrows it as scratch
+    Mutant("decide_convb_set_before_scratch", LATTICE,
+           "    np.not_equal(vs, V, out=convb)\n"
+           "    np.logical_or(ncont, convb, out=ncont)\n"
+           "    np.equal(vs, conv, out=convb)\n",
+           "    np.equal(vs, conv, out=convb)\n"
+           "    np.not_equal(vs, V, out=convb)\n"
+           "    np.logical_or(ncont, convb, out=ncont)\n"),
+    # the bind classification's vs == call written into the cash mask before it is counted
+    Mutant("binds_cash_reused_before_count", LATTICE,
+           "                    n_cash = np.count_nonzero(cash, axis=0)\n"
+           "                    np.greater(Vc, call_level, out=callb)\n"
+           "                    np.logical_and(callb, cash, out=callb)\n"
+           "                    np.equal(vs, call_level, out=cash)\n",
+           "                    np.equal(vs, call_level, out=cash)\n"
+           "                    n_cash = np.count_nonzero(cash, axis=0)\n"
+           "                    np.greater(Vc, call_level, out=callb)\n"
+           "                    np.logical_and(callb, cash, out=callb)\n"),
+    # the conversion frontier c_i
+    Mutant("frontier_one_node_eager", LATTICE,
+           "np.clip((first - N + self.layers + 1) // 2, 0,",
+           "np.clip((first - N + self.layers + 1) // 2 - 1, 0,"),
+    Mutant("frontier_one_node_lazy", LATTICE,
+           "np.clip((first - N + self.layers + 1) // 2, 0,",
+           "np.clip((first - N + self.layers + 1) // 2 + 1, 0,"),
+    Mutant("frontier_call_side_flipped", LATTICE,
+           'np.searchsorted(prod, self.call_levels[:N], side="right")',
+           'np.searchsorted(prod, self.call_levels[:N], side="left")'),
+    Mutant("frontier_put_side_flipped", LATTICE,
+           'np.searchsorted(prod, self.put_levels[:N], side="left")',
+           'np.searchsorted(prod, self.put_levels[:N], side="right")'),
+    # the nodes a layer holds above its band
+    Mutant("top_without_plus_one", LATTICE,
+           "max(c, cs[i - 1] + 1)", "max(c, cs[i - 1])"),
+    Mutant("front_layers_not_written_in_full", LATTICE,
+           "top = w if i <= self.front_layers else", "top = w if i < self.front_layers else"),
+    Mutant("converted_B_not_zeroed", LATTICE,
+           "                B[c:top] = 0.0\n", "                pass\n"),
+    Mutant("skipped_nodes_not_counted", LATTICE,
+           "binds[0] += N * (N + 1) // 2 - sum(cs)", "binds[0] += 0"),
+    # the sorted blocks and their height H
+    Mutant("wrong_inverse_permutation", LATTICE,
+           "back[job.order] = np.arange(m)", "back[:] = job.order"),
+    Mutant("height_one_node_short", LATTICE,
+           "max([front_layers, *self.cs[front_layers:]]) + 1",
+           "max([front_layers, *self.cs[front_layers:]])"),
+    Mutant("bind_counts_at_height_H", LATTICE,
+           "self.height = N + 1 if binds else max(", "self.height = max("),
+    # the conversion window and the expiry layer
+    Mutant("conversion_outside_its_window", LATTICE,
+           "if active[i] else 0.0", "if True else 0.0"),
+    Mutant("expiry_conversion_outside_its_window", LATTICE,
+           "if self.active[N] else 0.0", "if True else 0.0"),
+    Mutant("expiry_coupon_before_decision", LATTICE,
+           "    decide(E, B, V, vs, conv, np.inf, 0.0, ncont, convb)\n"
+           "    if coupon != 0.0:\n"
+           "        B += coupon\n",
+           "    if coupon != 0.0:\n"
+           "        B += coupon\n"
+           "    decide(E, B, V, vs, conv, np.inf, 0.0, ncont, convb)\n"),
+    # the two certificates that let a layer skip decide
+    Mutant("continues_strict_call", LATTICE,
+           "return V.max() <= call and", "return V.max() < call and"),
+    Mutant("keeps_without_put", LATTICE,
+           "            held &= V >= put\n", "            pass\n"),
+    # the FD march: its boundary rows, and the V row that decide borrows
+    Mutant("fd_floor_row_without_put", FD,
+           "Z[0] = Z[n_s] = floors[m]", "Z[0] = Z[n_s] = debt_pvs[m]"),
+    Mutant("fd_top_row_keeps_debt", FD,
+           "            Z[-1] = 0.0\n", "            Z[-1] = debt_pvs[m]\n"),
+    Mutant("fd_top_row_converts_outside_window", FD,
+           "top_converts = conv_active & (conv_top > debt_pvs)",
+           "top_converts = conv_top > debt_pvs"),
+    Mutant("fd_borrowed_row_not_restored", FD,
+           "        np.add(E_in, B_in, out=V_in)\n", "        pass\n"),
+)
+
+
+def fresh_copy(dst: Path) -> Path:
+    """The working tree, as it is now, copied to `dst` without git or caches."""
+    shutil.copytree(ROOT, dst, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_out", "out"))
+    return dst
+
+
+def apply(tree: Path, mutant: Mutant) -> bool:
+    """Apply `mutant` in `tree`; False if its old text is missing or not unique."""
+    path = tree / mutant.path
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        return False
+    path.write_text(text.replace(mutant.old, mutant.new))
+    return True
+
+
+def run_tests(tree: Path) -> tuple[bool, str]:
+    """(passed, the first failing test or pytest's last line) of the gate's
+    test run in `tree`; a run that outlasts TIMEOUT_S seconds has failed."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                               *TESTS], cwd=tree, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False, f"a test run over {TIMEOUT_S} s"
+    lines = proc.stdout.splitlines() or proc.stderr.splitlines() or [""]
+    failed = next((x.split(" - ")[0] for x in lines if x.startswith(("FAILED ", "ERROR "))),
+                  lines[-1])
+    return proc.returncode == 0, failed
+
+
+def main() -> int:
+    bad = []
+    with tempfile.TemporaryDirectory() as tmp:
+        t = time.perf_counter()
+        passed, failed = run_tests(fresh_copy(Path(tmp) / "unmutated"))
+        print(f"unmutated tree: {'passed' if passed else 'FAILED ' + failed} "
+              f"({time.perf_counter() - t:.1f} s)", flush=True)
+        if not passed:
+            return 1
+        for k, mutant in enumerate(MUTANTS):
+            tree = fresh_copy(Path(tmp) / f"mutant{k}")
+            t = time.perf_counter()
+            if not apply(tree, mutant):
+                outcome = f"NO LONGER APPLIES: its old text is not once in {mutant.path}"
+                bad.append(mutant.name)
+            else:
+                passed, failed = run_tests(tree)
+                outcome = f"SURVIVED ({time.perf_counter() - t:.1f} s)" if passed else \
+                    f"killed by {failed} ({time.perf_counter() - t:.1f} s)"
+                if passed:
+                    bad.append(mutant.name)
+            print(f"{mutant.name}: {outcome}", flush=True)
+            shutil.rmtree(tree)
+    print(f"{len(MUTANTS) - len(bad)} of {len(MUTANTS)} mutants killed"
+          + (f"; not killed: {', '.join(bad)}" if bad else ""))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

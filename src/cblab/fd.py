@@ -200,17 +200,18 @@ def solve_tf_fd(
         return z, z[2:], z[1:-1], z[:-2], z[1 : n_s - 1], z[n_s + 1 : -1]
 
     # node-rule buffers for the whole march: full width for the expiry layer,
-    # their [1:-1] views for the interior of every layer after it
-    E, held, v_star = (np.empty(n_s) for _ in range(3))
-    masks = [np.empty(n_s, dtype=bool) for _ in range(3)]  # decided, converted, scratch
+    # their [1:-1] views for the interior of every layer after it.  The node
+    # rule's held value goes into the V row, which V = E + B overwrites after it
+    E, v_star = np.empty(n_s), np.empty(n_s)
+    masks = [np.empty(n_s, dtype=bool) for _ in range(2)]  # decided, converted
     conv_on, conv_off = ratio * S, np.zeros(n_s)
 
-    expire(E, Z[n_s:], held, v_star, conv_on if conv_active[n_t - 1] else conv_off,
+    expire(E, Z[n_s:], Z[:n_s], v_star, conv_on if conv_active[n_t - 1] else conv_off,
            timeline.redemption, inject[n_t - 1], *masks)
     np.add(E, Z[n_s:], out=Z[:n_s])
 
     # snapshot bookkeeping
-    want = {0, n_t - 1}
+    want = {0}
     if snapshot_dates is not None:
         for d in snapshot_dates:
             if d < t0 or d > terms.maturity:
@@ -218,13 +219,9 @@ def solve_tf_fd(
             want.add(int(round(year_fraction(t0, d) / dt)))
     else:
         want.update(int(round(x)) for x in np.linspace(0, n_t - 1, 41))
-    stored: dict[int, np.ndarray] = {}
-    if (n_t - 1) in want:
-        stored[n_t - 1] = Z.copy()
+    stored = {n_t - 1: Z.copy()}
 
-    E_in, held_in, v_star_in, conv_on_in, conv_off_in = (
-        x[1:-1] for x in (E, held, v_star, conv_on, conv_off)
-    )
+    E_in, v_star_in, conv_on_in, conv_off_in = (x[1:-1] for x in (E, v_star, conv_on, conv_off))
     masks_in = [x[1:-1] for x in masks]
     old, new = views(Z), views(np.empty(2 * n_s))
     for m in range(n_t - 2, -1, -1):
@@ -255,7 +252,7 @@ def solve_tf_fd(
             Z[n_s - 1] = Z[-1] = debt_pvs[m]
 
         np.subtract(V_in, B_in, out=E_in)
-        decide(E_in, B_in, held_in, v_star_in, conv_on_in if conv_active[m] else conv_off_in,
+        decide(E_in, B_in, V_in, v_star_in, conv_on_in if conv_active[m] else conv_off_in,
                call_levels[m], put_levels[m], *masks_in)
         np.add(E_in, B_in, out=V_in)
 

@@ -116,7 +116,7 @@ BLOCK = 128
 # where its reductions cost less than the decisions it skips (BENCH_16.json
 # crossover); a smaller band is certified whole, node by node
 BAND_CELLS = 2048
-# the largest tree: a block's buffers take at most (N+1) * BLOCK * 43 bytes, 55 MB at the cap
+# the largest tree: a block's buffers take at most (N+1) * BLOCK * 42 bytes, 53.8 MB at the cap
 MAX_TREE_STEPS = 10**4
 
 
@@ -202,7 +202,7 @@ def block_rows(m: int, steps: int, height: int) -> int:
     return min(m, BLOCK * (steps + 1) // height)
 
 
-def decide(E, B, V, vs, conv, call, put, ncont, convb, tmp) -> None:
+def decide(E, B, V, vs, conv, call, put, ncont, convb) -> None:
     """The node rule, in place: V* = max(min(V, call), put, conv), V = E + B.
 
     Ties resolve continuation > conversion > call > put.  A continuing node
@@ -210,16 +210,17 @@ def decide(E, B, V, vs, conv, call, put, ncont, convb, tmp) -> None:
     sets V* to its level exactly): into E when conversion binds, since it pays
     shares, and into B otherwise, since call and put proceeds are contractual
     cash.  E and B are updated; V, vs, ncont and convb are left holding the
-    held value, V*, "decided" and "converted"; tmp is scratch.  All arrays
-    share one shape; `call` and `put` are scalars.
+    held value, V*, "decided" and "converted", whatever they held on entry
+    (convb is scratch until it is set).  All arrays share one shape; `call`
+    and `put` are scalars.
     """
     np.add(E, B, out=V)
     np.minimum(V, call, out=vs)
     np.maximum(vs, put, out=vs)
     np.maximum(vs, conv, out=vs)
     np.greater(V, call, out=ncont)
-    np.not_equal(vs, V, out=tmp)
-    np.logical_or(ncont, tmp, out=ncont)
+    np.not_equal(vs, V, out=convb)
+    np.logical_or(ncont, convb, out=ncont)
     np.equal(vs, conv, out=convb)
     np.logical_and(convb, ncont, out=convb)
     np.copyto(E, 0.0, where=ncont)
@@ -228,14 +229,15 @@ def decide(E, B, V, vs, conv, call, put, ncont, convb, tmp) -> None:
     np.copyto(B, 0.0, where=convb)
 
 
-def expire(E, B, V, vs, conv, redemption, coupon, ncont, convb, tmp) -> None:
+def expire(E, B, V, vs, conv, redemption, coupon, ncont, convb) -> None:
     """The expiry layer, in place: redeem or convert (`decide` with no call and
     no put from E = 0, B = redemption), then add to B `coupon`, a pre-maturity
     coupon that a coarse grid buckets into this layer: received cash either
-    way, since conversion at expiry forfeits the final coupon, not this one."""
+    way, since conversion at expiry forfeits the final coupon, not this one.
+    V, vs, ncont and convb are left as `decide` leaves them."""
     E.fill(0.0)
     B.fill(redemption)
-    decide(E, B, V, vs, conv, np.inf, 0.0, ncont, convb, tmp)
+    decide(E, B, V, vs, conv, np.inf, 0.0, ncont, convb)
     if coupon != 0.0:
         B += coupon
 
@@ -258,7 +260,7 @@ class BatchResult:
 class _Rollback:
     """One rollback: its per-layer inputs, the spots in ascending order, the
     node-major buffers that every block reuses (E, B, V (also the rollback
-    scratch), V*, conversion values and three node masks, `height` nodes tall
+    scratch), V*, conversion values and two node masks, `height` nodes tall
     and `rows` spots wide), and the output arrays in that order, which each
     block fills in its own rows."""
 
@@ -303,7 +305,7 @@ class _Rollback:
         self.height = N + 1 if binds else max([front_layers, *self.cs[front_layers:]]) + 1
         self.rows = block_rows(m, N, self.height)
         self.buffers = [np.empty((self.height, self.rows), dtype=t)
-                        for t in (float,) * 5 + (bool,) * 3]
+                        for t in (float,) * 5 + (bool,) * 2]
         self.equity, self.debt = np.empty(m), np.empty(m)
         self.fronts = [np.empty((m, k + 1)) for k in range(front_layers + 1)]
         # rows: conversion, call, put
@@ -387,17 +389,15 @@ class _Rollback:
     def _roll_block(self, lo: int, hi: int) -> None:
         N, H, pw, p, q = self.N, self.height, self.pw, self.p, self.q
         rows = hi - lo  # the block is each buffer's leading contiguous (H, rows) run
-        E, B, V, VS, C, NC, CB, TMP = (b.reshape(-1)[: H * rows].reshape(H, rows)
-                                      for b in self.buffers)
+        E, B, V, VS, C, NC, CB = (b.reshape(-1)[: H * rows].reshape(H, rows)
+                                  for b in self.buffers)
         rs = self.rs[lo:hi]  # ascending
         binds = None if self.binds is None else self.binds[:, lo:hi]
         fronts = [f[lo:hi].T for f in self.fronts]
 
-        if self.active[N]:
-            np.multiply(rs, pw[0 : 2 * H : 2, None], out=C)
-        else:
-            C.fill(0.0)
-        expire(E, B, V, VS, C, self.redemption, self.injects[N], NC, CB, TMP)
+        # conversion off: rs * 0.0 is +0.0, since rs is finite and >= 0
+        np.multiply(rs, pw[0 : 2 * H : 2, None] if self.active[N] else 0.0, out=C)
+        expire(E, B, V, VS, C, self.redemption, self.injects[N], NC, CB)
         if binds is not None:
             binds[0] += np.count_nonzero(CB, axis=0)
         if self.front_layers >= N:
@@ -428,10 +428,8 @@ class _Rollback:
                 else:
                     d = 0  # the guess failed its certificate: decide the whole band
             conv = C[d:top]
-            if active[i]:
-                np.multiply(rs, pw[N - i + 2 * d : N - i + 2 * top : 2, None], out=conv)
-            else:
-                conv.fill(0.0)
+            np.multiply(rs, pw[N - i + 2 * d : N - i + 2 * top : 2, None] if active[i] else 0.0,
+                        out=conv)
 
             # BAND_CELLS picks the certificate: the guessed run [0, d) at or
             # above it, the whole band below it (there d = 0, and the band is
@@ -439,19 +437,20 @@ class _Rollback:
             convc = conv[: c - d]
             if c * rows >= BAND_CELLS or not self.keeps(Ec, Bc, Vc, convc, call_level, put_level):
                 vs, ncont, convb = VS[d:c], NC[d:c], CB[d:c]
-                decide(Ec, Bc, Vc, vs, convc, call_level, put_level, ncont, convb, TMP[d:c])
+                decide(Ec, Bc, Vc, vs, convc, call_level, put_level, ncont, convb)
                 if binds is not None:
                     binds[0] += np.count_nonzero(convb, axis=0)
                     # with the conversions counted, decide's masks take the cash
                     # nodes (decided, not converted) and the call: bound where the
-                    # value was clipped to exactly the call level; the put elsewhere
-                    cash, callb, tmp = ncont, convb, TMP[d:c]
+                    # value was clipped to exactly the call level; the put elsewhere.
+                    # Once counted, the cash mask is the scratch for vs == call
+                    cash, callb = ncont, convb
                     np.logical_xor(ncont, convb, out=cash)
                     n_cash = np.count_nonzero(cash, axis=0)
                     np.greater(Vc, call_level, out=callb)
                     np.logical_and(callb, cash, out=callb)
-                    np.equal(vs, call_level, out=tmp)
-                    np.logical_and(callb, tmp, out=callb)
+                    np.equal(vs, call_level, out=cash)
+                    np.logical_and(callb, cash, out=callb)
                     n_call = np.count_nonzero(callb, axis=0)
                     binds[1] += n_call
                     binds[2] += n_cash - n_call

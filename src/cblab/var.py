@@ -78,6 +78,15 @@ def _mulhilo64(a: np.ndarray, b: np.uint64) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
+def _check_seed(seed) -> int:
+    """A Philox seed as an int: an integer (`check_integer`) in [0, 2**64),
+    the key's one 64-bit word."""
+    seed = check_integer(seed, "seed")
+    if not 0 <= seed < 2**64:
+        raise ConfigurationError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def philox_uniforms(seed: int, n: int) -> np.ndarray:
     """n uniforms in the open interval (0,1) from Philox-2x64-10 keyed by seed.
 
@@ -86,9 +95,7 @@ def philox_uniforms(seed: int, n: int) -> np.ndarray:
     identical on every platform and library version.  The seed is the key,
     one 64-bit word: an integer in [0, 2**64), so no two seeds share a stream.
     """
-    seed, n = check_integer(seed, "seed"), check_integer(n, "uniform count")
-    if not 0 <= seed < 2**64:
-        raise ConfigurationError(f"seed must be in [0, 2**64), got {seed}")
+    seed, n = _check_seed(seed), check_integer(n, "uniform count")
     if n < 1:
         raise DomainError("need n >= 1 uniforms")
     blocks = (n + 1) // 2
@@ -171,10 +178,9 @@ class VaRSpec:
     steps: int = 500
 
     def __post_init__(self) -> None:
-        for field in ("holding_days", "n_scenarios", "seed"):
+        for field in ("holding_days", "n_scenarios"):
             object.__setattr__(self, field, check_integer(getattr(self, field), field))
-        if not 0 <= self.seed < 2**64:  # the Philox key is one 64-bit word
-            raise ConfigurationError(f"seed must be in [0, 2**64), got {self.seed}")
+        object.__setattr__(self, "seed", _check_seed(self.seed))  # at construction, not at the draw
         # before any draw: the trees are built only after every scenario is simulated
         object.__setattr__(self, "steps", check_steps(self.steps))
         if not 0.0 < self.confidence < 1.0:

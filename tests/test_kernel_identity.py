@@ -265,12 +265,12 @@ def _peak_bytes(t0, spots, steps, binds=False) -> int:
 
 def test_memory_bounded_by_blocks_not_batch():
     """A 2,000-spot, N=200 rollback holds one BLOCK * (N+1) workspace of five
-    float and three bool buffers, not O(m * (N+1)): the whole-batch buffers
+    float and two bool buffers, not O(m * (N+1)): the whole-batch buffers
     would need 6 * 2000 * 201 doubles (19 MB).  A second workspace would
     break the 512 KiB allowance for the O(m) outputs and O(N) tables.  Bind
     counts run full-height blocks of BLOCK spots, in the same bound."""
     m, n = 2000, 200
-    workspace = (5 * 8 + 3) * lattice.BLOCK * (n + 1)
+    workspace = (5 * 8 + 2) * lattice.BLOCK * (n + 1)
     spots = np.linspace(50.0, 200.0, m)
     for binds in (False, True):
         peak = _peak_bytes(JAN2004, spots, n, binds)
@@ -285,7 +285,7 @@ def test_memory_bounded_at_the_var_chunk():
     n = 500
     spots = np.linspace(95.0, 105.0, 500)
     assert lattice._rollback_job(TABLE1, MARKET, date(2004, 1, 3), spots, n).rows > lattice.BLOCK
-    workspace = (5 * 8 + 3) * lattice.BLOCK * (n + 1)
+    workspace = (5 * 8 + 2) * lattice.BLOCK * (n + 1)
     assert _peak_bytes(date(2004, 1, 3), spots, n) < workspace + 2**19
 
 

@@ -82,7 +82,7 @@ def decide_one(held: NodeValue, call: float, put: float, conv: float) -> NodeVal
     """`decide` on one node: held value, dirty call, dirty put, conversion value."""
     E, B, c = (np.array([x]) for x in (held.equity, held.debt, conv))
     V, vs = np.empty(1), np.empty(1)
-    decide(E, B, V, vs, c, call, put, *(np.empty(1, dtype=bool) for _ in range(3)))
+    decide(E, B, V, vs, c, call, put, *(np.empty(1, dtype=bool) for _ in range(2)))
     return NodeValue(equity=float(E[0]), debt=float(B[0]))
 
 
@@ -130,6 +130,28 @@ class TestApplyConstraints:
     def test_exact_ties(self, held, call, put, conv, expected):
         out = decide_one(held, call, put, conv)
         assert (out.equity, out.debt) == expected
+
+    def test_results_ignore_what_the_buffers_held(self):
+        """`decide` sets V, vs, ncont and convb before it reads them (convb is
+        scratch until it is set), so none of its results depends on what they
+        held on entry.  The nodes cover every outcome and tie at call 110 and
+        put 98: continue, convert, call, put, held = call, conversion = call,
+        held = put, conversion = put."""
+        held_E = [50.0, 80.0, 80.0, 10.0, 70.0, 80.0, 50.0, 10.0]
+        held_B = [60.0, 40.0, 40.0, 60.0, 40.0, 40.0, 48.0, 60.0]
+        conv = np.array([105.0, 115.0, 100.0, 20.0, 110.0, 110.0, 20.0, 98.0])
+        results = set()
+        for value, flag in ((np.nan, True), (np.nan, False), (0.0, True), (0.0, False)):
+            E, B = np.array(held_E), np.array(held_B)
+            V, vs = np.full(8, value), np.full(8, value)
+            ncont, convb = np.full(8, flag), np.full(8, flag)
+            decide(E, B, V, vs, conv, 110.0, 98.0, ncont, convb)
+            results.add(tuple(x.tobytes() for x in (E, B, V, vs, ncont, convb)))
+            assert E.tolist() == [50.0, 115.0, 0.0, 0.0, 70.0, 110.0, 50.0, 98.0]
+            assert B.tolist() == [60.0, 0.0, 110.0, 98.0, 40.0, 0.0, 48.0, 0.0]
+            assert ncont.tolist() == [False, True, True, True, False, True, False, True]
+            assert convb.tolist() == [False, True, False, False, False, True, False, True]
+        assert len(results) == 1
 
 
 def straight_bond(rate: float = 0.0, years: int = 1) -> ConvertibleTerms:

@@ -28,7 +28,8 @@ decides the whole band.  Every batch of up to 17 spots on these trees takes
 that path on every layer, and so does a wider one on its narrow layers.  A
 property test holds the check to `decide` itself on small arrays with exact
 ties, and a pinned single spot reaches the fallback: the call binds at node
-c_i - 1, the last node below the frontier.
+c_i - 1, the last node below the frontier.  A second property test holds the
+guessed run's certificate to `decide` on the same arrays.
 """
 
 import math
@@ -360,9 +361,27 @@ def test_small_band_certificate_is_decide(band):
     assert np.array_equal(V, E + B)
 
     E2, B2 = E.copy(), B.copy()
-    ncont, convb, tmp = (np.empty(E.shape, dtype=bool) for _ in range(3))
-    lattice.decide(E2, B2, np.empty_like(E), np.empty_like(E), conv, call, put, ncont, convb,
-                   tmp)
+    ncont, convb = (np.empty(E.shape, dtype=bool) for _ in range(2))
+    lattice.decide(E2, B2, np.empty_like(E), np.empty_like(E), conv, call, put, ncont, convb)
     assert keeps == (not ncont.any())
     if keeps:
         assert E2.tobytes() == E.tobytes() and B2.tobytes() == B.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400, print_blob=True)
+@given(small_bands().filter(lambda band: band[0].size > 0))
+def test_run_certificate_is_decide(band):
+    """The guessed run's certificate, with `low` the larger of the put and the
+    run's top conversion value, holds exactly when `decide` decides no node
+    of a run whose every conversion value is that top value: held values
+    equal to the call or to `low` continue in both."""
+    E, B, conv, call, put = band
+    V = np.empty_like(E)
+    top = conv.max()
+    certified = lattice._Rollback.continues(E, B, V, call, max(put, top))
+    assert np.array_equal(V, E + B)
+
+    ncont, convb = (np.empty(E.shape, dtype=bool) for _ in range(2))
+    lattice.decide(E.copy(), B.copy(), np.empty_like(E), np.empty_like(E), np.full_like(E, top),
+                   call, put, ncont, convb)
+    assert certified == (not ncont.any())

@@ -154,6 +154,16 @@ class TestSimulateStock:
                            match=re.escape(f"seed must be in [0, 2**64), got {seed}") + "$"):
             spec_with(seed=seed)
 
+    @pytest.mark.parametrize("seed", [2**64, -1, 1.5, True])
+    def test_seed_refused_as_the_stream_refuses_it(self, seed):
+        """`VaRSpec` refuses at construction every seed that `philox_uniforms`
+        refuses, with the same error and message."""
+        with pytest.raises(ConfigurationError) as stream:
+            philox_uniforms(seed, 3)
+        with pytest.raises(ConfigurationError) as spec:
+            spec_with(seed=seed)
+        assert str(spec.value) == str(stream.value)
+
     def test_accepts_the_largest_seed(self):
         spec = spec_with(seed=2**64 - 1, n_scenarios=3)
         assert spec.seed == 2**64 - 1
