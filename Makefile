@@ -1,4 +1,4 @@
-.PHONY: test acceptance figures demos same-outputs mutants clean
+.PHONY: test acceptance figures demos same-outputs mutants selfcheck clean
 
 # run from the source tree: no install step needed
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -24,6 +24,10 @@ same-outputs:
 # failing test (a few minutes; not part of tier-1)
 mutants:
 	python3 scripts/mutants.py
+
+# the benchmark harness's self-check at tiny sizes (about a minute)
+selfcheck:
+	python3 perfbench/selfcheck.py
 
 clean:
 	rm -rf out build *.egg-info src/*.egg-info .pytest_cache

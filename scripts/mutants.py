@@ -1,4 +1,5 @@
-"""Mutation gate for the node rule, the rollback kernel and the FD march.
+"""Mutation gate for the node rule, the rollback kernel, the FD march and the
+input checks that the hedge view, the FD profile and the term sheet rely on.
 
 Each mutant is an exact (file, old text, new text) replacement whose old text
 occurs exactly once in its file.  For every mutant the working tree is copied
@@ -32,8 +33,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TESTS = ("tests/test_kernel_identity.py", "tests/test_reference_roller.py",
-         "tests/test_lattice.py", "tests/test_fd.py")
+         "tests/test_lattice.py", "tests/test_fd.py", "tests/test_hedge.py",
+         "tests/test_termsheet.py")
 LATTICE, FD = "src/cblab/lattice.py", "src/cblab/fd.py"
+HEDGE, TERMSHEET = "src/cblab/hedge.py", "src/cblab/termsheet.py"
 TIMEOUT_S = 600  # a mutant that hangs the tests is killed; the unmutated run takes about 35 s
 
 
@@ -126,6 +129,17 @@ MUTANTS = (
            "top_converts = conv_top > debt_pvs"),
     Mutant("fd_borrowed_row_not_restored", FD,
            "        np.add(E_in, B_in, out=V_in)\n", "        pass\n"),
+    # refusals with one owner: the engine's checks behind a zero hedge shock,
+    # fd_profile's stored-layer bound, and the integer coupon frequency
+    Mutant("zero_shock_skips_engine_checks", HEDGE,
+           "        _rollback_job(terms, mkt, t, spots, steps)\n", ""),
+    Mutant("fd_profile_reads_any_layer", FD,
+           "if gaps[layer] > 0.5 * solution.grid.dt(solution.layer_taus[-1]) * (1.0 + 1e-6):",
+           "if False:"),
+    Mutant("coupon_frequency_not_integer_checked", TERMSHEET,
+           "        object.__setattr__(self, \"coupon_frequency\",\n"
+           "                           check_integer(self.coupon_frequency, \"coupon_frequency\"))\n",
+           ""),
 )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 from datetime import date
 from pathlib import Path
 
@@ -22,11 +23,12 @@ import numpy as np
 
 from . import fd, hedge, lattice, sensitivities, var
 from .errors import CBLabError, ConfigurationError
-from .reports import Report, write_lines, write_rows
+from .reports import Report, format_number, write_lines, write_rows
 from .termsheet import (
     MarketParams,
     accrued_interest,
     load_terms,
+    reference_market,
     reference_terms_path,
     terms_to_dict,
     year_fraction,
@@ -96,7 +98,7 @@ def _surface_table(args, terms, mkt, t_grid: list[date]) -> int:
         ai = accrued_interest(terms, t)
         for j, s in enumerate(spots):
             p = srf.point(i, j)
-            rows.append((f"{t_years:.10g}", t.isoformat(), float(s), p.value, p.value - ai,
+            rows.append((t_years, t.isoformat(), float(s), p.value, p.value - ai,
                          p.equity, p.debt, p.delta, p.delta_pct, p.gamma))
     out = _write(args, _config(args, terms), args.command,
                  ["t_years", "t_date", "S", "V_dirty", "V_clean", "E", "B",
@@ -176,7 +178,7 @@ def cmd_compare(args, terms, mkt) -> int:
     lat_viol = sensitivities.monotonicity_violations(v_lat)
     fd_viol = sensitivities.monotonicity_violations(v_fd, tol=1e-6)
     summary = [
-        f"max_abs_diff {np.max(np.abs(diff)):.10g}",
+        f"max_abs_diff {format_number(np.max(np.abs(diff)))}",
         f"lattice_monotonicity_violations {lat_viol}",
         f"fd_monotonicity_violations {fd_viol}",
     ]
@@ -197,12 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    mkt = reference_market()
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--terms", type=Path, default=reference_terms_path(),
                         help="term-sheet JSON (default: packaged reference instrument)")
-    common.add_argument("--rate", type=float, default=0.05, help="risk-free rate, cc/year")
-    common.add_argument("--spread", type=float, default=0.02, help="credit spread, cc/year")
-    common.add_argument("--vol", type=float, default=0.30, help="stock volatility /sqrt(year)")
+    common.add_argument("--rate", type=float, default=mkt.rate, help="risk-free rate, cc/year")
+    common.add_argument("--spread", type=float, default=mkt.credit_spread,
+                        help="credit spread, cc/year")
+    common.add_argument("--vol", type=float, default=mkt.sigma, help="stock volatility /sqrt(year)")
     common.add_argument("--steps", type=int, default=500, help="tree steps")
     common.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     common.add_argument("--format", choices=("csv", "report"), default="csv")
@@ -234,15 +238,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--contract-size", type=float, default=1_000_000.0)
     p.set_defaults(func=cmd_hedge_stress)
 
+    spec = {f.name: f.default for f in fields(var.VaRSpec)}
     p = sub.add_parser("var", parents=[common], help="Monte Carlo VaR with full repricing")
     p.add_argument("--date", type=_parse_date, default=None, help="evaluation date (default: issue)")
     p.add_argument("--spot", type=float, default=100.0)
-    p.add_argument("--holding-days", type=int, default=1)
-    p.add_argument("--confidence", type=float, default=0.99)
-    p.add_argument("--scenarios", type=int, default=10_000)
-    p.add_argument("--drift", type=float, default=0.05, help="scenario drift /year")
-    p.add_argument("--scen-vol", type=float, default=0.30, help="scenario volatility /year")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--holding-days", type=int, default=spec["holding_days"])
+    p.add_argument("--confidence", type=float, default=spec["confidence"])
+    p.add_argument("--scenarios", type=int, default=spec["n_scenarios"])
+    p.add_argument("--drift", type=float, default=spec["drift"], help="scenario drift /year")
+    p.add_argument("--scen-vol", type=float, default=spec["scen_sigma"],
+                   help="scenario volatility /year")
+    p.add_argument("--seed", type=int, default=spec["seed"])
     p.set_defaults(func=cmd_var)
 
     p = sub.add_parser("compare", parents=[common, grid],

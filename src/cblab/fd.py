@@ -31,8 +31,8 @@ from datetime import date
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericalError
-from .lattice import check_integer, decide, expire
-from .termsheet import ConvertibleTerms, MarketParams, Timeline, year_fraction
+from .lattice import decide, expire
+from .termsheet import ConvertibleTerms, MarketParams, Timeline, check_integer, year_fraction
 
 __all__ = ["FDGrid", "FDSolution", "solve_tf_fd", "fd_profile", "stable_time_layers"]
 
@@ -192,7 +192,7 @@ def solve_tf_fd(
     cu_z = np.concatenate((cu, zero, cu))
     cm_z = np.concatenate((cm_v, zero, cm_b))
     cd_z = np.concatenate((cd, zero, cd))
-    dt_rc = np.full(n_s - 2, dt * rc)
+    dt_rc = dt * rc
     tmp = np.empty(2 * n_s - 2)
     tmp_v = tmp[: n_s - 2]
 
@@ -281,12 +281,17 @@ def fd_profile(solution: FDSolution, t: date, spots) -> np.ndarray:
 
     Nearest stored layer in time, linear interpolation in S (exact on grid
     nodes).  Spots outside [0, S_max] or dates outside the solved span are
-    refused rather than extrapolated, and so are non-finite spots.
+    refused rather than extrapolated, and so are non-finite spots and a date
+    whose nearest stored layer is more than half a marched step away: the
+    march did not store it.
     """
     if t < solution.t0 or t > solution.terms.maturity:
         raise DomainError(f"date {t} outside the solved span")
-    tau = year_fraction(solution.t0, t)
-    layer = int(np.argmin(np.abs(solution.layer_taus - tau)))
+    gaps = np.abs(solution.layer_taus - year_fraction(solution.t0, t))
+    layer = int(np.argmin(gaps))
+    # half a marched step, with a relative margin for the rounding of the layer times
+    if gaps[layer] > 0.5 * solution.grid.dt(solution.layer_taus[-1]) * (1.0 + 1e-6):
+        raise DomainError(f"date {t} has no stored layer; pass it in snapshot_dates")
     spots = np.asarray(spots, dtype=float)
     if not np.all(np.isfinite(spots)):
         raise DomainError("spot prices must be finite")

@@ -17,8 +17,8 @@ from datetime import date
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
-from .lattice import rollback_batch
+from .errors import ConfigurationError
+from .lattice import _rollback_job, rollback_batch
 from .sensitivities import _front_greeks
 from .termsheet import ConvertibleTerms, MarketParams
 
@@ -51,11 +51,11 @@ def hedge_increment(
     terms: ConvertibleTerms, mkt: MarketParams, t: date, spot: float, shock: float, steps: int
 ) -> float:
     """Change of the hedged position when the spot jumps by `shock`, the hedge
-    having been struck at the pre-shock delta."""
-    # the engine's own spot check, ahead of the shortcut that never reaches it
-    if not (np.isfinite(spot) and spot > 0):
-        raise DomainError("spot prices must be finite and > 0")
+    struck at the pre-shock delta; a zero shock gives 0.0 after the engine's
+    input checks, so it refuses what any shock refuses."""
+    spots = np.array([float(spot)])
     if shock == 0:
+        _rollback_job(terms, mkt, t, spots, steps)
         return 0.0
-    inc, _ = stress_increments(terms, mkt, t, np.array([float(spot)]), shock, steps)
+    inc, _ = stress_increments(terms, mkt, t, spots, shock, steps)
     return float(inc[0])

@@ -85,7 +85,6 @@ node c_i - 1.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
@@ -93,7 +92,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .termsheet import ConvertibleTerms, MarketParams, Timeline
+from .termsheet import ConvertibleTerms, MarketParams, Timeline, check_integer
 
 __all__ = [
     "LatticeParams",
@@ -153,14 +152,6 @@ class PriceResult:
     def price(self) -> float:
         """Dirty price at the root."""
         return self.node.value
-
-
-def check_integer(value, what: str) -> int:
-    """`value` as an int if it is a Python or numpy integer; a bool, a float
-    (even 10.0) or a string is refused with an error naming `what`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 def check_steps(steps) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import calendar
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
@@ -40,6 +41,14 @@ __all__ = [
     "reference_market",
     "reference_terms_path",
 ]
+
+
+def check_integer(value, what: str) -> int:
+    """`value` as an int if it is a Python or numpy integer; a bool, a float
+    (even 10.0) or a string is refused with an error naming `what`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def year_fraction(d1: date, d2: date) -> float:
@@ -119,6 +128,8 @@ class ConvertibleTerms:
             raise ConfigurationError(f"nominal must be finite and > 0, got {self.nominal!r}")
         if not (math.isfinite(self.coupon_rate) and self.coupon_rate >= 0):
             raise ConfigurationError(f"coupon rate must be finite and >= 0, got {self.coupon_rate!r}")
+        object.__setattr__(self, "coupon_frequency",
+                           check_integer(self.coupon_frequency, "coupon_frequency"))
         if self.coupon_frequency < 1:
             raise ConfigurationError("coupon frequency must be >= 1 per year")
         if 12 % self.coupon_frequency != 0:
@@ -345,15 +356,12 @@ def terms_from_dict(data: dict) -> ConvertibleTerms:
             )
         if data.get("day_count", "ACT_365") != "ACT_365":
             raise ValueError(f"day count {data['day_count']!r} is not ACT_365")
-        frequency = data["coupon_frequency"]
-        if type(frequency) is not int:  # not a float, a string or a bool
-            raise ValueError(f"coupon_frequency must be a JSON integer, got {frequency!r}")
         return ConvertibleTerms(
             nominal=float(data["nominal"]),
             issue=issue,
             maturity=maturity,
             coupon_rate=float(data["coupon_rate"]),
-            coupon_frequency=frequency,
+            coupon_frequency=data["coupon_frequency"],
             conversion=conversion,
             **rights,
         )

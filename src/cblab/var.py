@@ -13,14 +13,15 @@ without interpolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, timedelta
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .lattice import check_integer, check_steps, price_tf_crr, rollback_batch
-from .termsheet import ConvertibleTerms, MarketParams
+from .lattice import check_steps, price_tf_crr, rollback_batch
+from .reports import format_number
+from .termsheet import ConvertibleTerms, MarketParams, check_integer
 
 __all__ = [
     "VaRSpec",
@@ -237,25 +238,13 @@ class VaRResult:
 
     def report_lines(self) -> list[str]:
         """Structured text record: spec echo, V0, VaR, histogram arrays."""
-        s = self.spec
-        lines = [
-            f"eval_date: {s.eval_date.isoformat()}",
-            f"spot: {s.spot:.10g}",
-            f"holding_days: {s.holding_days}",
-            f"confidence: {s.confidence:.10g}",
-            f"n_scenarios: {s.n_scenarios}",
-            f"drift: {s.drift:.10g}",
-            f"scen_sigma: {s.scen_sigma:.10g}",
-            f"seed: {s.seed}",
-            f"steps: {s.steps}",
-            f"value0: {self.value0:.10g}",
-            f"var_abs: {self.var_abs:.10g}",
-            f"var_pct: {self.var_pct:.10g}",
-            "stock_hist_edges: " + " ".join(f"{e:.10g}" for e in self.stock_hist.edges),
-            "stock_hist_counts: " + " ".join(str(int(c)) for c in self.stock_hist.counts),
-            "value_hist_edges: " + " ".join(f"{e:.10g}" for e in self.value_hist.edges),
-            "value_hist_counts: " + " ".join(str(int(c)) for c in self.value_hist.counts),
-        ]
+        lines = [f"{f.name}: {format_number(getattr(self.spec, f.name))}"
+                 for f in fields(self.spec)]
+        lines += [f"{k}: {format_number(getattr(self, k))}" for k in ("value0", "var_abs", "var_pct")]
+        for name in ("stock_hist", "value_hist"):
+            hist = getattr(self, name)
+            lines += [f"{name}_edges: " + " ".join(map(format_number, hist.edges)),
+                      f"{name}_counts: " + " ".join(map(format_number, hist.counts))]
         return lines
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, reproducibility, and error handling."""
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 from cblab import cli, fd, hedge, lattice, sensitivities, var
 from cblab.cli import build_parser, main
 from cblab.reports import Report, config_hash, write_rows
-from cblab.termsheet import load_terms, reference_terms_path
+from cblab.termsheet import load_terms, reference_market, reference_terms_path
 
 
 def run(args):
@@ -538,6 +539,29 @@ class TestConfig:
         if action.dest == "date":
             return "2003-07-02" if value is None else "2004-07-02"
         return str(value + 1)
+
+    def test_defaults_are_the_librarys(self):
+        """The market flags default to `reference_market()` and the `var` flags
+        to `VaRSpec`'s field defaults, so a bare command prices the reference case."""
+        mkt = reference_market()
+        for command in ("price", "var"):
+            args = build_parser().parse_args([command])
+            assert (args.rate, args.spread, args.vol) == (mkt.rate, mkt.credit_spread, mkt.sigma)
+        args = build_parser().parse_args(["var"])
+        flags = {"n_scenarios": "scenarios", "scen_sigma": "scen_vol"}  # the rest share names
+        for f in dataclasses.fields(var.VaRSpec):
+            if f.default is not dataclasses.MISSING:
+                value = getattr(args, flags.get(f.name, f.name))
+                assert value == f.default and type(value) is type(f.default), f.name
+
+    @pytest.mark.parametrize("command, explicit", [
+        ("price", ["--rate", "0.05", "--spread", "0.02", "--vol", "0.30"]),
+        ("var", ["--rate", "0.05", "--spread", "0.02", "--vol", "0.30", "--holding-days", "1",
+                 "--confidence", "0.99", "--scenarios", "10000", "--drift", "0.05",
+                 "--scen-vol", "0.30", "--seed", "0", "--steps", "500"]),
+    ])
+    def test_explicit_defaults_keep_the_hash(self, command, explicit):
+        assert self._hash([command] + explicit) == self._hash([command])
 
     @pytest.mark.parametrize("command", list(BASE))
     def test_every_option_but_out_changes_the_hash(self, tmp_path, command):

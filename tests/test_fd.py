@@ -223,6 +223,20 @@ class TestSolutionShape:
         with pytest.raises(DomainError):
             fd_profile(sol, date(2003, 12, 31), [100.0])
 
+    def test_profile_refuses_unstored_dates(self, table1, market, jan2004):
+        """A date more than half a marched step from every stored layer was not
+        stored; reading the nearest layer (t0 or expiry) would be silently stale."""
+        grid = FDGrid.auto(market, year_fraction(jan2004, table1.maturity), n_s=101)
+        sol = solve_tf_fd(table1, market, jan2004, grid, snapshot_dates=[jan2004])
+        for day in (date(2005, 6, 1), date(2006, 6, 1)):
+            with pytest.raises(DomainError, match=f"date {day} has no stored layer"):
+                fd_profile(sol, day, [100.0])
+        assert fd_profile(sol, jan2004, [100.0])[0] == sol.value[0][25]
+        assert fd_profile(sol, table1.maturity, [100.0])[0] == sol.value[-1][25]
+        # the same date, stored, is read from its own layer
+        sol = solve_tf_fd(table1, market, jan2004, grid, snapshot_dates=[date(2005, 6, 1)])
+        assert fd_profile(sol, date(2005, 6, 1), [100.0])[0] == sol.value[1][25]
+
     def test_profile_refuses_non_finite_spots(self, solved, jan2004):
         """A NaN spot fails both range comparisons, so it is refused by name."""
         sol, _ = solved

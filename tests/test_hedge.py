@@ -75,6 +75,21 @@ class TestHedgeIncrement:
             with pytest.raises(DomainError):
                 hedge_increment(table1, market, issue, spot, 0.0, 100)
 
+    @pytest.mark.parametrize("when, spot, steps", [
+        (date(1990, 1, 1), 100.0, 100),
+        (date(2002, 1, 2), 100.0, 1.5),
+        (date(2002, 1, 2), 100.0, 10**9),
+        (date(2002, 1, 2), -1.0, 100),
+    ], ids=["pre-issue", "fractional-steps", "steps-over-cap", "negative-spot"])
+    def test_zero_shock_refuses_what_a_shock_refuses(self, table1, market, when, spot, steps):
+        """The zero-shock increment is 0.0 only for inputs the engine would roll back."""
+        errors = []
+        for shock in (0.5, 0.0):
+            with pytest.raises((ConfigurationError, DomainError)) as info:
+                hedge_increment(table1, market, when, spot, shock, steps)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+
     @pytest.mark.parametrize("grid", [[-1.0], [float("nan")], []],
                              ids=["negative", "nan", "empty"])
     def test_bad_stress_grid_is_a_domain_error(self, table1, market, issue, grid):

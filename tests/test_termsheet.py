@@ -85,6 +85,12 @@ class TestCouponSchedule:
         with pytest.raises(ConfigurationError, match="does not divide the year"):
             replace(table1, coupon_frequency=5)
 
+    @pytest.mark.parametrize("frequency", [2.0, True, "2"], ids=["float", "bool", "str"])
+    def test_frequency_must_be_an_integer(self, table1, frequency):
+        """2.0 would divide the year as a float, and True count as annual coupons."""
+        with pytest.raises(ConfigurationError, match="^coupon_frequency must be an integer"):
+            replace(table1, coupon_frequency=frequency)
+
 
 class TestAccruedInterest:
     def test_zero_on_coupon_dates_and_issue(self, table1):
