@@ -1,4 +1,4 @@
-.PHONY: test acceptance figures demos same-outputs mutants selfcheck clean
+.PHONY: test acceptance figures demos same-outputs mutants selfcheck sloc clean
 
 # run from the source tree: no install step needed
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -28,6 +28,10 @@ mutants:
 # the benchmark harness's self-check at tiny sizes (about a minute)
 selfcheck:
 	python3 perfbench/selfcheck.py
+
+# the counted src/ lines (neither blank nor comment-only) that simplicity changes report
+sloc:
+	@cat src/cblab/*.py | grep -v '^\s*$$' | grep -v '^\s*#' | wc -l
 
 clean:
 	rm -rf out build *.egg-info src/*.egg-info .pytest_cache

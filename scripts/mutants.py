@@ -1,5 +1,6 @@
 """Mutation gate for the node rule, the rollback kernel, the FD march and the
-input checks that the hedge view, the FD profile and the term sheet rely on.
+input checks that the hedge view, the FD profile and the term sheet rely on,
+the number rule (`check_real`) among them.
 
 Each mutant is an exact (file, old text, new text) replacement whose old text
 occurs exactly once in its file.  For every mutant the working tree is copied
@@ -34,10 +35,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TESTS = ("tests/test_kernel_identity.py", "tests/test_reference_roller.py",
          "tests/test_lattice.py", "tests/test_fd.py", "tests/test_hedge.py",
-         "tests/test_termsheet.py")
+         "tests/test_termsheet.py", "tests/test_cli.py")
 LATTICE, FD = "src/cblab/lattice.py", "src/cblab/fd.py"
 HEDGE, TERMSHEET = "src/cblab/hedge.py", "src/cblab/termsheet.py"
-TIMEOUT_S = 600  # a mutant that hangs the tests is killed; the unmutated run takes about 35 s
+TIMEOUT_S = 600  # a mutant that hangs the tests is killed; the unmutated run takes about 45 s
 
 
 @dataclass(frozen=True)
@@ -140,6 +141,15 @@ MUTANTS = (
            "        object.__setattr__(self, \"coupon_frequency\",\n"
            "                           check_integer(self.coupon_frequency, \"coupon_frequency\"))\n",
            ""),
+    # the number rule: a bool is not a number, a strict bound is strict, and the
+    # term-sheet reader leaves the converting to it
+    Mutant("check_real_accepts_bool", TERMSHEET,
+           "isinstance(value, numbers.Real) and not isinstance(value, bool)",
+           "isinstance(value, numbers.Real)"),
+    Mutant("strict_bound_not_strict", TERMSHEET,
+           "(x <= lower if strict else x < lower)", "(x < lower if strict else x < lower)"),
+    Mutant("terms_from_dict_converts_nominal", TERMSHEET,
+           'nominal=data["nominal"],', 'nominal=float(data["nominal"]),'),
 )
 
 

@@ -27,6 +27,7 @@ from .reports import Report, format_number, write_lines, write_rows
 from .termsheet import (
     MarketParams,
     accrued_interest,
+    check_real,
     load_terms,
     reference_market,
     reference_terms_path,
@@ -44,18 +45,16 @@ def _parse_date(s: str) -> date:
 
 
 def _spot_grid(args) -> np.ndarray:
-    if not all(map(math.isfinite, (args.s_min, args.s_max, args.s_step))):
-        raise ConfigurationError("--s-min, --s-max and --s-step must be finite")
-    if args.s_step <= 0:
-        raise ConfigurationError(f"--s-step must be > 0, got {args.s_step:g}")
-    if args.s_max < args.s_min:
-        raise ConfigurationError(f"--s-max {args.s_max:g} is below --s-min {args.s_min:g}")
+    s_min, s_max = check_real(args.s_min, "--s-min"), check_real(args.s_max, "--s-max")
+    s_step = check_real(args.s_step, "--s-step", 0.0)
+    if s_max < s_min:
+        raise ConfigurationError(f"--s-max {s_max:g} is below --s-min {s_min:g}")
     # the last point never passes --s-max; the epsilon absorbs the quotient's rounding
-    n = (args.s_max - args.s_min) / args.s_step + 1e-9
+    n = (s_max - s_min) / s_step + 1e-9
     if not n < MAX_SPOT_POINTS:
-        raise ConfigurationError(f"--s-step {args.s_step:g} gives {n + 1:.6g} spot points, "
+        raise ConfigurationError(f"--s-step {s_step:g} gives {n + 1:.6g} spot points, "
                                  f"more than {MAX_SPOT_POINTS:,}")
-    return args.s_min + args.s_step * np.arange(math.floor(n) + 1)
+    return s_min + s_step * np.arange(math.floor(n) + 1)
 
 
 def _config(args, terms) -> dict:
@@ -122,13 +121,11 @@ def cmd_greeks(args, terms, mkt) -> int:
 
 def cmd_hedge_stress(args, terms, mkt) -> int:
     spots = _spot_grid(args)
-    if not (math.isfinite(args.contract_size) and args.contract_size > 0):
-        raise ConfigurationError(
-            f"contract size must be finite and > 0, got {args.contract_size!r}")
+    size = check_real(args.contract_size, "contract size", 0.0)
     increments, positions = hedge.stress_increments(terms, mkt, args.date, spots,
                                                     args.shock, args.steps)
     with np.errstate(over="ignore"):  # an overflow is refused just below
-        scaled = increments * (args.contract_size / terms.nominal)
+        scaled = increments * (size / terms.nominal)
     if not np.all(np.isfinite(scaled)):
         raise ConfigurationError(f"--contract-size {args.contract_size:g} scales an increment "
                                  "past the float range")

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericalError
 from .lattice import decide, expire
-from .termsheet import ConvertibleTerms, MarketParams, Timeline, check_integer, year_fraction
+from .termsheet import ConvertibleTerms, MarketParams, Timeline, check_integer, check_real, year_fraction
 
 __all__ = ["FDGrid", "FDSolution", "solve_tf_fd", "fd_profile", "stable_time_layers"]
 
@@ -53,18 +53,17 @@ def _stability_limit(sigma: float, risky_rate: float, s_max: float, ds: float) -
     return limit
 
 
-def _check_space(s_max: float, n_s: int) -> None:
+def _check_space(s_max: float, n_s: int) -> float:
     if n_s < 3:
         raise ConfigurationError(f"need at least 3 spot nodes, got {n_s}")
-    if not (math.isfinite(s_max) and s_max > 0):
-        raise ConfigurationError(f"s_max must be finite and > 0, got {s_max:g}")
+    return check_real(s_max, "s_max", 0.0)
 
 
 def stable_time_layers(
     sigma: float, risky_rate: float, horizon: float, s_max: float, n_s: int
 ) -> int:
     """Smallest layer count satisfying the explicit-scheme stability bound."""
-    _check_space(s_max, n_s)
+    s_max = _check_space(s_max, n_s)
     ds = s_max / (n_s - 1)
     steps = horizon / _stability_limit(sigma, risky_rate, s_max, ds)
     if not steps < MAX_FD_LAYERS:  # an inf count included, before int() sees it
@@ -84,7 +83,7 @@ class FDGrid:
     def __post_init__(self) -> None:
         for field in ("n_s", "n_t"):
             object.__setattr__(self, field, check_integer(getattr(self, field), field))
-        _check_space(self.s_max, self.n_s)
+        object.__setattr__(self, "s_max", _check_space(self.s_max, self.n_s))
         if self.n_t < 2:
             raise ConfigurationError("need at least 2 time layers")
         if self.n_t > MAX_FD_LAYERS:

@@ -12,7 +12,6 @@ size is the caller's multiplication.
 
 from __future__ import annotations
 
-import math
 from datetime import date
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .lattice import _rollback_job, rollback_batch
 from .sensitivities import _front_greeks
-from .termsheet import ConvertibleTerms, MarketParams
+from .termsheet import ConvertibleTerms, MarketParams, check_real
 
 __all__ = ["hedge_increment", "stress_increments"]
 
@@ -31,8 +30,8 @@ def stress_increments(
     """Shock increments and pre-shock hedged positions over `spots`, in any
     order; the spots are the engine's to check, the shock must be finite,
     nonzero and keep every valid spot > 0."""
-    if not (math.isfinite(shock) and shock != 0):
-        raise ConfigurationError(f"shock must be finite and nonzero, got {shock!r}")
+    if check_real(shock, "shock") == 0:
+        raise ConfigurationError("shock must be nonzero")
     spots = np.asarray(spots, dtype=float)
     m = spots.size
     both = np.concatenate([spots, spots + shock])
@@ -54,7 +53,7 @@ def hedge_increment(
     struck at the pre-shock delta; a zero shock gives 0.0 after the engine's
     input checks, so it refuses what any shock refuses."""
     spots = np.array([float(spot)])
-    if shock == 0:
+    if check_real(shock, "shock") == 0:
         _rollback_job(terms, mkt, t, spots, steps)
         return 0.0
     inc, _ = stress_increments(terms, mkt, t, spots, shock, steps)

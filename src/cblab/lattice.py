@@ -99,7 +99,6 @@ __all__ = [
     "NodeValue",
     "PriceResult",
     "build_crr_params",
-    "check_integer",
     "check_steps",
     "decide",
     "expire",

@@ -51,6 +51,19 @@ def check_integer(value, what: str) -> int:
     return int(value)
 
 
+def check_real(value, what: str, lower: float | None = None, strict: bool = True) -> float:
+    """`value` as a float if it is a finite Python or numpy real number above `lower` (or
+    at it, if not `strict`); a bool, a string or None is refused with an error naming `what`."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an int past the float range
+        x = math.nan
+    if not math.isfinite(x) or lower is not None and (x <= lower if strict else x < lower):
+        bound = "" if lower is None else f" {'>' if strict else '>='} {lower:g}"
+        raise ConfigurationError(f"{what} must be a finite real number{bound}, got {value!r}")
+    return x
+
+
 def year_fraction(d1: date, d2: date) -> float:
     """Year fraction between two dates, exact day count over 365."""
     if d1 > d2:
@@ -75,8 +88,7 @@ class ConversionTerms:
     end: date
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.ratio) and self.ratio >= 0):
-            raise ConfigurationError(f"conversion ratio must be finite and >= 0, got {self.ratio!r}")
+        object.__setattr__(self, "ratio", check_real(self.ratio, "conversion ratio", 0.0, strict=False))
         if self.start > self.end:
             raise ConfigurationError("conversion window start is after its end")
 
@@ -90,8 +102,7 @@ class _ExerciseRight:
     end: date
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.price) and self.price > 0):
-            raise ConfigurationError(f"{self._name} price must be > 0 and finite, got {self.price!r}")
+        object.__setattr__(self, "price", check_real(self.price, f"{self._name} price", 0.0))
         if self.start > self.end:
             raise ConfigurationError(f"{self._name} window start is after its end")
 
@@ -124,10 +135,9 @@ class ConvertibleTerms:
     coupon_dates: tuple[date, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.nominal) and self.nominal > 0):
-            raise ConfigurationError(f"nominal must be finite and > 0, got {self.nominal!r}")
-        if not (math.isfinite(self.coupon_rate) and self.coupon_rate >= 0):
-            raise ConfigurationError(f"coupon rate must be finite and >= 0, got {self.coupon_rate!r}")
+        object.__setattr__(self, "nominal", check_real(self.nominal, "nominal", 0.0))
+        object.__setattr__(self, "coupon_rate",
+                           check_real(self.coupon_rate, "coupon rate", 0.0, strict=False))
         object.__setattr__(self, "coupon_frequency",
                            check_integer(self.coupon_frequency, "coupon_frequency"))
         if self.coupon_frequency < 1:
@@ -181,10 +191,8 @@ class MarketParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ConfigurationError(f"sigma must be finite and > 0, got {self.sigma!r}")
-        if not (np.isfinite(self.rate) and np.isfinite(self.credit_spread)):
-            raise ConfigurationError("rate and credit spread must be finite")
+        for f, lower in (("rate", None), ("credit_spread", None), ("sigma", 0.0)):
+            object.__setattr__(self, f, check_real(getattr(self, f), f.replace("_", " "), lower))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +350,7 @@ def terms_from_dict(data: dict) -> ConvertibleTerms:
         maturity = date.fromisoformat(data["maturity_date"])
         conv = data["conversion"]
         conversion = ConversionTerms(
-            ratio=float(conv["ratio"]),
+            ratio=conv["ratio"],
             start=date.fromisoformat(conv["start"]),
             end=date.fromisoformat(conv["end"]),
         )
@@ -350,17 +358,17 @@ def terms_from_dict(data: dict) -> ConvertibleTerms:
         for name, right in (("call", CallTerms), ("put", PutTerms)):
             r = data.get(name)
             rights[name] = None if r is None else right(
-                price=float(r["price"]),
+                price=r["price"],
                 start=date.fromisoformat(r["start"]),
                 end=date.fromisoformat(r["end"]),
             )
         if data.get("day_count", "ACT_365") != "ACT_365":
             raise ValueError(f"day count {data['day_count']!r} is not ACT_365")
         return ConvertibleTerms(
-            nominal=float(data["nominal"]),
+            nominal=data["nominal"],
             issue=issue,
             maturity=maturity,
-            coupon_rate=float(data["coupon_rate"]),
+            coupon_rate=data["coupon_rate"],
             coupon_frequency=data["coupon_frequency"],
             conversion=conversion,
             **rights,

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .lattice import check_steps, price_tf_crr, rollback_batch
 from .reports import format_number
-from .termsheet import ConvertibleTerms, MarketParams, check_integer
+from .termsheet import ConvertibleTerms, MarketParams, check_integer, check_real
 
 __all__ = [
     "VaRSpec",
@@ -184,6 +184,11 @@ class VaRSpec:
         object.__setattr__(self, "seed", _check_seed(self.seed))  # at construction, not at the draw
         # before any draw: the trees are built only after every scenario is simulated
         object.__setattr__(self, "steps", check_steps(self.steps))
+        for field, what, lower, strict in (("confidence", "confidence", None, True),
+                                           ("drift", "drift", None, True),
+                                           ("scen_sigma", "scenario volatility", 0.0, False),
+                                           ("spot", "spot", 0.0, True)):
+            object.__setattr__(self, field, check_real(getattr(self, field), what, lower, strict))
         if not 0.0 < self.confidence < 1.0:
             raise ConfigurationError("confidence must be in (0,1)")
         if self.n_scenarios < 1:
@@ -193,13 +198,6 @@ class VaRSpec:
                                      f"of {MAX_SCENARIOS:,}")
         if self.holding_days <= 0:
             raise ConfigurationError("holding period must be positive")
-        if not math.isfinite(self.drift):
-            raise ConfigurationError(f"drift must be finite, got {self.drift!r}")
-        if not (math.isfinite(self.scen_sigma) and self.scen_sigma >= 0):
-            raise ConfigurationError(
-                f"scenario volatility must be finite and >= 0, got {self.scen_sigma!r}")
-        if not (math.isfinite(self.spot) and self.spot > 0):
-            raise ConfigurationError(f"spot must be finite and > 0, got {self.spot!r}")
 
     @property
     def horizon_years(self) -> float:

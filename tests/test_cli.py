@@ -231,12 +231,16 @@ class TestGridValidation:
             (("nominal",), float("nan"), "nominal"),
             (("nominal",), float("inf"), "nominal"),
             (("nominal",), 0.0, "nominal"),
+            (("nominal",), True, "nominal"),
             (("coupon_rate",), float("nan"), "coupon rate"),
             (("coupon_rate",), float("inf"), "coupon rate"),
             (("coupon_rate",), -0.01, "coupon rate"),
+            (("coupon_rate",), False, "coupon rate"),
             (("conversion", "ratio"), float("nan"), "conversion ratio"),
             (("conversion", "ratio"), float("inf"), "conversion ratio"),
+            (("conversion", "ratio"), True, "conversion ratio"),
             (("call", "price"), float("inf"), "call price"),
+            (("call", "price"), "110", "call price"),
             (("put", "price"), float("inf"), "put price"),
         ]
     ])
@@ -251,6 +255,16 @@ class TestGridValidation:
         assert rc == 2
         # the message names the field, not a symptom such as a date out of range
         assert names in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_term_sheet_int_past_the_float_range_exits_2(self, tmp_path, capsys):
+        sheet = json.loads(reference_terms_path().read_text())
+        sheet["nominal"] = 10**400  # a JSON integer that float() cannot convert
+        terms_path = tmp_path / "terms.json"
+        terms_path.write_text(json.dumps(sheet))
+        rc = run(["price", "--terms", terms_path, "--steps", 20, "--out", tmp_path / "o"])
+        assert rc == 2
+        assert "nominal must be a finite real number > 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("size", ["nan", "inf", "0", "-5"])

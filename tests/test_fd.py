@@ -85,6 +85,12 @@ class TestGrid:
         grid = FDGrid(400.0, np.int64(41), np.int32(2000))
         assert (type(grid.n_s), type(grid.n_t)) == (int, int)
 
+    @pytest.mark.parametrize("s_max", [True, "400.0"], ids=["bool", "str"])
+    def test_s_max_must_be_a_real_number(self, s_max):
+        with pytest.raises(ConfigurationError, match="^s_max must be a finite real number > 0, got "):
+            FDGrid(s_max=s_max, n_s=11, n_t=100)
+        assert type(FDGrid(s_max=400, n_s=11, n_t=100).s_max) is float
+
     @pytest.mark.parametrize("sigma, n_s, layers", [
         (0.30, 10**8, "2.7e+15"),
         (30.0, 401, "4.32e+08"),

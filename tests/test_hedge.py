@@ -129,6 +129,14 @@ class TestStressCurve:
             with pytest.raises(ConfigurationError, match="shock"):
                 hedge_increment(table1, market, issue, 100.0, shock, 20)
 
+    @pytest.mark.parametrize("shock", [True, False, "0.5"], ids=["true", "false", "str"])
+    def test_shock_must_be_a_real_number(self, table1, market, issue, shock):
+        """False would pass as a zero shock, True as a shock of 1.0."""
+        for view in (stress_increments, hedge_increment):
+            spots = np.array([100.0]) if view is stress_increments else 100.0
+            with pytest.raises(ConfigurationError, match="^shock must be a finite real number, got "):
+                view(table1, market, issue, spots, shock, 20)
+
     def test_shock_below_zero_spot_names_shock_and_spot(self, table1, market, issue):
         grid = np.array([-1.0, 200.0, 120.0, 100.0])
         with pytest.raises(ConfigurationError, match=r"shock -150\.0 moves spot 120\.0 to -30\.0"):

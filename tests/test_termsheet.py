@@ -21,7 +21,8 @@ from cblab import (
     reference_terms_path,
     year_fraction,
 )
-from cblab.termsheet import Timeline, terms_from_dict, terms_to_dict
+from cblab.reports import config_hash
+from cblab.termsheet import Timeline, check_real, terms_from_dict, terms_to_dict
 
 
 def count_days(d1: date, d2: date) -> int:
@@ -31,6 +32,30 @@ def count_days(d1: date, d2: date) -> int:
         d += timedelta(days=1)
         n += 1
     return n
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize("value", [2, 2.0, np.int64(2), np.float32(2.0), np.float64(2.0)],
+                             ids=["int", "float", "np.int64", "np.float32", "np.float64"])
+    def test_real_numbers_come_back_as_floats(self, value):
+        x = check_real(value, "x")
+        assert type(x) is float and x == 2.0
+
+    @pytest.mark.parametrize("value", [True, np.True_, "2", None, 10**400, float("nan"),
+                                       float("-inf")],
+                             ids=["bool", "np.bool", "str", "None", "huge-int", "nan", "-inf"])
+    def test_everything_else_refused(self, value):
+        with pytest.raises(ConfigurationError, match=r"^x must be a finite real number, got "):
+            check_real(value, "x")
+
+    def test_bounds(self):
+        assert check_real(0, "x", 0.0, strict=False) == 0.0
+        assert check_real(1e-300, "x", 0.0) == 1e-300
+        with pytest.raises(ConfigurationError, match=r"^x must be a finite real number > 0, got 0$"):
+            check_real(0, "x", 0.0)
+        with pytest.raises(ConfigurationError,
+                           match=r"^x must be a finite real number >= 0, got -1e-300$"):
+            check_real(-1e-300, "x", 0.0, strict=False)
 
 
 class TestYearFraction:
@@ -191,7 +216,8 @@ class TestExerciseRights:
     @pytest.mark.parametrize("price", [0.0, -1.0, float("nan"), float("inf")])
     @pytest.mark.parametrize("right, name", [(CallTerms, "call"), (PutTerms, "put")])
     def test_bad_price_names_the_right(self, right, name, price):
-        with pytest.raises(ConfigurationError, match=f"^{name} price must be > 0"):
+        with pytest.raises(ConfigurationError,
+                           match=f"^{name} price must be a finite real number > 0, got "):
             right(price, date(2004, 1, 2), date(2007, 1, 2))
 
     @pytest.mark.parametrize("right, name", [(CallTerms, "call"), (PutTerms, "put"),
@@ -224,8 +250,17 @@ class TestMarketParams:
     @pytest.mark.parametrize("rates", [dict(rate=float("nan")), dict(credit_spread=float("inf"))],
                              ids=["rate-nan", "spread-inf"])
     def test_rate_and_spread_must_be_finite(self, rates):
-        with pytest.raises(ConfigurationError, match="rate and credit spread must be finite"):
+        name = next(iter(rates)).replace("_", " ")
+        with pytest.raises(ConfigurationError, match=f"{name} must be a finite real number, got "):
             MarketParams(**{"rate": 0.05, "credit_spread": 0.02, "sigma": 0.3, **rates})
+
+    @pytest.mark.parametrize("bad", [True, "0.3"], ids=["bool", "str"])
+    @pytest.mark.parametrize("field", ["rate", "credit_spread", "sigma"])
+    def test_bool_and_string_refused(self, field, bad):
+        """float(True) is 1.0 and float("0.3") parses, but neither is a market input."""
+        name = field.replace("_", " ")
+        with pytest.raises(ConfigurationError, match=f"^{name} must be a finite real number"):
+            MarketParams(**{"rate": 0.05, "credit_spread": 0.02, "sigma": 0.3, field: bad})
 
     def test_negative_spread_allowed(self):
         MarketParams(rate=0.05, credit_spread=-0.001, sigma=0.3)
@@ -240,6 +275,13 @@ class TestTermSheetFile:
         dump_terms(parsed, out)
         assert out.read_text() == src
         assert load_terms(out) == parsed
+
+    def test_int_nominal_hashes_as_the_packaged_sheet(self, table1):
+        """A library int is stored as the float a JSON sheet gives, so the
+        configuration echo and its hash do not depend on how it was typed."""
+        built = replace(table1, nominal=100)
+        assert type(built.nominal) is float
+        assert config_hash(terms_to_dict(built)) == config_hash(terms_to_dict(table1))
 
     def test_dict_round_trip(self, table1):
         callable_putable = replace(table1, put=PutTerms(98.0, date(2003, 1, 2), date(2005, 1, 2)))

@@ -135,6 +135,14 @@ class TestSimulateStock:
                 with pytest.raises(ConfigurationError, match=name):
                     spec_with(**{field: bad})
 
+    @pytest.mark.parametrize("bad", [True, "0.5"], ids=["bool", "str"])
+    @pytest.mark.parametrize("field, name", [("spot", "spot"), ("confidence", "confidence"),
+                                             ("drift", "drift"),
+                                             ("scen_sigma", "scenario volatility")])
+    def test_rejects_bool_and_string_reals(self, field, name, bad):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be a finite real number"):
+            spec_with(**{field: bad})
+
     @pytest.mark.parametrize("field", ["holding_days", "n_scenarios", "seed"])
     @pytest.mark.parametrize("bad", [1.5, 2.5, np.float64(2.0), "2", True],
                              ids=["1.5", "2.5", "numpy_float", "str", "bool"])
