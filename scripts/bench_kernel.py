@@ -1,8 +1,9 @@
 """Time the batch rollback kernel: ms per spot for batch widths m in {1, 2, 32,
 128, 500, 1000} at N=500 and m in {1, 500} at N=100; the VaR chunk: 500 spots in
 the order `simulate_stock` draws them (the reference VaR config, seed 0) at
-N=500, with the height H and the spots per block the kernel runs them in and
-the bytes of its block buffers; the decision kernel `lattice.decide` alone on
+N=500, with the height H and the spots per block the kernel runs them in, the
+bytes of its block buffers and the settled floor's share of the band below the
+conversion frontier (sum k_i * rows over sum c_i * rows, all blocks); the decision kernel `lattice.decide` alone on
 one node-major (H, rows) block, the layout the kernel runs a 500-spot batch
 over 60-160 in; the continuation
 band's crossover (per layer, what the conversion values and `decide` cost on a
@@ -116,6 +117,19 @@ def kernel_block(terms, mkt, t0, spots, steps: int) -> tuple[int, int, int]:
     return job.height, job.rows, sum(b.nbytes for b in job.buffers)
 
 
+def floor_share(terms, mkt, t0, spots, steps: int) -> float:
+    """The share of the band below the conversion frontier, in node-spots, that
+    the kernel's blocks leave to the settled floor: sum k_i * rows over sum
+    c_i * rows."""
+    job = cblab.lattice._rollback_job(terms, mkt, t0, spots, steps)
+    floor = band = 0
+    for lo in range(0, job.rs.size, job.rows):
+        rs = job.rs[lo : lo + job.rows]
+        floor += rs.size * sum(job.floor_rows(rs[-1], rs.size))
+        band += rs.size * sum(job.frontier(rs[0]))
+    return floor / band
+
+
 def measure(repeats: int) -> list[dict]:
     terms, mkt = cblab.reference_terms(), cblab.reference_market()
     cells = []
@@ -135,6 +149,7 @@ def measure_var_chunk(repeats: int) -> dict:
                                                           spec.steps))
     return {"m": spots.size, "N": spec.steps, "height": height, "rows": rows,
             "blocks": -(-spots.size // rows), "workspace_bytes": workspace,
+            "floor_share": round(floor_share(terms, mkt, spec.horizon_date, spots, spec.steps), 4),
             "ms": round(1e3 * best, 4),
             "ms_per_spot": round(1e3 * best / spots.size, 4)}
 

@@ -120,6 +120,26 @@ MUTANTS = (
            "return V.max() <= call and", "return V.max() < call and"),
     Mutant("keeps_without_put", LATTICE,
            "            held &= V >= put\n", "            pass\n"),
+    # the settled floor: the rows it writes, its level and where it may reach
+    Mutant("settled_rows_written_one_short", LATTICE,
+           "B[k : ks[i + 1]] = self.settled[i + 1]", "B[k + 1 : ks[i + 1]] = self.settled[i + 1]"),
+    Mutant("settled_without_coupons", LATTICE,
+           "* disc + inject[i]", "* disc"),
+    Mutant("settled_expiry_without_coupon", LATTICE,
+           "b[N] = self.redemption + inject[N]", "b[N] = self.redemption"),
+    Mutant("floor_expiry_at_settled_level", LATTICE,
+           "levels = np.append(b[:N], self.redemption)", "levels = b"),
+    Mutant("floor_ignores_put", LATTICE,
+           "K[:N][(b[:N] > self.call_levels[:N]) | (b[:N] < self.put_levels[:N])] = 0",
+           "K[:N][b[:N] > self.call_levels[:N]] = 0"),
+    Mutant("floor_ignores_call", LATTICE,
+           "K[:N][(b[:N] > self.call_levels[:N]) | (b[:N] < self.put_levels[:N])] = 0",
+           "K[:N][b[:N] < self.put_levels[:N]] = 0"),
+    Mutant("floor_cone_not_widened", LATTICE,
+           "k = np.minimum.accumulate((K - idx)[::-1])[::-1] + idx",
+           "k = np.minimum.accumulate(K[::-1])[::-1]"),
+    Mutant("floor_on_front_layers", LATTICE,
+           "        k[: self.front_layers + 1] = 0\n", ""),
     # the FD march: its boundary rows, and the V row that decide borrows
     Mutant("fd_floor_row_without_put", FD,
            "Z[0] = Z[n_s] = floors[m]", "Z[0] = Z[n_s] = debt_pvs[m]"),

@@ -17,7 +17,7 @@ from datetime import date
 import numpy as np
 
 from .errors import ConfigurationError
-from .lattice import _rollback_job, rollback_batch
+from .lattice import _rollback_job, check_spots, rollback_batch
 from .sensitivities import _front_greeks
 from .termsheet import ConvertibleTerms, MarketParams, check_real
 
@@ -28,14 +28,14 @@ def stress_increments(
     terms: ConvertibleTerms, mkt: MarketParams, t: date, spots, shock: float, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shock increments and pre-shock hedged positions over `spots`, in any
-    order; the spots are the engine's to check, the shock must be finite,
-    nonzero and keep every valid spot > 0."""
+    order; the spots get the engine's check (`lattice.check_spots`), the
+    shock must be finite, nonzero and keep every spot > 0."""
     if check_real(shock, "shock") == 0:
         raise ConfigurationError("shock must be nonzero")
-    spots = np.asarray(spots, dtype=float)
+    spots = check_spots(spots)
     m = spots.size
     both = np.concatenate([spots, spots + shock])
-    moved = np.flatnonzero((spots > 0) & (both[m:] <= 0))
+    moved = np.flatnonzero(both[m:] <= 0)
     if moved.size:
         s = float(spots[moved[0]])
         raise ConfigurationError(f"shock {shock!r} moves spot {s!r} to {s + shock!r}; "
@@ -52,7 +52,7 @@ def hedge_increment(
     """Change of the hedged position when the spot jumps by `shock`, the hedge
     struck at the pre-shock delta; a zero shock gives 0.0 after the engine's
     input checks, so it refuses what any shock refuses."""
-    spots = np.array([float(spot)])
+    spots = [spot]  # the engine's spot check reads its dtype
     if check_real(shock, "shock") == 0:
         _rollback_job(terms, mkt, t, spots, steps)
         return 0.0

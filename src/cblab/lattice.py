@@ -50,11 +50,35 @@ H = 254-255 and runs in two blocks of about 250 spots.
 Below c_i most nodes continue, and `decide` leaves a continuing node as it is:
 a node continues iff its held value V = E + B is at most the dirty call and at
 least the dirty put and its conversion value (ties continue).  So a layer skips
-`decide` on whatever part of its band a certificate shows to continue.  One
-threshold, BAND_CELLS node-spots, picks the certificate's shape.
+the nodes of its band that can never be decided (the settled floor), and
+`decide` on whatever part of the rest a certificate shows to continue.  One
+threshold, BAND_CELLS node-spots, gates the floor and picks the certificate's
+shape.
+
+The settled floor.  A node from which no decision can bind before expiry is
+pure risky debt (Tsiveriotis-Fernandes): E = 0 and B = b_i, the risky present
+value of the remaining cash.  Every spot of a rollback shares u, p and the
+discounts, so b_i is one number per layer (`settled`): b_N = redemption + the
+expiry coupon and b_i = ((b_{i+1} * q) + (b_{i+1} * p)) * disc_B + coupon_i,
+the kernel's own IEEE operations in its order, so these are the bits the
+kernel would roll; E stays the +0 that `expire` wrote, since 0 * p + 0 * q is
++0.  A node of layer i continues whatever the spot of its block if the block's
+largest conversion value there is at most b_i (the redemption at expiry), b_i
+is at most the call and b_i is at least the put; K_i counts such nodes from 0.
+Node j of layer i reaches nodes j..j + i' - i of layer i', so the settled rows
+are [0, k_i) with k_i = min over i' >= i of K_i' - (i' - i), and the floor
+shrinks by at least one node per layer back from expiry.  So the settled rows
+[k_i, k_{i+1}) that layer i reads were left as `expire` wrote them, E = +0
+included; the layer writes b_{i+1} into their B, and then rolls back,
+certifies and decides only [k_i, c_i).  The floor saves element work, not numpy calls, while it costs a
+row write per layer and O(N) tables per block, so it is used only from
+BAND_CELLS node-spots (k_i * rows) up, as the guessed run below is; a block
+that cannot reach that (every block of one or two spots at N=500) never
+computes it.  Front layers are rolled whole.  On a 500-spot VaR chunk at N=500
+the floor holds 49% of the band's node-spots (k_i is about i - 249).
 
 A band [0, c_i) of at least BAND_CELLS node-spots (c_i * rows) certifies a
-guessed run [0, d_i) and decides only [d_i, c_i):
+guessed run [k_i, d_i) and decides only [d_i, c_i):
 - floor: once per rollback, H_i = a * L_{i+1} + coupon_i with a = min(disc_E,
   disc_B), L_N = redemption + the expiry coupon and L_i = max(put_i, min(H_i,
   call_i)).  In exact arithmetic L_i is under every decided value V* and H_i
@@ -62,10 +86,10 @@ guessed run [0, d_i) and decides only [d_i, c_i):
 - guess: per block and layer, d_i <= c_i counts the nodes whose largest
   conversion value (the block's top ratio * spot times a prefix maximum of the
   power table) is below H_i less a 1e-9 relative margin.
-- certificate: with V = E + B on [0, d_i), max V <= call_i and min V >= the
+- certificate: with V = E + B on [k_i, d_i), max V <= call_i and min V >= the
   larger of put_i and the run's top conversion value.  Then `decide` would keep
-  every node of the run, so skipping it changes no bit; otherwise d_i = 0 and
-  the whole band is decided.  The floor is only a guess; the certificate is
+  every node of the run, so skipping it changes no bit; otherwise the whole
+  band [k_i, c_i) is decided.  The floor is only a guess; the certificate is
   exact.
 - gate: a run certifies only if it holds at least BAND_CELLS node-spots
   (d_i * rows), where the certificate's two reductions and one add cost less
@@ -164,6 +188,22 @@ def check_steps(steps) -> int:
     return steps
 
 
+def check_spots(spots) -> np.ndarray:
+    """Root spot prices as a float array: a nonempty 1-D array of integer or
+    float numbers, each finite and > 0.  The dtype is checked before any
+    conversion, so a bool, a string or any other object is refused rather
+    than read as a number (True as 1.0, '100' as 100.0)."""
+    spots = np.asarray(spots)
+    if spots.ndim != 1 or spots.size == 0:
+        raise DomainError("spots must be a nonempty 1-D array")
+    if spots.dtype.kind not in "iuf":
+        raise DomainError(f"spot prices must be integer or float numbers, got dtype {spots.dtype}")
+    spots = spots.astype(float, copy=False)
+    if not np.all(np.isfinite(spots)) or np.any(spots <= 0):
+        raise DomainError("spot prices must be finite and > 0")
+    return spots
+
+
 def build_crr_params(sigma: float, rate: float, horizon: float, steps: int) -> LatticeParams:
     """Standard recombining-tree parameters: u = exp(sigma*sqrt(dt)), d = 1/u,
     p = (exp(r*dt) - d)/(u - d)."""
@@ -248,11 +288,12 @@ class BatchResult:
 
 
 class _Rollback:
-    """One rollback: its per-layer inputs, the spots in ascending order, the
-    node-major buffers that every block reuses (E, B, V (also the rollback
-    scratch), V*, conversion values and two node masks, `height` nodes tall
-    and `rows` spots wide), and the output arrays in that order, which each
-    block fills in its own rows."""
+    """One rollback: its per-layer inputs (the settled floor's levels among
+    them, computed when a block first needs them), the spots in ascending
+    order, the node-major buffers that every block reuses (E, B, V (also the
+    rollback scratch), V*, conversion values and two node masks, `height`
+    nodes tall and `rows` spots wide), and the output arrays in that order,
+    which each block fills in its own rows."""
 
     def __init__(self, timeline: Timeline, mkt: MarketParams, lp: LatticeParams,
                  spots: np.ndarray, front_layers: int, binds: bool):
@@ -351,6 +392,49 @@ class _Rollback:
                             0.0)
         return d.tolist(), np.maximum(self.put_levels[:N], top_conv).tolist()
 
+    @cached_property
+    def settled(self) -> list[float]:
+        """b_i for each layer i <= N: the B of a node from which no decision
+        binds before expiry (its E is +0).  b_N = redemption + the expiry
+        coupon, as `expire` adds it, and b_i = ((b_{i+1} * q) + (b_{i+1} * p))
+        * disc_B + coupon_i: the kernel's own IEEE operations, in its order,
+        on Python floats (adding a zero coupon to b > 0 changes no bit),
+        computed once per rollback."""
+        N, p, q, disc, inject = self.N, self.p, self.q, self.disc_B, self.injects
+        b = [0.0] * (N + 1)
+        b[N] = self.redemption + inject[N]
+        for i in range(N - 1, -1, -1):
+            b[i] = (b[i + 1] * q + b[i + 1] * p) * disc + inject[i]
+        return b
+
+    def floor_rows(self, rs_max: float, rows: int) -> list[int]:
+        """For each layer i <= N, the settled rows k_i of a block whose highest
+        ratio * spot is `rs_max`: nodes [0, k_i) hold E = +0 and B = b_i for
+        every spot of the block.  K_i counts the nodes whose largest
+        conversion value is at most b_i (the redemption at expiry; ties
+        continue), and is 0 where b_i is above the call or below the put;
+        k_i = min over i' >= i of K_i' - (i' - i), since node j of layer i
+        reaches nodes j..j + i' - i of layer i'.  k_i = 0 on the front layers
+        (a front reads its whole layer), wherever k_i * rows is under
+        BAND_CELLS, and at expiry, which `expire` writes whole.  A block that
+        cannot reach BAND_CELLS pays nothing."""
+        N = self.N
+        if N * rows < BAND_CELLS:  # k_i <= i + 1 <= N below expiry
+            return [0] * (N + 1)
+        b = np.array(self.settled)
+        levels = np.append(b[:N], self.redemption)
+        prod = rs_max * self.pw_ceil  # non-decreasing, and >= every spot's conv at and below
+        first = np.searchsorted(prod, levels, side="right")
+        idx = np.arange(N + 1)
+        # node j of layer i reads pw[N - i + 2j]; conversion off: every conv is 0
+        K = np.where(self.conv_active, np.clip((first - N + idx + 1) // 2, 0, idx + 1), idx + 1)
+        K[:N][(b[:N] > self.call_levels[:N]) | (b[:N] < self.put_levels[:N])] = 0
+        k = np.minimum.accumulate((K - idx)[::-1])[::-1] + idx
+        k[: self.front_layers + 1] = 0
+        k[k * rows < BAND_CELLS] = 0
+        k[N] = 0
+        return k.tolist()
+
     @staticmethod
     def continues(E, B, V, call: float, low: float) -> bool:
         """The certificate of a guessed run: `decide` leaves every node of it
@@ -396,15 +480,19 @@ class _Rollback:
         # the first block holds the batch's lowest spot, whose frontier is known
         cs = self.cs if lo == 0 else self.frontier(rs[0])
         ds, lows = self.band(rs[-1], cs, rows)
+        ks = self.floor_rows(rs[-1], rows)
         calls, puts, injects, active = self.calls, self.puts, self.injects, self.active
         for i in range(N - 1, -1, -1):
-            w, c, d = i + 1, cs[i], ds[i]
+            w, c, d, k = i + 1, cs[i], ds[i], ks[i]
             # nodes this layer must hold: [0, cs[i-1]] for the next layer, all of a front
             top = w if i <= self.front_layers else max(c, cs[i - 1] + 1)
-            Ec, Bc, Vc = E[:c], B[:c], V[:c]
+            if k < ks[i + 1]:
+                # the settled rows this layer reads: E is still expire's +0
+                B[k : ks[i + 1]] = self.settled[i + 1]
+            Ec, Bc, Vc = E[k:c], B[k:c], V[k:c]
             # in-place rollback: X <- disc * (p * X_up + q * X_down), V as scratch
             for X, Xc, disc in ((E, Ec, self.disc_E), (B, Bc, self.disc_B)):
-                np.multiply(X[1 : c + 1], p, out=Vc)
+                np.multiply(X[k + 1 : c + 1], p, out=Vc)
                 np.multiply(Xc, q, out=Xc)
                 np.add(Xc, Vc, out=Xc)
                 np.multiply(Xc, disc, out=Xc)
@@ -412,21 +500,20 @@ class _Rollback:
                 Bc += injects[i]
 
             call_level, put_level = calls[i], puts[i]
-            if d:
-                if self.continues(E[:d], B[:d], V[:d], call_level, lows[i]):
-                    Ec, Bc, Vc = E[d:c], B[d:c], V[d:c]  # decide only [d, c)
-                else:
-                    d = 0  # the guess failed its certificate: decide the whole band
-            conv = C[d:top]
-            np.multiply(rs, pw[N - i + 2 * d : N - i + 2 * top : 2, None] if active[i] else 0.0,
+            s = k  # the first node to decide
+            if d > k and self.continues(E[k:d], B[k:d], V[k:d], call_level, lows[i]):
+                s = d  # decide only [d, c); a failed guess decides the whole band [k, c)
+                Ec, Bc, Vc = E[d:c], B[d:c], V[d:c]
+            conv = C[s:top]
+            np.multiply(rs, pw[N - i + 2 * s : N - i + 2 * top : 2, None] if active[i] else 0.0,
                         out=conv)
 
-            # BAND_CELLS picks the certificate: the guessed run [0, d) at or
-            # above it, the whole band below it (there d = 0, and the band is
+            # BAND_CELLS picks the certificate: the guessed run [k, d) at or
+            # above it, the whole band below it (there k = d = 0, and the band is
             # decided in full or not at all: often only node c - 1 binds, or none)
-            convc = conv[: c - d]
+            convc = conv[: c - s]
             if c * rows >= BAND_CELLS or not self.keeps(Ec, Bc, Vc, convc, call_level, put_level):
-                vs, ncont, convb = VS[d:c], NC[d:c], CB[d:c]
+                vs, ncont, convb = VS[s:c], NC[s:c], CB[s:c]
                 decide(Ec, Bc, Vc, vs, convc, call_level, put_level, ncont, convb)
                 if binds is not None:
                     binds[0] += np.count_nonzero(convb, axis=0)
@@ -447,7 +534,7 @@ class _Rollback:
             if top > c:
                 # nodes c.. convert whatever their held value V: conv > call >= min(V, call)
                 # and conv >= put, so V* = conv and `decide` would set E = conv, B = 0
-                np.copyto(E[c:top], conv[c - d :])
+                np.copyto(E[c:top], conv[c - s :])
                 B[c:top] = 0.0
             if i <= self.front_layers:
                 np.add(E[:w], B[:w], out=fronts[i])
@@ -466,11 +553,7 @@ def _rollback_job(terms: ConvertibleTerms, mkt: MarketParams, t0: date, spots, s
     front_layers = check_integer(front_layers, "front_layers")
     if front_layers < 0:
         raise ConfigurationError(f"front_layers must be >= 0, got {front_layers}")
-    spots = np.asarray(spots, dtype=float)
-    if spots.ndim != 1 or spots.size == 0:
-        raise DomainError("spots must be a nonempty 1-D array")
-    if not np.all(np.isfinite(spots)) or np.any(spots <= 0):
-        raise DomainError("spot prices must be finite and > 0")
+    spots = check_spots(spots)
     timeline = Timeline(terms, t0)
     try:
         lp = build_crr_params(mkt.sigma, mkt.rate, timeline.tau_maturity, steps)

@@ -19,7 +19,7 @@ from datetime import date
 import numpy as np
 
 from .errors import CBLabError, ConfigurationError, DomainError
-from .lattice import BatchResult, check_steps, rollback_batch
+from .lattice import BatchResult, check_spots, check_steps, rollback_batch
 from .termsheet import ConvertibleTerms, MarketParams, Timeline
 
 __all__ = ["GreekPoint", "Surface", "greek_point", "surface"]
@@ -86,7 +86,7 @@ def _front_greeks(res: BatchResult, spots: np.ndarray) -> tuple[np.ndarray, np.n
 
 def greek_point(terms: ConvertibleTerms, mkt: MarketParams, t: date, spot: float, steps: int) -> GreekPoint:
     """Price split, delta, delta_pct and gamma at one (t, S), from one tree."""
-    return surface(terms, mkt, (t,), np.array([float(spot)]), steps).point(0, 0)
+    return surface(terms, mkt, (t,), [spot], steps).point(0, 0)
 
 
 @contextmanager
@@ -106,11 +106,11 @@ def surface(
     steps: int,
 ) -> Surface:
     """Evaluate prices and Greeks over a (t, S) rectangle; one tree per point,
-    whole spot rows batched.  Either grid may come in any order.  Every date
-    and the step count are checked before any row is priced; the engine checks
-    the spots.  A refusal names the row's date."""
+    whole spot rows batched.  Either grid may come in any order.  Every date,
+    the step count and then the spots (the engine's check, `check_spots`) are
+    checked before any row is priced.  A refusal names the row's date, the
+    first row's for the spots."""
     t_grid = tuple(t_grid)
-    spots = np.asarray(spot_grid, dtype=float)
     if not t_grid:
         raise DomainError("the date grid must be nonempty")
     for t in t_grid:
@@ -118,6 +118,8 @@ def surface(
             if check_steps(steps) < 3:
                 raise ConfigurationError("greeks need at least 3 tree steps to maturity")
             Timeline(terms, t)
+    with _row_context(t_grid[0]):
+        spots = check_spots(spot_grid)
 
     ratio = terms.conversion.ratio
     nt, ns = len(t_grid), spots.size

@@ -341,3 +341,69 @@ def test_small_band_skips_most_decisions(monkeypatch, width):
                        front_layers=width - 1)
     assert counts["expire"] == 20
     assert counts["decide"] - counts["expire"] < 0.5 * counts["expire"] * steps
+
+
+def _var_chunk():
+    """(t0, spots) of one 500-spot VaR chunk: the reference VaR config, seed 0."""
+    spec = VaRSpec(eval_date=JAN2004, spot=100.0, n_scenarios=500, seed=0, steps=500)
+    return spec.horizon_date, simulate_stock(spec)
+
+
+def test_settled_floor_is_rolled_rows(sweeps, monkeypatch):
+    """The settled floor changes no bit: with `floor_rows` all zeros every
+    layer rolls back its whole band again, and equity, debt, bind counts and
+    every front are the same as with the floor, for every sweep and the VaR
+    chunk, in both buffer layouts."""
+    t0, spots = _var_chunk()
+    cases = dict(sweeps, var_chunk=(TABLE1, t0, spots, 500, 0))
+
+    def run(case, binds):
+        terms, t0, spots, steps, front_layers = case
+        return rollback_batch(terms, MARKET, t0, spots, steps, front_layers=front_layers,
+                              binds=binds)
+
+    floored = {(name, binds): run(case, binds) for name, case in cases.items()
+               for binds in (False, True)}
+    monkeypatch.setattr(lattice._Rollback, "floor_rows", lambda self, rs_max, rows: [0] * (self.N + 1))
+    for (name, binds), res in floored.items():
+        _assert_same(res, run(cases[name], binds))
+
+
+def test_floor_skips_most_of_the_band(sweeps, monkeypatch):
+    """On the VaR scenarios the settled floor holds at least 40% of the band
+    below the conversion frontier, in node-spots (48.8% measured on a 500-spot
+    chunk).  At batch widths 1 and 2 (a price and a hedge increment) at N=500
+    no floor reaches BAND_CELLS: `floor_rows` is all zero and `settled` is
+    never computed."""
+    terms, t0, spots, steps, _ = sweeps["c4_scenarios"]
+    floor, band = lattice._Rollback.floor_rows, lattice._Rollback.band
+    cells = {"floor": 0, "band": 0}
+
+    def floor_spy(self, rs_max, rows):
+        ks = floor(self, rs_max, rows)
+        cells["floor"] += rows * sum(ks)
+        return ks
+
+    def band_spy(self, rs_max, cs, rows):
+        cells["band"] += rows * sum(cs)
+        return band(self, rs_max, cs, rows)
+
+    monkeypatch.setattr(lattice._Rollback, "floor_rows", floor_spy)
+    monkeypatch.setattr(lattice._Rollback, "band", band_spy)
+    rollback_batch(terms, MARKET, t0, spots, steps)
+    assert cells["floor"] >= 0.4 * cells["band"] > 0
+
+    for width in (1, 2):
+        for when, spot in ((ISSUE, 100.0), (JAN2004, 60.0), (JAN2004, 150.0)):
+            job = lattice._rollback_job(TABLE1, MARKET, when, [spot, spot + 0.5][:width], 500,
+                                        front_layers=width - 1)
+            seen = []
+
+            def spy(rs_max, rows, job=job):
+                seen.append(floor(job, rs_max, rows))
+                return seen[-1]
+
+            monkeypatch.setattr(job, "floor_rows", spy)
+            job._roll_block(0, width)
+            assert seen == [[0] * 501]
+            assert "settled" not in vars(job)

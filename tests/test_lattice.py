@@ -379,6 +379,40 @@ class TestProfile:
         with pytest.raises(ConfigurationError, match="front_layers cannot exceed the step count"):
             rollback_batch(table1, market, jan2004, [100.0], 2, front_layers=3)
 
+    @pytest.mark.parametrize("spot, dtype", [
+        (True, "bool"), (np.bool_(False), "bool"), ("100", "<U3"), (None, "object"),
+        (10**400, "object"),
+    ], ids=["true", "numpy_false", "str", "none", "huge_int"])
+    def test_rejects_spots_that_are_not_numbers(self, table1, market, jan2004, spot, dtype):
+        """Every view refuses a spot whose dtype is not integer or float,
+        before any conversion: True used to price as spot 1.0 and '100' as
+        100.0, and a zero hedge shock returned 0.0 for them."""
+        msg = f"spot prices must be integer or float numbers, got dtype {re.escape(dtype)}$"
+        views = {
+            "rollback_batch": lambda: rollback_batch(table1, market, jan2004, [spot], 20),
+            "price_profile_raw": lambda: price_profile_raw(table1, market, jan2004, [spot], 20),
+            "price_tf_crr": lambda: price_tf_crr(table1, market, jan2004, spot, 20),
+            "greek_point": lambda: greek_point(table1, market, jan2004, spot, 20),
+            "surface": lambda: sensitivities.surface(table1, market, [jan2004], [spot], 20),
+            "hedge_increment": lambda: hedge_increment(table1, market, jan2004, spot, 0.5, 20),
+            "zero_shock": lambda: hedge_increment(table1, market, jan2004, spot, 0.0, 20),
+            "stress_increments": lambda: hedge.stress_increments(table1, market, jan2004,
+                                                                 [spot], 0.5, 20),
+        }
+        for name, view in views.items():
+            with pytest.raises(DomainError, match=msg):
+                view()
+
+    def test_integer_spots_price_as_floats(self, table1, market, jan2004):
+        """Integer spots are numbers: they price as the equal floats, bit for bit."""
+        ints = rollback_batch(table1, market, jan2004, np.array([90, 100, 110], dtype=np.int32), 20)
+        floats = rollback_batch(table1, market, jan2004, [90.0, 100.0, 110.0], 20)
+        assert np.array_equal(ints.equity, floats.equity) and np.array_equal(ints.debt, floats.debt)
+        assert greek_point(table1, market, jan2004, 100, 20) == greek_point(table1, market,
+                                                                              jan2004, 100.0, 20)
+        assert hedge_increment(table1, market, jan2004, 100, 0.5, 20) == hedge_increment(
+            table1, market, jan2004, 100.0, 0.5, 20)
+
     @pytest.mark.parametrize("front_layers, msg", [
         (-1, "front_layers must be >= 0, got -1"),
         (1.5, "front_layers must be an integer, got 1.5"),

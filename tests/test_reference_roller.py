@@ -30,6 +30,15 @@ property test holds the check to `decide` itself on small arrays with exact
 ties, and a pinned single spot reaches the fallback: the call binds at node
 c_i - 1, the last node below the frontier.  A second property test holds the
 guessed run's certificate to `decide` on the same arrays.
+
+The kernel also leaves unrolled the settled floor, the nodes [0, k_i) from
+which no decision binds before expiry, whose E is +0 and whose B is one level
+b_i per layer, where the floor holds at least BAND_CELLS node-spots.  Pinned
+200-spot batches engage it and end it by each rule: a put above b_i, a call
+under it, an expiry coupon that lifts b_N over a converting expiry node, and
+front layers that the floor would reach without them.  A put or a call that
+binds on every floor row resets the values there, so a floor that ignored it
+would show only in the bind counts, which the reference roller checks too.
 """
 
 import math
@@ -202,6 +211,21 @@ ENDS_2006 = ((replace(REF, conversion=replace(REF.conversion, end=date(2006, 1, 
 # a call of 90 under the redemption of 102: some expiry nodes above H redeem
 CALL_UNDER_REDEMPTION = ((replace(REF, call=CallTerms(90.0, ISSUE, REF.maturity)), JAN2004,
                           LOW_CALL[2]), np.array([95.0, 80.0, 110.0]), 120, 1)
+# the settled floor, nodes [0, k_i) from which no decision binds before expiry, on
+# at least BAND_CELLS node-spots (k_i * rows), ended by each rule in turn: a put of
+# 105 above the floor's level b_i from 2005-01-02 to 2006-04-02
+PUT_OVER_FLOOR = ((replace(REF, put=PutTerms(105.0, date(2005, 1, 2), date(2006, 4, 2))), JAN2004,
+                   REF_MKT), np.linspace(20.0, 30.0, 200), 60, 0)
+# the call of 90 under the redemption of 102, in force until 2006-04-02
+CALL_UNDER_FLOOR = ((replace(REF, call=CallTerms(90.0, ISSUE, date(2006, 4, 2))), JAN2004,
+                     LOW_CALL[2]), np.linspace(20.0, 30.0, 200), 60, 0)
+# monthly coupons on a 50-step tree from issue: the last one lands in the expiry
+# layer, and the top spot's expiry node 27 converts at a value between the
+# redemption and the redemption plus that coupon
+COUPON_AT_EXPIRY = ((replace(REF, coupon_frequency=12), ISSUE, REF_MKT),
+                    np.linspace(50.0, 68.75, 200), 50, 0)
+# front layers where the floor would reach without them: each front is rolled whole
+DEEP_FRONTS = (REF_SHEET, np.linspace(5.0, 10.0, 200), 60, 30)
 
 
 # print_blob: a failure prints the @reproduce_failure line that replays it exactly
@@ -226,6 +250,10 @@ CALL_UNDER_REDEMPTION = ((replace(REF, call=CallTerms(90.0, ISSUE, REF.maturity)
 @example(ABOVE_H)
 @example(ENDS_2006)
 @example(CALL_UNDER_REDEMPTION)
+@example(PUT_OVER_FLOOR)
+@example(CALL_UNDER_FLOOR)
+@example(COUPON_AT_EXPIRY)
+@example(DEEP_FRONTS)
 def test_kernel_matches_reference_roller(case):
     (terms, t0, mkt), spots, steps, front_layers = case
     res = lattice.rollback_batch(terms, mkt, t0, spots, steps, front_layers, binds=True)
@@ -277,6 +305,39 @@ def test_pinned_heights(case, above):
         assert job.height < steps + 1 and converts.all()
     else:
         assert converts.any() and not converts.all()
+
+
+@pytest.mark.parametrize("case, end", [(PUT_OVER_FLOOR, "put"), (CALL_UNDER_FLOOR, "call"),
+                                       (COUPON_AT_EXPIRY, "coupon"), (DEEP_FRONTS, "fronts")],
+                         ids=["put_over_floor", "call_under_floor", "coupon_at_expiry",
+                              "deep_fronts"])
+def test_pinned_floors(case, end):
+    """The pinned floors reach the gate, k_i * rows >= BAND_CELLS on some layer
+    of the first block, and what they are pinned for: a put above the level
+    b_i or a call under it up to a layer right after which the floor holds,
+    an expiry coupon that lifts b_N over a converting expiry node of the
+    block's top spot (the floor's expiry test is the redemption, not b_N), or
+    front layers into which the floor would reach without them."""
+    (terms, t0, mkt), spots, steps, front_layers = case
+
+    def first_block(front_layers):
+        job = lattice._rollback_job(terms, mkt, t0, spots, steps, front_layers)
+        rows = min(job.rows, spots.size)
+        return job, job.rs[rows - 1], job.floor_rows(job.rs[rows - 1], rows), rows
+
+    job, rs_max, ks, rows = first_block(front_layers)
+    assert max(ks) * rows >= lattice.BAND_CELLS
+    b, N = job.settled, steps
+    if end in ("put", "call"):
+        last = max(i for i in range(N)
+                   if (b[i] < job.puts[i] if end == "put" else b[i] > job.calls[i]))
+        assert ks[last] == 0 and ks[last + 1] * rows >= lattice.BAND_CELLS
+    elif end == "coupon":
+        top = rs_max * job.pw[0::2]  # the expiry conversion values of the block's top spot
+        assert job.injects[N] != 0.0 and np.any((top > job.redemption) & (top <= b[N]))
+    else:
+        assert max(ks[: front_layers + 1]) == 0
+        assert max(first_block(0)[2][: front_layers + 1]) > 0
 
 
 @pytest.mark.parametrize("instrument, spots, outcome", [
