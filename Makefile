@@ -16,7 +16,7 @@ figures:
 demos:
 	@for f in demos/*.py; do echo "== $$f"; python3 $$f || exit 1; done
 
-# byte-compare figures, their stdout and demo stdout against a revision: make same-outputs REV=HEAD
+# byte-compare figures, their stdout, demo stdout and the acceptance lines against a revision: make same-outputs REV=HEAD
 same-outputs:
 	sh scripts/same_outputs.sh $(REV)
 

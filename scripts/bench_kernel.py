@@ -8,7 +8,10 @@ one node-major (H, rows) block, the layout the kernel runs a 500-spot batch
 over 60-160 in; the continuation
 band's crossover (per layer, what the conversion values and `decide` cost on a
 continuing run of d * rows node-spots against the certificate that skips them,
-for rows 8 and that batch's rows); the pointwise
+for rows 8 and that batch's rows); the operand kinds: ns per
+`np.multiply(X, p, out=Y)` call on a width-1 band of OPERAND_NODES nodes with
+p a Python float, a numpy float and a 0-d array (numpy converts the first two
+on every call); the pointwise
 `price_tf_crr` at spot 100 and N=500 (the batch-width-1 path); the quote mix:
 ms per request of `price_tf_crr` (P), `greek_point` (G) and `hedge_increment`
 (H) at N=500 over QUOTE_POINTS seeded (date, spot) points across the bond's
@@ -71,6 +74,8 @@ QUOTE_SHOCK = 0.5  # the hedge requests' spot shock
 PHILOX_DRAWS = 10**6
 NDTRI_DRAWS = 10**4
 COLD_STARTS = 5  # fresh processes per cold-start command
+OPERAND_NODES = 250  # a width-1 band: about the nodes under a 500-step tree's frontier
+OPERAND_CALLS = 10**4  # calls per timed loop of the operands cell
 # the make_figures.sh configs, minus --out
 CLI_RUNS = {
     "price": ["price", "--spot", "100", "--date", "2002-01-02", "--steps", "500"],
@@ -220,6 +225,23 @@ def measure_band(repeats: int) -> dict:
     return {"runs": runs, "crossover_cells": min(paying, default=None)}
 
 
+def measure_operands(repeats: int) -> dict:
+    """ns per call of the rollback's `np.multiply(X, p, out=Y)` on a node-major
+    (OPERAND_NODES, 1) band, by the kind of the scalar operand p; each timed
+    loop holds OPERAND_CALLS calls, its own loop overhead included."""
+    X = np.linspace(90.0, 110.0, OPERAND_NODES).reshape(-1, 1)
+    Y, p = np.empty_like(X), 0.5022
+    cells = {"nodes": OPERAND_NODES}
+    for name, operand in (("python_float_ns", p), ("numpy_float_ns", np.float64(p)),
+                          ("array_0d_ns", np.array(p))):
+        def calls(operand=operand):
+            for _ in range(OPERAND_CALLS):
+                np.multiply(X, operand, out=Y)
+
+        cells[name] = round(1e9 * _best_of(repeats, calls) / OPERAND_CALLS, 1)
+    return cells
+
+
 def measure_pointwise(repeats: int) -> dict:
     terms, mkt = cblab.reference_terms(), cblab.reference_market()
     best = _best_of(repeats, lambda: cblab.price_tf_crr(terms, mkt, T0, 100.0, 500))
@@ -349,6 +371,7 @@ def main() -> None:
         "var_chunk": measure_var_chunk(args.repeats),
         "decide": measure_decide(args.repeats),
         "band": measure_band(args.repeats),
+        "operands": measure_operands(args.repeats),
         "price_tf_crr": measure_pointwise(args.repeats),
         "quote_mix": measure_quote_mix(args.repeats),
         "philox_uniforms": measure_philox(args.repeats),

@@ -92,7 +92,7 @@ MUTANTS = (
     Mutant("front_layers_not_written_in_full", LATTICE,
            "top = w if i <= self.front_layers else", "top = w if i < self.front_layers else"),
     Mutant("converted_B_not_zeroed", LATTICE,
-           "                B[c:top] = 0.0\n", "                pass\n"),
+           "                B[c:top] = ZERO\n", "                pass\n"),
     Mutant("skipped_nodes_not_counted", LATTICE,
            "binds[0] += N * (N + 1) // 2 - sum(cs)", "binds[0] += 0"),
     # the sorted blocks and their height H
@@ -105,9 +105,9 @@ MUTANTS = (
            "self.height = N + 1 if binds else max(", "self.height = max("),
     # the conversion window and the expiry layer
     Mutant("conversion_outside_its_window", LATTICE,
-           "if active[i] else 0.0", "if True else 0.0"),
+           "if active[i] else ZERO", "if True else ZERO"),
     Mutant("expiry_conversion_outside_its_window", LATTICE,
-           "if self.active[N] else 0.0", "if True else 0.0"),
+           "if self.active[N] else ZERO", "if True else ZERO"),
     Mutant("expiry_coupon_before_decision", LATTICE,
            "    decide(E, B, V, vs, conv, np.inf, 0.0, ncont, convb)\n"
            "    if coupon != 0.0:\n"
@@ -115,6 +115,12 @@ MUTANTS = (
            "    if coupon != 0.0:\n"
            "        B += coupon\n"
            "    decide(E, B, V, vs, conv, np.inf, 0.0, ncont, convb)\n"),
+    # the per-layer levels that decide reads as 0-d views: the tree's call one layer off,
+    # the FD's put passed as its call
+    Mutant("call_view_one_layer_off", LATTICE,
+           "call_level = self.call_levels[i, ...]", "call_level = self.call_levels[i + 1, ...]"),
+    Mutant("fd_put_view_as_call", FD,
+           "call_levels[m, ...], put_levels[m, ...]", "put_levels[m, ...], put_levels[m, ...]"),
     # the two certificates that let a layer skip decide
     Mutant("continues_strict_call", LATTICE,
            "return V.max() <= call and", "return V.max() < call and"),
@@ -150,10 +156,15 @@ MUTANTS = (
            "top_converts = conv_top > debt_pvs"),
     Mutant("fd_borrowed_row_not_restored", FD,
            "        np.add(E_in, B_in, out=V_in)\n", "        pass\n"),
-    # refusals with one owner: the engine's checks behind a zero hedge shock,
-    # fd_profile's stored-layer bound, and the integer coupon frequency
+    # refusals with one owner: the engine's checks behind a zero hedge shock, the
+    # spot dtype rule that the engine and fd_profile share, fd_profile's stored-layer
+    # bound, and the integer coupon frequency
     Mutant("zero_shock_skips_engine_checks", HEDGE,
            "        _rollback_job(terms, mkt, t, spots, steps)\n", ""),
+    Mutant("bool_among_numbers_not_checked", LATTICE,
+           "    if not isinstance(values, np.ndarray) and any(", "    if False and any("),
+    Mutant("fd_profile_converts_any_spot", FD,
+           "    spots = check_spot_numbers(spots)\n", "    spots = np.asarray(spots, dtype=float)\n"),
     Mutant("fd_profile_reads_any_layer", FD,
            "if gaps[layer] > 0.5 * solution.grid.dt(solution.layer_taus[-1]) * (1.0 + 1e-6):",
            "if False:"),

@@ -1,15 +1,18 @@
 #!/bin/sh
 # Check that the working tree writes the same bytes as revision REV: every
 # `make figures` dataset, the stdout of make_figures.sh, the stdout of every
-# demo script, and the artifacts and stdout of a few small CLI runs that the
-# figures leave out (no --date, the report format, a negative shock, narrow
-# greeks and compare grids, and two coarse grids whose expiry layer takes
-# bucketed coupons: three on the 3-step tree, one on the 9-layer FD march).  Each tree runs from its own fresh working
+# demo script, the 7 ACCEPTANCE lines that each tree's own
+# `pytest tests/test_acceptance.py -s` prints, and the artifacts and stdout of
+# a few small CLI runs that the figures leave out (no --date, the report
+# format, a negative shock, narrow greeks and compare grids, and two coarse
+# grids whose expiry layer takes bucketed coupons: three on the 3-step tree,
+# one on the 9-layer FD march).  Each tree runs from its own fresh working
 # directory, so the `wrote out/...` lines compare equal.  Exits 1 on any difference.
 #
 #   sh scripts/same_outputs.sh REV        (or: make same-outputs REV=...)
 #
-# Both trees regenerate the full figure set: about 3.5 minutes on two cores.
+# Both trees regenerate the full figure set and run their acceptance tests:
+# a few minutes on two cores.
 set -eu
 rev="${1:?usage: scripts/same_outputs.sh REV}"
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -56,6 +59,12 @@ run_tree() {
         echo "== $name" >> "$work/demos.log"
         (cd "$work" && PYTHONPATH="$1/src" python3 "$demo") >> "$work/demos.log"
     done
+    echo "== $2: acceptance tests"
+    # from the tree's root, so pytest takes that tree's tests and src; a failing
+    # criterion still prints its line, which the diff below compares (-q puts the
+    # previous test's dot before each line, so the line is cut from its tag)
+    (cd "$1" && PYTHONPATH="$1/src" python3 -m pytest -q -s -p no:cacheprovider \
+        tests/test_acceptance.py || true) | grep -o 'ACCEPTANCE .*' > "$work/acceptance.log" || true
 }
 
 run_tree "$tmp/rev-tree" rev
@@ -66,8 +75,10 @@ diff -r "$tmp/rev/out" "$tmp/work/out" || status=1
 diff "$tmp/rev/figures.log" "$tmp/work/figures.log" || status=1
 diff "$tmp/rev/cli.log" "$tmp/work/cli.log" || status=1
 diff "$tmp/rev/demos.log" "$tmp/work/demos.log" || status=1
+diff "$tmp/rev/acceptance.log" "$tmp/work/acceptance.log" || status=1
+[ "$(wc -l < "$tmp/work/acceptance.log")" -eq 7 ] || { echo "expected 7 ACCEPTANCE lines" >&2; status=1; }
 if [ "$status" -eq 0 ]; then
-    echo "same outputs as $rev: $(find "$tmp/work/out" -type f | wc -l) files, figure, CLI and demo stdout"
+    echo "same outputs as $rev: $(find "$tmp/work/out" -type f | wc -l) files, figure, CLI and demo stdout, 7 ACCEPTANCE lines"
 else
     echo "outputs differ from $rev" >&2
 fi

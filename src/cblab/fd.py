@@ -16,7 +16,8 @@ The march holds V and B as one flat state Z = [V_0..V_{n-1}, B_0..B_{n-1}]
 in two preallocated buffers that swap roles every layer, so one five-call
 stencil updates both equations.  Every per-layer input (call and put levels,
 coupon injections, boundary rows) is computed for the whole time grid before
-the march; nothing is allocated per layer except the stored snapshots.
+the march; a layer allocates no buffer but its snapshot, if stored.  Like the
+tree's, its ufunc calls read 0-d arrays (`dt * rc`, `levels[m, ...]` views).
 
 Stability of the explicit march is enforced by construction:
 dt <= dS^2 / (sigma^2 S_max^2 + (r + r_c) dS^2).
@@ -31,7 +32,7 @@ from datetime import date
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericalError
-from .lattice import decide, expire
+from .lattice import check_spot_numbers, decide, expire
 from .termsheet import ConvertibleTerms, MarketParams, Timeline, check_integer, check_real, year_fraction
 
 __all__ = ["FDGrid", "FDSolution", "solve_tf_fd", "fd_profile", "stable_time_layers"]
@@ -191,7 +192,7 @@ def solve_tf_fd(
     cu_z = np.concatenate((cu, zero, cu))
     cm_z = np.concatenate((cm_v, zero, cm_b))
     cd_z = np.concatenate((cd, zero, cd))
-    dt_rc = dt * rc
+    dt_rc = np.array(dt * rc)
     tmp = np.empty(2 * n_s - 2)
     tmp_v = tmp[: n_s - 2]
 
@@ -238,8 +239,8 @@ def solve_tf_fd(
         old, new = new, old
 
         if inject[m] != 0.0:
-            B_in += inject[m]
-            V_in += inject[m]
+            B_in += inject[m, ...]
+            V_in += inject[m, ...]
 
         # S = 0: equity worthless forever, claim is pure risky debt (put-floored)
         Z[0] = Z[n_s] = floors[m]
@@ -252,7 +253,7 @@ def solve_tf_fd(
 
         np.subtract(V_in, B_in, out=E_in)
         decide(E_in, B_in, V_in, v_star_in, conv_on_in if conv_active[m] else conv_off_in,
-               call_levels[m], put_levels[m], *masks_in)
+               call_levels[m, ...], put_levels[m, ...], *masks_in)
         np.add(E_in, B_in, out=V_in)
 
         if m % _FINITE_CHECK_EVERY == 0 and not np.isfinite(Z).all():
@@ -280,7 +281,8 @@ def fd_profile(solution: FDSolution, t: date, spots) -> np.ndarray:
 
     Nearest stored layer in time, linear interpolation in S (exact on grid
     nodes).  Spots outside [0, S_max] or dates outside the solved span are
-    refused rather than extrapolated, and so are non-finite spots and a date
+    refused rather than extrapolated, and so are spots that are not numbers
+    (`lattice.check_spot_numbers`), non-finite spots and a date
     whose nearest stored layer is more than half a marched step away: the
     march did not store it.
     """
@@ -291,7 +293,7 @@ def fd_profile(solution: FDSolution, t: date, spots) -> np.ndarray:
     # half a marched step, with a relative margin for the rounding of the layer times
     if gaps[layer] > 0.5 * solution.grid.dt(solution.layer_taus[-1]) * (1.0 + 1e-6):
         raise DomainError(f"date {t} has no stored layer; pass it in snapshot_dates")
-    spots = np.asarray(spots, dtype=float)
+    spots = check_spot_numbers(spots)
     if not np.all(np.isfinite(spots)):
         raise DomainError("spot prices must be finite")
     if np.any(spots < 0) or np.any(spots > solution.grid.s_max):

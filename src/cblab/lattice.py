@@ -140,6 +140,9 @@ BLOCK = 128
 BAND_CELLS = 2048
 # the largest tree: a block's buffers take at most (N+1) * BLOCK * 42 bytes, 53.8 MB at the cap
 MAX_TREE_STEPS = 10**4
+# the zero that the layer loops' ufunc calls read: a 0-d array, read-only since every call shares it
+ZERO = np.zeros(())
+ZERO.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -188,17 +191,24 @@ def check_steps(steps) -> int:
     return steps
 
 
+def check_spot_numbers(values) -> np.ndarray:
+    """Spot prices of any shape as a float array, each an integer or float number before any
+    conversion: a bool (even in a list of floats), a string or any other object is refused."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"spot prices must be integer or float numbers, got dtype {arr.dtype}")
+    if not isinstance(values, np.ndarray) and any(
+            isinstance(x, (bool, np.bool_)) for x in np.asarray(values, dtype=object).flat):
+        raise DomainError("spot prices must be integer or float numbers, got a bool among them")
+    return arr.astype(float, copy=False)
+
+
 def check_spots(spots) -> np.ndarray:
     """Root spot prices as a float array: a nonempty 1-D array of integer or
-    float numbers, each finite and > 0.  The dtype is checked before any
-    conversion, so a bool, a string or any other object is refused rather
-    than read as a number (True as 1.0, '100' as 100.0)."""
-    spots = np.asarray(spots)
+    float numbers (`check_spot_numbers`), each finite and > 0."""
+    spots = check_spot_numbers(spots)
     if spots.ndim != 1 or spots.size == 0:
         raise DomainError("spots must be a nonempty 1-D array")
-    if spots.dtype.kind not in "iuf":
-        raise DomainError(f"spot prices must be integer or float numbers, got dtype {spots.dtype}")
-    spots = spots.astype(float, copy=False)
     if not np.all(np.isfinite(spots)) or np.any(spots <= 0):
         raise DomainError("spot prices must be finite and > 0")
     return spots
@@ -242,7 +252,7 @@ def decide(E, B, V, vs, conv, call, put, ncont, convb) -> None:
     cash.  E and B are updated; V, vs, ncont and convb are left holding the
     held value, V*, "decided" and "converted", whatever they held on entry
     (convb is scratch until it is set).  All arrays share one shape; `call`
-    and `put` are scalars.
+    and `put` are floats or 0-d arrays (the same bits; 0-d arrays cost least).
     """
     np.add(E, B, out=V)
     np.minimum(V, call, out=vs)
@@ -253,10 +263,10 @@ def decide(E, B, V, vs, conv, call, put, ncont, convb) -> None:
     np.logical_or(ncont, convb, out=ncont)
     np.equal(vs, conv, out=convb)
     np.logical_and(convb, ncont, out=convb)
-    np.copyto(E, 0.0, where=ncont)
+    np.copyto(E, ZERO, where=ncont)
     np.copyto(E, vs, where=convb)
     np.copyto(B, vs, where=ncont)
-    np.copyto(B, 0.0, where=convb)
+    np.copyto(B, ZERO, where=convb)
 
 
 def expire(E, B, V, vs, conv, redemption, coupon, ncont, convb) -> None:
@@ -306,10 +316,12 @@ class _Rollback:
         self.redemption = timeline.redemption
 
         risky = mkt.rate + mkt.credit_spread
-        # the layer loop reads its scalars from lists: a float or bool, not a numpy scalar
-        self.injects = timeline.coupon_injections(taus, risky).tolist()
-        self.calls, self.puts, self.active = (
-            x.tolist() for x in (self.call_levels, self.put_levels, self.conv_active))
+        # the layer loop branches on Python floats and bools from lists, and its ufunc
+        # calls read 0-d arrays (views such as call_levels[i, ...]): numpy converts a
+        # Python or numpy float operand on every call, a 0-d array it reads as it is
+        self.inject_levels = timeline.coupon_injections(taus, risky)
+        self.calls, self.puts, self.active, self.injects = (x.tolist() for x in (
+            self.call_levels, self.put_levels, self.conv_active, self.inject_levels))
 
         # node conversion value at layer i, node j: ratio * spot * u^(2j-i);
         # the powers u^-N..u^N are tabulated once, layer i reads pw[N-i : N+i+1 : 2]
@@ -326,6 +338,7 @@ class _Rollback:
         self.disc_E = math.exp(-mkt.rate * lp.dt)
         self.disc_B = math.exp(-risky * lp.dt)
         self.p, self.q = lp.p_up, 1.0 - lp.p_up
+        self.coeffs = [np.array(x) for x in (self.p, self.q, self.disc_E, self.disc_B)]
         self.front_layers = front_layers
 
         # the lowest spot's frontier is at or above every block's, so no block
@@ -461,7 +474,7 @@ class _Rollback:
         return np.count_nonzero(held) == held.size
 
     def _roll_block(self, lo: int, hi: int) -> None:
-        N, H, pw, p, q = self.N, self.height, self.pw, self.p, self.q
+        N, H, pw, (p, q, disc_E, disc_B) = self.N, self.height, self.pw[:, None], self.coeffs
         rows = hi - lo  # the block is each buffer's leading contiguous (H, rows) run
         E, B, V, VS, C, NC, CB = (b.reshape(-1)[: H * rows].reshape(H, rows)
                                   for b in self.buffers)
@@ -470,7 +483,7 @@ class _Rollback:
         fronts = [f[lo:hi].T for f in self.fronts]
 
         # conversion off: rs * 0.0 is +0.0, since rs is finite and >= 0
-        np.multiply(rs, pw[0 : 2 * H : 2, None] if self.active[N] else 0.0, out=C)
+        np.multiply(rs, pw[0 : 2 * H : 2] if self.active[N] else ZERO, out=C)
         expire(E, B, V, VS, C, self.redemption, self.injects[N], NC, CB)
         if binds is not None:
             binds[0] += np.count_nonzero(CB, axis=0)
@@ -491,30 +504,30 @@ class _Rollback:
                 B[k : ks[i + 1]] = self.settled[i + 1]
             Ec, Bc, Vc = E[k:c], B[k:c], V[k:c]
             # in-place rollback: X <- disc * (p * X_up + q * X_down), V as scratch
-            for X, Xc, disc in ((E, Ec, self.disc_E), (B, Bc, self.disc_B)):
+            for X, Xc, disc in ((E, Ec, disc_E), (B, Bc, disc_B)):
                 np.multiply(X[k + 1 : c + 1], p, out=Vc)
                 np.multiply(Xc, q, out=Xc)
                 np.add(Xc, Vc, out=Xc)
                 np.multiply(Xc, disc, out=Xc)
             if injects[i] != 0.0:
-                Bc += injects[i]
+                Bc += self.inject_levels[i, ...]
 
-            call_level, put_level = calls[i], puts[i]
             s = k  # the first node to decide
-            if d > k and self.continues(E[k:d], B[k:d], V[k:d], call_level, lows[i]):
+            if d > k and self.continues(E[k:d], B[k:d], V[k:d], calls[i], lows[i]):
                 s = d  # decide only [d, c); a failed guess decides the whole band [k, c)
                 Ec, Bc, Vc = E[d:c], B[d:c], V[d:c]
             conv = C[s:top]
-            np.multiply(rs, pw[N - i + 2 * s : N - i + 2 * top : 2, None] if active[i] else 0.0,
+            np.multiply(rs, pw[N - i + 2 * s : N - i + 2 * top : 2] if active[i] else ZERO,
                         out=conv)
 
             # BAND_CELLS picks the certificate: the guessed run [k, d) at or
             # above it, the whole band below it (there k = d = 0, and the band is
             # decided in full or not at all: often only node c - 1 binds, or none)
             convc = conv[: c - s]
-            if c * rows >= BAND_CELLS or not self.keeps(Ec, Bc, Vc, convc, call_level, put_level):
+            if c * rows >= BAND_CELLS or not self.keeps(Ec, Bc, Vc, convc, calls[i], puts[i]):
                 vs, ncont, convb = VS[s:c], NC[s:c], CB[s:c]
-                decide(Ec, Bc, Vc, vs, convc, call_level, put_level, ncont, convb)
+                call_level = self.call_levels[i, ...]
+                decide(Ec, Bc, Vc, vs, convc, call_level, self.put_levels[i, ...], ncont, convb)
                 if binds is not None:
                     binds[0] += np.count_nonzero(convb, axis=0)
                     # with the conversions counted, decide's masks take the cash
@@ -535,7 +548,7 @@ class _Rollback:
                 # nodes c.. convert whatever their held value V: conv > call >= min(V, call)
                 # and conv >= put, so V* = conv and `decide` would set E = conv, B = 0
                 np.copyto(E[c:top], conv[c - s :])
-                B[c:top] = 0.0
+                B[c:top] = ZERO
             if i <= self.front_layers:
                 np.add(E[:w], B[:w], out=fronts[i])
 

@@ -250,6 +250,27 @@ class TestSolutionShape:
             with pytest.raises(DomainError, match="^spot prices must be finite$"):
                 fd_profile(sol, jan2004, [100.0, bad])
 
+    @pytest.mark.parametrize("spots, msg", [
+        (True, "got dtype bool"), ("100", "got dtype <U3"), ([100.0, None], "got dtype object"),
+        (np.array([True]), "got dtype bool"), ([100.0, True], "got a bool among them"),
+        ([[100.0], [np.False_]], "got a bool among them"),
+    ], ids=["true", "str", "none", "numpy_bool", "bool_among_floats", "nested_numpy_bool"])
+    def test_profile_refuses_spots_that_are_not_numbers(self, solved, jan2004, spots, msg):
+        """The engine's dtype rule: True used to read as S = 1.0 and '100' as 100."""
+        sol, _ = solved
+        with pytest.raises(DomainError, match=f"^spot prices must be integer or float numbers, {msg}$"):
+            fd_profile(sol, jan2004, spots)
+
+    def test_profile_reads_both_grid_ends(self, solved, jan2004):
+        """S = 0 and S_max are grid nodes, so unlike the tree's spots they are read,
+        and integer spots read as the equal floats."""
+        sol, _ = solved
+        idx = int(np.argmin(np.abs(sol.layer_taus)))
+        assert fd_profile(sol, jan2004, [0.0, 400.0]).tolist() == [sol.value[idx][0],
+                                                                   sol.value[idx][-1]]
+        assert fd_profile(sol, jan2004, [0, 100, 400]).tolist() == fd_profile(
+            sol, jan2004, [0.0, 100.0, 400.0]).tolist()
+
     def test_monotone_profile_where_lattice_oscillates(self, solved, jan2004):
         sol, _ = solved
         spots = np.round(np.arange(105.0, 112.0001, 0.1), 6)

@@ -153,6 +153,35 @@ class TestApplyConstraints:
             assert convb.tolist() == [False, True, False, False, False, True, False, True]
         assert len(results) == 1
 
+    @pytest.mark.parametrize("call, put", [(110.0, 98.0), (np.inf, 0.0), (np.inf, 98.0),
+                                           (110.0, 0.0)])
+    def test_operand_kinds_give_the_same_bits(self, call, put):
+        """`decide` takes call and put as Python floats (as `expire` passes
+        them), numpy floats or 0-d arrays (as the layer loops pass them), with
+        the same bits in every output.  At call 110 and put 98 the nodes hold
+        the ties V == call, conv == call, V == put and conv == put; the others
+        are a NaN held value and nodes of -0.0."""
+        held_E = [70.0, 80.0, 50.0, 10.0, np.nan, -0.0, -0.0, 50.0]
+        held_B = [40.0, 40.0, 48.0, 60.0, 1.0, -0.0, 0.0, 60.0]
+        conv = np.array([100.0, 110.0, 20.0, 98.0, 50.0, 0.0, -0.0, 200.0])
+        results = {}
+        for kind in (float, np.float64, np.array):
+            E, B = np.array(held_E), np.array(held_B)
+            V, vs = np.empty(8), np.empty(8)
+            ncont, convb = np.empty(8, dtype=bool), np.empty(8, dtype=bool)
+            decide(E, B, V, vs, conv, kind(call), kind(put), ncont, convb)
+            results[kind] = tuple(x.tobytes() for x in (E, B, V, vs, ncont, convb))
+        assert results[np.float64] == results[float] and results[np.array] == results[float]
+
+    def test_shared_zero_is_read_only(self):
+        """The layer loops' one 0-d zero cannot be written, so no call can
+        change what every other call reads."""
+        with pytest.raises(ValueError, match="read-only"):
+            lattice.ZERO[...] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(lattice.ZERO, 1.0, out=lattice.ZERO)
+        assert lattice.ZERO.shape == () and lattice.ZERO.tobytes() == np.zeros(()).tobytes()
+
 
 def straight_bond(rate: float = 0.0, years: int = 1) -> ConvertibleTerms:
     issue, maturity = date(2002, 1, 2), date(2002 + years, 1, 2)
@@ -401,6 +430,25 @@ class TestProfile:
         }
         for name, view in views.items():
             with pytest.raises(DomainError, match=msg):
+                view()
+
+    @pytest.mark.parametrize("spots", [
+        [100.0, True], (np.True_, 100.0), [100, False], [np.float64(90.0), np.bool_(True)],
+    ], ids=["list_true", "tuple_numpy_true", "int_list_false", "numpy_scalars"])
+    def test_rejects_a_bool_among_numbers(self, table1, market, jan2004, spots):
+        """numpy folds a bool into a sequence of numbers (`[100.0, True]` is a
+        float64 array), so the elements are checked too: the True used to
+        price as spot 1.0 (91.678)."""
+        views = {
+            "rollback_batch": lambda: rollback_batch(table1, market, jan2004, spots, 20),
+            "price_profile_raw": lambda: price_profile_raw(table1, market, jan2004, spots, 20),
+            "surface": lambda: sensitivities.surface(table1, market, [jan2004], spots, 20),
+            "stress_increments": lambda: hedge.stress_increments(table1, market, jan2004,
+                                                                 spots, 0.5, 20),
+        }
+        for name, view in views.items():
+            with pytest.raises(DomainError, match="spot prices must be integer or float "
+                                                  "numbers, got a bool among them$"):
                 view()
 
     def test_integer_spots_price_as_floats(self, table1, market, jan2004):
