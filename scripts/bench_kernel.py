@@ -125,13 +125,14 @@ def kernel_block(terms, mkt, t0, spots, steps: int) -> tuple[int, int, int]:
 def floor_share(terms, mkt, t0, spots, steps: int) -> float:
     """The share of the band below the conversion frontier, in node-spots, that
     the kernel's blocks leave to the settled floor: sum k_i * rows over sum
-    c_i * rows."""
+    c_i * rows, from each block's layer plan."""
     job = cblab.lattice._rollback_job(terms, mkt, t0, spots, steps)
     floor = band = 0
     for lo in range(0, job.rs.size, job.rows):
         rs = job.rs[lo : lo + job.rows]
-        floor += rs.size * sum(job.floor_rows(rs[-1], rs.size))
-        band += rs.size * sum(job.frontier(rs[0]))
+        plan = job.plan(rs)
+        floor += rs.size * sum(k for k, *_ in plan)
+        band += rs.size * sum(c for _, _, _, c, _, _ in plan)
     return floor / band
 
 

@@ -73,36 +73,40 @@ MUTANTS = (
            "                    n_cash = np.count_nonzero(cash, axis=0)\n"
            "                    np.greater(Vc, call_level, out=callb)\n"
            "                    np.logical_and(callb, cash, out=callb)\n"),
+    # the level-to-node mapping that every zone bound of the layer plan comes from
+    Mutant("nodes_ignore_conversion_off", LATTICE,
+           "return np.where(self.conv_active[:n], ", "return np.where(True, "),
     # the conversion frontier c_i
     Mutant("frontier_one_node_eager", LATTICE,
-           "np.clip((first - N + self.layers + 1) // 2, 0,",
-           "np.clip((first - N + self.layers + 1) // 2 - 1, 0,"),
+           "np.clip((first - self.N + i + 1) // 2, 0,",
+           "np.clip((first - self.N + i + 1) // 2 - 1, 0,"),
     Mutant("frontier_one_node_lazy", LATTICE,
-           "np.clip((first - N + self.layers + 1) // 2, 0,",
-           "np.clip((first - N + self.layers + 1) // 2 + 1, 0,"),
+           "np.clip((first - self.N + i + 1) // 2, 0,",
+           "np.clip((first - self.N + i + 1) // 2 + 1, 0,"),
     Mutant("frontier_call_side_flipped", LATTICE,
-           'np.searchsorted(prod, self.call_levels[:N], side="right")',
-           'np.searchsorted(prod, self.call_levels[:N], side="left")'),
+           'self.nodes(prod, self.call_levels[:N], "right")',
+           'self.nodes(prod, self.call_levels[:N], "left")'),
     Mutant("frontier_put_side_flipped", LATTICE,
-           'np.searchsorted(prod, self.put_levels[:N], side="left")',
-           'np.searchsorted(prod, self.put_levels[:N], side="right")'),
+           'self.nodes(prod, self.put_levels[:N], "left")',
+           'self.nodes(prod, self.put_levels[:N], "right")'),
     # the nodes a layer holds above its band
     Mutant("top_without_plus_one", LATTICE,
-           "max(c, cs[i - 1] + 1)", "max(c, cs[i - 1])"),
+           "np.append(0, c[:-1] + 1)", "np.append(0, c[:-1])"),
     Mutant("front_layers_not_written_in_full", LATTICE,
-           "top = w if i <= self.front_layers else", "top = w if i < self.front_layers else"),
+           "top = np.where(i <= self.front_layers,", "top = np.where(i < self.front_layers,"),
     Mutant("converted_B_not_zeroed", LATTICE,
            "                B[c:top] = ZERO\n", "                pass\n"),
     Mutant("skipped_nodes_not_counted", LATTICE,
-           "binds[0] += N * (N + 1) // 2 - sum(cs)", "binds[0] += 0"),
+           "binds[0] += N * (N + 1) // 2 - sum(c for _, _, _, c, _, _ in plan)",
+           "binds[0] += 0"),
     # the sorted blocks and their height H
     Mutant("wrong_inverse_permutation", LATTICE,
            "back[job.order] = np.arange(m)", "back[:] = job.order"),
     Mutant("height_one_node_short", LATTICE,
-           "max([front_layers, *self.cs[front_layers:]]) + 1",
-           "max([front_layers, *self.cs[front_layers:]])"),
+           "int(self.cs[front_layers:].max(initial=front_layers) + 1)",
+           "int(self.cs[front_layers:].max(initial=front_layers))"),
     Mutant("bind_counts_at_height_H", LATTICE,
-           "self.height = N + 1 if binds else max(", "self.height = max("),
+           "self.height = N + 1 if binds else int(", "self.height = int("),
     # the conversion window and the expiry layer
     Mutant("conversion_outside_its_window", LATTICE,
            "if active[i] else ZERO", "if True else ZERO"),
@@ -124,17 +128,28 @@ MUTANTS = (
     # the two certificates that let a layer skip decide
     Mutant("continues_strict_call", LATTICE,
            "return V.max() <= call and", "return V.max() < call and"),
+    # the guessed run: its held floor, its margin and search, and the top conversion
+    # value that its certificate reads (the certificate is exact, so these move no bit)
+    Mutant("held_floor_without_put", LATTICE,
+           "floor = max(puts[i], min(held[i], calls[i]))", "floor = min(held[i], calls[i])"),
+    Mutant("guess_without_margin", LATTICE,
+           "self.held_floor * (1.0 - 1e-9)", "self.held_floor"),
+    Mutant("guess_side_flipped", LATTICE,
+           'self.held_floor * (1.0 - 1e-9), "left")', 'self.held_floor * (1.0 - 1e-9), "right")'),
+    Mutant("low_at_node_d", LATTICE,
+           "prod[np.maximum(N - i + 2 * d - 2, 0)]", "prod[np.maximum(N - i + 2 * d, 0)]"),
     Mutant("keeps_without_put", LATTICE,
            "            held &= V >= put\n", "            pass\n"),
     # the settled floor: the rows it writes, its level and where it may reach
     Mutant("settled_rows_written_one_short", LATTICE,
-           "B[k : ks[i + 1]] = self.settled[i + 1]", "B[k + 1 : ks[i + 1]] = self.settled[i + 1]"),
+           "B[k:k_up] = self.settled[i + 1]", "B[k + 1 : k_up] = self.settled[i + 1]"),
     Mutant("settled_without_coupons", LATTICE,
            "* disc + inject[i]", "* disc"),
     Mutant("settled_expiry_without_coupon", LATTICE,
            "b[N] = self.redemption + inject[N]", "b[N] = self.redemption"),
     Mutant("floor_expiry_at_settled_level", LATTICE,
-           "levels = np.append(b[:N], self.redemption)", "levels = b"),
+           'self.nodes(prod, np.append(b[:N], self.redemption), "right")',
+           'self.nodes(prod, b, "right")'),
     Mutant("floor_ignores_put", LATTICE,
            "K[:N][(b[:N] > self.call_levels[:N]) | (b[:N] < self.put_levels[:N])] = 0",
            "K[:N][b[:N] > self.call_levels[:N]] = 0"),
@@ -142,10 +157,10 @@ MUTANTS = (
            "K[:N][(b[:N] > self.call_levels[:N]) | (b[:N] < self.put_levels[:N])] = 0",
            "K[:N][b[:N] < self.put_levels[:N]] = 0"),
     Mutant("floor_cone_not_widened", LATTICE,
-           "k = np.minimum.accumulate((K - idx)[::-1])[::-1] + idx",
+           "k = np.minimum.accumulate((K - self.layers)[::-1])[::-1] + self.layers",
            "k = np.minimum.accumulate(K[::-1])[::-1]"),
     Mutant("floor_on_front_layers", LATTICE,
-           "        k[: self.front_layers + 1] = 0\n", ""),
+           "            k[: self.front_layers + 1] = 0\n", ""),
     # the FD march: its boundary rows, and the V row that decide borrows
     Mutant("fd_floor_row_without_put", FD,
            "Z[0] = Z[n_s] = floors[m]", "Z[0] = Z[n_s] = debt_pvs[m]"),

@@ -22,88 +22,98 @@ batch size.  `rollback_batch` is the one engine:
 it, and it counts the nodes each constraint decided only when its caller asks
 (`binds`).
 
-Each layer rolls back and decides only its undecided band.  A node whose
-conversion value is above the dirty call and at least the dirty put converts
-whatever its held value V: min(V, call) <= call < conv gives V* = conv, so
-`decide` would set E = conv and B = 0.  Conversion values rise with the node
-index and with the spot, and rounding a product is monotone, so the block's
-lowest spot fixes per layer a first node c_i from which every spot of the block
-converts; the kernel writes E = conv, B = 0 into the nodes from c_i that the
-next layer reads and skips the rest.  The output is bit-identical to deciding
-every node.  Node-major (H, rows) buffers make a band [0, c_i) one contiguous
-run of c_i * rows values, so each numpy call on it runs one flat loop.
+Each block rolls back layer i by its layer plan (`plan`), one entry per layer
+built before the layer loop.  A node continues iff its held value V = E + B is
+at most the dirty call and at least the dirty put and its conversion value
+(ties continue), and `decide` leaves a continuing node as it is; so the plan
+splits layer i into four zones:
+- [0, k_i), the settled floor: nodes that no decision can reach before expiry;
+- [k_i, d_i), the guessed run: kept if a certificate shows that it continues;
+- [d_i, c_i), the decided band ([k_i, c_i) if d_i <= k_i or the certificate
+  fails);
+- [c_i, i + 1), the frontier: nodes that convert whatever their held value.
+Every bound is one mapping (`nodes`) of a level per layer: the first node j of
+layer i whose product rs * pw[N - i + 2j] is above the level ("right") or at
+least it ("left"), clipped to [0, i + 1], and i + 1 where conversion is off;
+it is monotone in the level.  Conversion values rise with the node index and
+with the spot, and rounding a product is monotone, so the block's lowest
+ratio * spot rs times `pw_floor` (the power table's suffix minimum) is at most
+every spot's conversion value, and its highest times `pw_ceil` (the prefix
+maximum) at least every spot's at and below the node.
+
+The frontier.  A node whose conversion value is above the dirty call and at
+least the dirty put converts whatever its held value V: min(V, call) <= call
+< conv gives V* = conv, so `decide` would set E = conv and B = 0.  c_i is the
+larger of the call's "right" and the put's "left" mapping on the lowest
+products.  The kernel writes E = conv, B = 0 into the nodes [c_i, top_i) that
+the next layer reads (top_i = max(c_i, c_{i-1} + 1), i + 1 on a front layer)
+and skips the rest, bit-identical to deciding every node.  Node-major
+(H, rows) buffers make a band [0, c_i) one contiguous run of c_i * rows
+values, so each numpy call on it runs one flat loop.
 
 The blocks run over the spots in ascending order (a stable sort), and the
 outputs come back in the caller's order.  A block of neighbouring spots gets a
-tighter frontier from its lowest spot and a longer guessed run (below) from its
-highest.  With c_i the frontier of the batch's lowest spot, at or above every
-block's, no layer touches a node at or above the height
-H = max(front_layers, c_i for every layer i >= front_layers) + 1 <= N + 1: a
-front layer holds its i + 1 nodes, and any other layer [0, max(c_i, c_{i-1} + 1)).
-So the buffers are H nodes tall, and the expiry layer runs on [0, H) only.  A
+tighter frontier from its lowest spot and a longer guessed run and settled
+floor from its highest.  With c_i the frontier of the batch's lowest spot, at
+or above every block's, no layer touches a node at or above the height
+H = max(front_layers, c_i for every layer i >= front_layers) + 1 <= N + 1, so
+the buffers are H nodes tall and the expiry layer runs on [0, H) only.  A
 rollback that counts binds sets H = N + 1 instead, so that `expire`'s own
 conversion mask covers the whole expiry layer.  A block holds
 block_rows(m, N, H) = min(m, BLOCK * (N+1) // H) spots, so the workspace stays
 within BLOCK full-height rows whatever H.  A 500-spot VaR chunk at N=500 has
 H = 254-255 and runs in two blocks of about 250 spots.
 
-Below c_i most nodes continue, and `decide` leaves a continuing node as it is:
-a node continues iff its held value V = E + B is at most the dirty call and at
-least the dirty put and its conversion value (ties continue).  So a layer skips
-the nodes of its band that can never be decided (the settled floor), and
-`decide` on whatever part of the rest a certificate shows to continue.  One
-threshold, BAND_CELLS node-spots, gates the floor and picks the certificate's
-shape.
-
 The settled floor.  A node from which no decision can bind before expiry is
 pure risky debt (Tsiveriotis-Fernandes): E = 0 and B = b_i, the risky present
-value of the remaining cash.  Every spot of a rollback shares u, p and the
-discounts, so b_i is one number per layer (`settled`): b_N = redemption + the
-expiry coupon and b_i = ((b_{i+1} * q) + (b_{i+1} * p)) * disc_B + coupon_i,
-the kernel's own IEEE operations in its order, so these are the bits the
-kernel would roll; E stays the +0 that `expire` wrote, since 0 * p + 0 * q is
-+0.  A node of layer i continues whatever the spot of its block if the block's
-largest conversion value there is at most b_i (the redemption at expiry), b_i
-is at most the call and b_i is at least the put; K_i counts such nodes from 0.
-Node j of layer i reaches nodes j..j + i' - i of layer i', so the settled rows
-are [0, k_i) with k_i = min over i' >= i of K_i' - (i' - i), and the floor
-shrinks by at least one node per layer back from expiry.  So the settled rows
-[k_i, k_{i+1}) that layer i reads were left as `expire` wrote them, E = +0
-included; the layer writes b_{i+1} into their B, and then rolls back,
-certifies and decides only [k_i, c_i).  The floor saves element work, not numpy calls, while it costs a
-row write per layer and O(N) tables per block, so it is used only from
-BAND_CELLS node-spots (k_i * rows) up, as the guessed run below is; a block
-that cannot reach that (every block of one or two spots at N=500) never
-computes it.  Front layers are rolled whole.  On a 500-spot VaR chunk at N=500
-the floor holds 49% of the band's node-spots (k_i is about i - 249).
+value of the remaining cash, one number per layer (`settled`) since every spot
+shares u, p and the discounts: b_N = redemption + the expiry coupon and
+b_i = ((b_{i+1} * q) + (b_{i+1} * p)) * disc_B + coupon_i, the kernel's own
+IEEE operations in its order, so these are the bits it would roll; E stays
+the +0 that `expire` wrote, since 0 * p + 0 * q is +0.  A node of layer i
+continues whatever the spot of its block if b_i is at most the call and at
+least the put and the block's largest conversion value there is at most b_i
+(the redemption at expiry): K_i is the "right" mapping of b_i on the highest
+products, 0 where b_i is above the call or below the put.  Node j of layer i
+reaches nodes j..j + i' - i of layer i', so k_i = min over i' >= i of
+K_i' - (i' - i): the floor shrinks by at least one node per layer back from
+expiry, and the settled rows [k_i, k_{i+1}) that layer i reads are still as
+`expire` wrote them, E = +0 included.  The layer writes b_{i+1} into their B,
+then rolls back, certifies and decides only [k_i, c_i).  k_i = 0 on a front
+layer (a front reads its whole layer) and at expiry (`expire` writes it
+whole).  On a 500-spot VaR chunk at N=500 the floor holds 49% of the band's
+node-spots (k_i is about i - 249).
 
-A band [0, c_i) of at least BAND_CELLS node-spots (c_i * rows) certifies a
-guessed run [k_i, d_i) and decides only [d_i, c_i):
+The guessed run:
 - floor: once per rollback, H_i = a * L_{i+1} + coupon_i with a = min(disc_E,
   disc_B), L_N = redemption + the expiry coupon and L_i = max(put_i, min(H_i,
   call_i)).  In exact arithmetic L_i is under every decided value V* and H_i
   under every held value V; L_i is not under V where a put binds.
-- guess: per block and layer, d_i <= c_i counts the nodes whose largest
-  conversion value (the block's top ratio * spot times a prefix maximum of the
-  power table) is below H_i less a 1e-9 relative margin.
-- certificate: with V = E + B on [k_i, d_i), max V <= call_i and min V >= the
-  larger of put_i and the run's top conversion value.  Then `decide` would keep
-  every node of the run, so skipping it changes no bit; otherwise the whole
-  band [k_i, c_i) is decided.  The floor is only a guess; the certificate is
-  exact.
-- gate: a run certifies only if it holds at least BAND_CELLS node-spots
-  (d_i * rows), where the certificate's two reductions and one add cost less
-  than the decisions they skip; the floor and the guess are computed lazily, so
-  a block whose band never reaches the gate pays nothing.
+- guess: d_i is the smaller of c_i and the "left" mapping of H_i less a 1e-9
+  relative margin on the highest products: the largest conversion values of
+  [0, d_i) are below that.
+- certificate: with V = E + B on [k_i, d_i), max V <= call_i and min V >=
+  low_i, the larger of put_i and the run's top conversion value (node
+  d_i - 1).  Then `decide` would keep every node of the run, so skipping it
+  changes no bit; otherwise the whole band [k_i, c_i) is decided.  The floor
+  is only a guess; the certificate is exact.
 
-A band under BAND_CELLS node-spots (every band of a one- or two-spot batch at
-N=500) is certified whole, node by node: one add, elementwise comparisons with
-the conversion values, the call where it is finite and the put where it is
-positive (E, B >= 0 in the tree), and one count.  If every node continues,
-the layer skips `decide` and the bind counts, since nothing bound; otherwise it
-decides the whole band.  On pointwise quotes over the bond's life `decide` is
-left out on about three layers in four: where it runs, it usually changes only
-node c_i - 1.
+One threshold, BAND_CELLS node-spots, gates both zones.  The floor saves
+element work, not numpy calls, at a row write per layer and O(N) tables per
+block, and the certificate's two reductions and one add cost less than the
+decisions they skip only on a long run.  So k_i = 0 where k_i * rows is under
+BAND_CELLS, and so is d_i where d_i * rows is; a block whose band never
+reaches it (c_i * rows; every block of one or two spots at N=500) computes
+neither `held_floor` nor `settled`, since k_i <= c_i (a settled node's
+conversion value is at most b_i <= call).
+
+A band under BAND_CELLS node-spots is instead certified whole, node by node:
+one add, elementwise comparisons with the conversion values, the call where it
+is finite and the put where it is positive (E, B >= 0 in the tree), and one
+count.  If every node continues, the layer skips `decide` and the bind counts,
+since nothing bound; otherwise it decides the whole band.  On pointwise quotes
+over the bond's life `decide` is left out on about three layers in four: where
+it runs, it usually changes only node c_i - 1.
 """
 
 from __future__ import annotations
@@ -331,7 +341,7 @@ class _Rollback:
         self.pw_floor = np.minimum.accumulate(self.pw[::-1])[::-1]
         # prefix maximum of pw: at index k, at least every conversion power at or below k
         self.pw_ceil = np.maximum.accumulate(self.pw)
-        self.layers = np.arange(N)
+        self.layers = np.arange(N + 1)
         # blocks of neighbouring spots: stable, so equal spots keep the caller's order
         self.order = np.argsort(spots, kind="stable")
         self.rs = timeline.ratio * spots[self.order]  # non-decreasing: the ratio is >= 0
@@ -346,7 +356,7 @@ class _Rollback:
         # take the whole expiry layer from `expire`, so they need H = N + 1
         m = spots.size
         self.cs = self.frontier(self.rs[0])
-        self.height = N + 1 if binds else max([front_layers, *self.cs[front_layers:]]) + 1
+        self.height = N + 1 if binds else int(self.cs[front_layers:].max(initial=front_layers) + 1)
         self.rows = block_rows(m, N, self.height)
         self.buffers = [np.empty((self.height, self.rows), dtype=t)
                         for t in (float,) * 5 + (bool,) * 2]
@@ -355,18 +365,26 @@ class _Rollback:
         # rows: conversion, call, put
         self.binds = np.zeros((3, m), dtype=np.int64) if binds else None
 
-    def frontier(self, rs_min: float) -> list[int]:
-        """For each layer i < N, the first node c_i from which every node of a
+    def nodes(self, prod: np.ndarray, levels: np.ndarray, side: str) -> np.ndarray:
+        """The level-to-node mapping of layers i = 0 .. len(levels) - 1: the
+        first node j of layer i whose product prod[N - i + 2j] is above
+        levels[i] (`side` "right") or at least it ("left"), in [0, i + 1], and
+        i + 1 where conversion is off.  `prod` is non-decreasing, so the
+        mapping is monotone in the level."""
+        n = len(levels)
+        i = self.layers[:n]
+        first = np.searchsorted(prod, levels, side=side)
+        return np.where(self.conv_active[:n], np.clip((first - self.N + i + 1) // 2, 0, i + 1),
+                        i + 1)
+
+    def frontier(self, rs_min: float) -> np.ndarray:
+        """c_i for each layer i < N: the first node from which every node of a
         block whose lowest ratio * spot is `rs_min` is decided by conversion
-        whatever its held value: conv > dirty call and conv >= dirty put.
-        c_i = i + 1 (no such node) where conversion is off."""
+        whatever its held value: conv > dirty call and conv >= dirty put."""
         N = self.N
         prod = rs_min * self.pw_floor  # non-decreasing, and <= every spot's conv at each node
-        first = np.maximum(np.searchsorted(prod, self.call_levels[:N], side="right"),
-                           np.searchsorted(prod, self.put_levels[:N], side="left"))
-        # node j of layer i reads pw[N - i + 2j]
-        c = np.clip((first - N + self.layers + 1) // 2, 0, self.layers + 1)
-        return np.where(self.conv_active[:N], c, self.layers + 1).tolist()
+        return np.maximum(self.nodes(prod, self.call_levels[:N], "right"),
+                          self.nodes(prod, self.put_levels[:N], "left"))
 
     @cached_property
     def held_floor(self) -> np.ndarray:
@@ -383,28 +401,6 @@ class _Rollback:
             floor = max(puts[i], min(held[i], calls[i]))
         return np.array(held)
 
-    def band(self, rs_max: float, cs: list[int], rows: int) -> tuple[list[int], list[float]]:
-        """For each layer i < N, a guess d_i <= c_i at the run of nodes [0, d_i)
-        that continue for every spot of a block whose highest ratio * spot is
-        `rs_max`, and the least held value that certifies it: the dirty put or
-        the run's top conversion value.  The guess takes the nodes whose
-        largest conversion value is below H_i, less a 1e-9 relative margin; a
-        run shorter than BAND_CELLS cells (d_i * rows) is not worth certifying
-        and gets d_i = 0.  A block that cannot reach BAND_CELLS pays nothing."""
-        N = self.N
-        if max(cs) * rows < BAND_CELLS:
-            return [0] * N, [0.0] * N
-        prod = rs_max * self.pw_ceil  # non-decreasing, and >= every spot's conv at and below
-        first = np.searchsorted(prod, self.held_floor * (1.0 - 1e-9), side="left")
-        # node j of layer i reads pw[N - i + 2j]; conversion off: every conv is 0
-        d = np.where(self.conv_active[:N], (first - N + self.layers + 1) // 2, N)
-        d = np.clip(d, 0, cs)
-        d[d * rows < BAND_CELLS] = 0
-        # the run's top conversion value, at node d_i - 1 (any node where d_i = 0)
-        top_conv = np.where(self.conv_active[:N], prod[np.maximum(N - self.layers + 2 * d - 2, 0)],
-                            0.0)
-        return d.tolist(), np.maximum(self.put_levels[:N], top_conv).tolist()
-
     @cached_property
     def settled(self) -> list[float]:
         """b_i for each layer i <= N: the B of a node from which no decision
@@ -420,33 +416,35 @@ class _Rollback:
             b[i] = (b[i + 1] * q + b[i + 1] * p) * disc + inject[i]
         return b
 
-    def floor_rows(self, rs_max: float, rows: int) -> list[int]:
-        """For each layer i <= N, the settled rows k_i of a block whose highest
-        ratio * spot is `rs_max`: nodes [0, k_i) hold E = +0 and B = b_i for
-        every spot of the block.  K_i counts the nodes whose largest
-        conversion value is at most b_i (the redemption at expiry; ties
-        continue), and is 0 where b_i is above the call or below the put;
-        k_i = min over i' >= i of K_i' - (i' - i), since node j of layer i
-        reaches nodes j..j + i' - i of layer i'.  k_i = 0 on the front layers
-        (a front reads its whole layer), wherever k_i * rows is under
-        BAND_CELLS, and at expiry, which `expire` writes whole.  A block that
-        cannot reach BAND_CELLS pays nothing."""
-        N = self.N
-        if N * rows < BAND_CELLS:  # k_i <= i + 1 <= N below expiry
-            return [0] * (N + 1)
-        b = np.array(self.settled)
-        levels = np.append(b[:N], self.redemption)
-        prod = rs_max * self.pw_ceil  # non-decreasing, and >= every spot's conv at and below
-        first = np.searchsorted(prod, levels, side="right")
-        idx = np.arange(N + 1)
-        # node j of layer i reads pw[N - i + 2j]; conversion off: every conv is 0
-        K = np.where(self.conv_active, np.clip((first - N + idx + 1) // 2, 0, idx + 1), idx + 1)
-        K[:N][(b[:N] > self.call_levels[:N]) | (b[:N] < self.put_levels[:N])] = 0
-        k = np.minimum.accumulate((K - idx)[::-1])[::-1] + idx
-        k[: self.front_layers + 1] = 0
-        k[k * rows < BAND_CELLS] = 0
-        k[N] = 0
-        return k.tolist()
+    def plan(self, rs: np.ndarray) -> list[tuple[int, int, int, int, int, float]]:
+        """The layer plan of a block whose ascending ratio * spot is `rs`: for
+        each layer i < N, (k_i, k_{i+1}, d_i, c_i, top_i, low_i), the zones
+        of the module docstring and the least held value that certifies the
+        guessed run [k_i, d_i).  A block whose band never reaches BAND_CELLS
+        node-spots gets k = d = 0 and computes neither floor."""
+        N, rows, i = self.N, rs.size, self.layers[: self.N]
+        # the first block holds the batch's lowest spot, whose frontier is known
+        c = self.cs if rs[0] == self.rs[0] else self.frontier(rs[0])
+        # nodes layer i must hold: all of a front, else [0, c_{i-1}] for the next layer
+        top = np.where(i <= self.front_layers, i + 1, np.maximum(c, np.append(0, c[:-1] + 1)))
+        k, d, low = np.zeros(N + 1, dtype=int), np.zeros(N, dtype=int), np.zeros(N)
+        if c.max() * rows >= BAND_CELLS:  # k_i <= c_i: a smaller band has no zone to skip
+            prod = rs[-1] * self.pw_ceil  # non-decreasing, and >= every spot's conv at and below
+            d = np.minimum(self.nodes(prod, self.held_floor * (1.0 - 1e-9), "left"), c)
+            b = np.array(self.settled)
+            # the expiry layer's test is the redemption, not b_N
+            K = self.nodes(prod, np.append(b[:N], self.redemption), "right")
+            K[:N][(b[:N] > self.call_levels[:N]) | (b[:N] < self.put_levels[:N])] = 0
+            k = np.minimum.accumulate((K - self.layers)[::-1])[::-1] + self.layers
+            k[: self.front_layers + 1] = 0
+            k[N] = 0
+            for x in (k, d):
+                x[x * rows < BAND_CELLS] = 0
+            # the run's top conversion value, at node d_i - 1 (any node where d_i = 0)
+            top_conv = np.where(self.conv_active[:N], prod[np.maximum(N - i + 2 * d - 2, 0)], 0.0)
+            low = np.maximum(self.put_levels[:N], top_conv)
+        return list(zip(k[:N].tolist(), k[1:].tolist(), d.tolist(), c.tolist(), top.tolist(),
+                        low.tolist()))
 
     @staticmethod
     def continues(E, B, V, call: float, low: float) -> bool:
@@ -490,18 +488,13 @@ class _Rollback:
         if self.front_layers >= N:
             np.add(E, B, out=fronts[N])
 
-        # the first block holds the batch's lowest spot, whose frontier is known
-        cs = self.cs if lo == 0 else self.frontier(rs[0])
-        ds, lows = self.band(rs[-1], cs, rows)
-        ks = self.floor_rows(rs[-1], rows)
+        plan = self.plan(rs)
         calls, puts, injects, active = self.calls, self.puts, self.injects, self.active
         for i in range(N - 1, -1, -1):
-            w, c, d, k = i + 1, cs[i], ds[i], ks[i]
-            # nodes this layer must hold: [0, cs[i-1]] for the next layer, all of a front
-            top = w if i <= self.front_layers else max(c, cs[i - 1] + 1)
-            if k < ks[i + 1]:
+            k, k_up, d, c, top, low = plan[i]
+            if k < k_up:
                 # the settled rows this layer reads: E is still expire's +0
-                B[k : ks[i + 1]] = self.settled[i + 1]
+                B[k:k_up] = self.settled[i + 1]
             Ec, Bc, Vc = E[k:c], B[k:c], V[k:c]
             # in-place rollback: X <- disc * (p * X_up + q * X_down), V as scratch
             for X, Xc, disc in ((E, Ec, disc_E), (B, Bc, disc_B)):
@@ -513,7 +506,7 @@ class _Rollback:
                 Bc += self.inject_levels[i, ...]
 
             s = k  # the first node to decide
-            if d > k and self.continues(E[k:d], B[k:d], V[k:d], calls[i], lows[i]):
+            if d > k and self.continues(E[k:d], B[k:d], V[k:d], calls[i], low):
                 s = d  # decide only [d, c); a failed guess decides the whole band [k, c)
                 Ec, Bc, Vc = E[d:c], B[d:c], V[d:c]
             conv = C[s:top]
@@ -550,10 +543,10 @@ class _Rollback:
                 np.copyto(E[c:top], conv[c - s :])
                 B[c:top] = ZERO
             if i <= self.front_layers:
-                np.add(E[:w], B[:w], out=fronts[i])
+                np.add(E[: i + 1], B[: i + 1], out=fronts[i])
 
-        if binds is not None:
-            binds[0] += N * (N + 1) // 2 - sum(cs)  # the skipped nodes, all converted
+        if binds is not None:  # the skipped nodes [c_i, i + 1), all converted
+            binds[0] += N * (N + 1) // 2 - sum(c for _, _, _, c, _, _ in plan)
         self.equity[lo:hi] = E[0]
         self.debt[lo:hi] = B[0]
 

@@ -350,7 +350,7 @@ def _var_chunk():
 
 
 def test_settled_floor_is_rolled_rows(sweeps, monkeypatch):
-    """The settled floor changes no bit: with `floor_rows` all zeros every
+    """The settled floor changes no bit: with the plan's k all zeros every
     layer rolls back its whole band again, and equity, debt, bind counts and
     every front are the same as with the floor, for every sweep and the VaR
     chunk, in both buffer layouts."""
@@ -364,7 +364,9 @@ def test_settled_floor_is_rolled_rows(sweeps, monkeypatch):
 
     floored = {(name, binds): run(case, binds) for name, case in cases.items()
                for binds in (False, True)}
-    monkeypatch.setattr(lattice._Rollback, "floor_rows", lambda self, rs_max, rows: [0] * (self.N + 1))
+    plan = lattice._Rollback.plan
+    monkeypatch.setattr(lattice._Rollback, "plan",
+                        lambda self, rs: [(0, 0, *layer[2:]) for layer in plan(self, rs)])
     for (name, binds), res in floored.items():
         _assert_same(res, run(cases[name], binds))
 
@@ -373,23 +375,19 @@ def test_floor_skips_most_of_the_band(sweeps, monkeypatch):
     """On the VaR scenarios the settled floor holds at least 40% of the band
     below the conversion frontier, in node-spots (48.8% measured on a 500-spot
     chunk).  At batch widths 1 and 2 (a price and a hedge increment) at N=500
-    no floor reaches BAND_CELLS: `floor_rows` is all zero and `settled` is
-    never computed."""
+    no floor reaches BAND_CELLS: the plan's k is all zero, and neither
+    `settled` nor `held_floor` is ever computed."""
     terms, t0, spots, steps, _ = sweeps["c4_scenarios"]
-    floor, band = lattice._Rollback.floor_rows, lattice._Rollback.band
+    plan = lattice._Rollback.plan
     cells = {"floor": 0, "band": 0}
 
-    def floor_spy(self, rs_max, rows):
-        ks = floor(self, rs_max, rows)
-        cells["floor"] += rows * sum(ks)
-        return ks
+    def plan_spy(self, rs):
+        layers = plan(self, rs)
+        cells["floor"] += rs.size * sum(k for k, *_ in layers)
+        cells["band"] += rs.size * sum(c for _, _, _, c, _, _ in layers)
+        return layers
 
-    def band_spy(self, rs_max, cs, rows):
-        cells["band"] += rows * sum(cs)
-        return band(self, rs_max, cs, rows)
-
-    monkeypatch.setattr(lattice._Rollback, "floor_rows", floor_spy)
-    monkeypatch.setattr(lattice._Rollback, "band", band_spy)
+    monkeypatch.setattr(lattice._Rollback, "plan", plan_spy)
     rollback_batch(terms, MARKET, t0, spots, steps)
     assert cells["floor"] >= 0.4 * cells["band"] > 0
 
@@ -399,11 +397,12 @@ def test_floor_skips_most_of_the_band(sweeps, monkeypatch):
                                         front_layers=width - 1)
             seen = []
 
-            def spy(rs_max, rows, job=job):
-                seen.append(floor(job, rs_max, rows))
-                return seen[-1]
+            def spy(rs, job=job):
+                layers = plan(job, rs)
+                seen.append([k for k, *_ in layers] + [layers[-1][1]])
+                return layers
 
-            monkeypatch.setattr(job, "floor_rows", spy)
+            monkeypatch.setattr(job, "plan", spy)
             job._roll_block(0, width)
             assert seen == [[0] * 501]
-            assert "settled" not in vars(job)
+            assert "settled" not in vars(job) and "held_floor" not in vars(job)

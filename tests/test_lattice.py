@@ -644,6 +644,104 @@ class TestConversionFrontier:
         self.check_layer(job, i, cs[i])
 
 
+
+class TestLayerPlan:
+    """A block's layer plan, (k_i, k_{i+1}, d_i, c_i, top_i, low_i) per layer,
+    against brute force on the kernel's own conversion products over the
+    block's rows: every node of the settled rows [0, k_i), in every row,
+    continues at every later layer it reaches (its conversion value is at most
+    b_i', the redemption at expiry, and b_i' lies between the put and the
+    call); the guessed run [0, d_i) stops at c_i and below the held floor H_i
+    less its 1e-9 margin, on the block's top row, and is exactly as long as
+    that allows unless BAND_CELLS zeroes it; low_i is the larger of the put and
+    the top row's conversion value at node d_i - 1; c_i is the frontier
+    (`TestConversionFrontier`) and top_i the nodes the next layer reads."""
+
+    SHEETS = {
+        "reference": (lambda terms: terms, 3),
+        "put_above_call": (lambda terms: replace(
+            terms, put=PutTerms(125.0, date(2003, 6, 2), date(2005, 1, 2))), 0),
+        "conversion_ends": (lambda terms: replace(
+            terms, conversion=replace(terms.conversion, end=date(2005, 6, 2))), 0),
+    }
+
+    @staticmethod
+    def job(terms, market, spots, front_layers=0, t0=date(2004, 1, 2), steps=100):
+        tl = Timeline(terms, t0)
+        lp = build_crr_params(market.sigma, market.rate, tl.tau_maturity, steps)
+        return lattice._Rollback(tl, market, lp, np.asarray(spots, dtype=float), front_layers,
+                                 binds=False)
+
+    @staticmethod
+    def conv(job, rs, i):
+        """(rows, i + 1) conversion values of layer i: the kernel's products, 0 where off."""
+        if not job.conv_active[i]:
+            return np.zeros((rs.size, i + 1))
+        return rs[:, None] * job.pw[job.N - i : job.N + i + 1 : 2]
+
+    def check_plan(self, job):
+        """Check the first block's plan by brute force; return it."""
+        N, rs = job.N, job.rs[: job.rows]
+        rows, plan, b = rs.size, job.plan(rs), job.settled
+        levels = [*b[:N], job.redemption]  # a settled node continues at expiry iff conv <= this
+        assert len(plan) == N and plan[-1][1] == 0
+        for i, (k, k_up, d, c, top, low) in enumerate(plan):
+            TestConversionFrontier.check_layer(job, i, c)
+            assert top == (i + 1 if i <= job.front_layers else max(c, plan[i - 1][3] + 1))
+            assert i + 1 == N or k_up == plan[i + 1][0]
+            if k:
+                for later in range(i, N + 1):
+                    reach = min(k + later - i, later + 1)
+                    assert np.all(self.conv(job, rs, later)[:, :reach] <= levels[later])
+                    assert later == N or job.puts[later] <= b[later] <= job.calls[later]
+            guess = job.held_floor[i] * (1.0 - 1e-9)
+            top_row = self.conv(job, rs, i)[-1]
+            n = min(int(np.argmax(np.append(top_row >= guess, True))), c)
+            assert d <= c and np.all(top_row[:d] < guess)
+            assert d == (n if n * rows >= lattice.BAND_CELLS else 0)
+            if d:
+                assert low == max(job.puts[i], top_row[d - 1])
+        return plan
+
+    @pytest.mark.parametrize("sheet", list(SHEETS))
+    def test_matches_brute_force(self, table1, market, sheet):
+        terms, front_layers = self.SHEETS[sheet]
+        job = self.job(terms(table1), market, np.linspace(130.0, 40.0, 200), front_layers)
+        plan = self.check_plan(job)
+        assert any(k > 0 for k, *_ in plan)  # the settled floor is not empty
+        assert any(d > k for k, _, d, *_ in plan)  # nor is the guessed run above it
+        if sheet == "conversion_ends":
+            assert not all(job.conv_active[: job.N])
+
+    @pytest.mark.parametrize("where", ["inside_margin", "at_margin"])
+    def test_guess_stops_below_margin(self, table1, market, where):
+        """The top row's conversion value at node j of layer i is inside
+        (H_i * (1 - 1e-9), H_i), or exactly H_i * (1 - 1e-9): either way the
+        guessed run stops at node j, below it."""
+        i, j = 60, 30  # node 30 of layer 60 has the power u^0 = 1, and the ratio is 1
+        held = self.job(table1, market, [100.0]).held_floor[i]
+        spot = held * (1.0 - 5e-10) if where == "inside_margin" else held * (1.0 - 1e-9)
+        job = self.job(table1, market, np.linspace(0.6 * spot, spot, 200))
+        top = job.rs[-1] * job.pw[job.N - i + 2 * j]
+        if where == "inside_margin":
+            assert held * (1.0 - 1e-9) < top < held
+        else:
+            assert top == held * (1.0 - 1e-9)
+        plan = self.check_plan(job)
+        assert plan[i][2] == j < plan[i][3] - 1  # node j + 1 is still below the frontier
+
+    def test_held_floor_takes_a_put_above_the_call(self, table1, market):
+        """Where the put binds above the call at layer i + 1, the held floor is
+        H_i = min(disc_E, disc_B) * put_{i+1} + coupon_i."""
+        terms = self.SHEETS["put_above_call"][0](table1)
+        job = self.job(terms, market, [100.0])
+        above = [i for i in range(job.N) if job.puts[i + 1] > job.calls[i + 1]]
+        assert above
+        for i in above:
+            assert job.held_floor[i] == (min(job.disc_E, job.disc_B) * job.puts[i + 1]
+                                         + job.injects[i])
+
+
 class TestThinViews:
     @pytest.mark.parametrize("view", [
         lambda terms, mkt, t: price_tf_crr(terms, mkt, t, 100.0, 120),

@@ -323,7 +323,8 @@ def test_pinned_floors(case, end):
     def first_block(front_layers):
         job = lattice._rollback_job(terms, mkt, t0, spots, steps, front_layers)
         rows = min(job.rows, spots.size)
-        return job, job.rs[rows - 1], job.floor_rows(job.rs[rows - 1], rows), rows
+        layers = job.plan(job.rs[:rows])
+        return job, job.rs[rows - 1], [k for k, *_ in layers] + [layers[-1][1]], rows
 
     job, rs_max, ks, rows = first_block(front_layers)
     assert max(ks) * rows >= lattice.BAND_CELLS
