@@ -18,7 +18,9 @@ ms per request of `price_tf_crr` (P), `greek_point` (G) and `hedge_increment`
 life, each with the share of its rollback layers below expiry that call
 `lattice.decide`; `philox_uniforms` at 10^6 draws; `var.ndtri` on 10^4 Philox
 uniforms, next to `scipy.special.ndtri` when scipy is installed; the explicit
-FD march: seconds and layers/s for `solve_tf_fd` on the reference grid; and
+FD march: seconds and layers/s for `solve_tf_fd` on the reference grid, and
+its memory: the tracemalloc peak of one `solve_tf_fd` on 101 spot nodes at each
+of FD_MEMORY_LAYERS layer counts, after one untraced solve; and
 whole `cli.main` runs of `price`, `surface`, `greeks`, `hedge-stress`, `var`
 (10,000 scenarios) and `compare` at their `scripts/make_figures.sh` configs;
 and the cold start: fresh `python3 -m cblab.cli price --steps 3`,
@@ -58,6 +60,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -74,6 +77,7 @@ QUOTE_SHOCK = 0.5  # the hedge requests' spot shock
 PHILOX_DRAWS = 10**6
 NDTRI_DRAWS = 10**4
 COLD_STARTS = 5  # fresh processes per cold-start command
+FD_MEMORY_LAYERS = (10816, 43264)  # 4 and 16 times the minimal stable count on 101 nodes at T0
 OPERAND_NODES = 250  # a width-1 band: about the nodes under a 500-step tree's frontier
 OPERAND_CALLS = 10**4  # calls per timed loop of the operands cell
 # the make_figures.sh configs, minus --out
@@ -325,6 +329,23 @@ def measure_fd(repeats: int) -> dict:
             "layers_per_s": round((grid.n_t - 1) / best)}
 
 
+def measure_fd_memory() -> dict:
+    """Peak traced bytes of one `solve_tf_fd` (default snapshots) per layer count."""
+    terms, mkt = cblab.reference_terms(), cblab.reference_market()
+    cells = {"n_s": 101, "runs": []}
+    for n_t in FD_MEMORY_LAYERS:
+        grid = cblab.FDGrid(s_max=400.0, n_s=101, n_t=n_t)
+        cblab.solve_tf_fd(terms, mkt, T0, grid)
+        tracemalloc.start()
+        try:
+            cblab.solve_tf_fd(terms, mkt, T0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cells["runs"].append({"n_t": n_t, "peak_bytes": peak})
+    return cells
+
+
 def measure_cli(repeats: int) -> dict:
     cells = {}
     with tempfile.TemporaryDirectory() as out:
@@ -378,6 +399,7 @@ def main() -> None:
         "philox_uniforms": measure_philox(args.repeats),
         "ndtri": measure_ndtri(args.repeats),
         "fd": measure_fd(args.repeats),
+        "fd_memory": measure_fd_memory(),
         "cli": measure_cli(args.repeats),
         "cold_start": measure_cold_start(),
     }

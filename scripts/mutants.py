@@ -124,7 +124,7 @@ MUTANTS = (
     Mutant("call_view_one_layer_off", LATTICE,
            "call_level = self.call_levels[i, ...]", "call_level = self.call_levels[i + 1, ...]"),
     Mutant("fd_put_view_as_call", FD,
-           "call_levels[m, ...], put_levels[m, ...]", "put_levels[m, ...], put_levels[m, ...]"),
+           "call_levels[i, ...], put_levels[i, ...]", "put_levels[i, ...], put_levels[i, ...]"),
     # the two certificates that let a layer skip decide
     Mutant("continues_strict_call", LATTICE,
            "return V.max() <= call and", "return V.max() < call and"),
@@ -163,14 +163,27 @@ MUTANTS = (
            "            k[: self.front_layers + 1] = 0\n", ""),
     # the FD march: its boundary rows, and the V row that decide borrows
     Mutant("fd_floor_row_without_put", FD,
-           "Z[0] = Z[n_s] = floors[m]", "Z[0] = Z[n_s] = debt_pvs[m]"),
+           "Z[0] = Z[n_s] = floors[i]", "Z[0] = Z[n_s] = debt_pvs[i]"),
     Mutant("fd_top_row_keeps_debt", FD,
-           "            Z[-1] = 0.0\n", "            Z[-1] = debt_pvs[m]\n"),
+           "                Z[-1] = 0.0\n", "                Z[-1] = debt_pvs[i]\n"),
     Mutant("fd_top_row_converts_outside_window", FD,
-           "top_converts = conv_active & (conv_top > debt_pvs)",
+           "top_converts = active & (conv_top > debt_pvs)",
            "top_converts = conv_top > debt_pvs"),
     Mutant("fd_borrowed_row_not_restored", FD,
-           "        np.add(E_in, B_in, out=V_in)\n", "        pass\n"),
+           "            np.add(E_in, B_in, out=V_in)\n", "            pass\n"),
+    # the chunk edges: a chunk's times, its layers, the last layer's time, and the
+    # sparse coupon map, which is keyed by layer and bucketed by bisection
+    Mutant("fd_chunk_times_one_layer_late", FD,
+           "taus = np.arange(lo, hi) * times.step", "taus = np.arange(lo + 1, hi + 1) * times.step"),
+    Mutant("fd_chunk_one_layer_short", FD,
+           "hi = min(lo + _FINITE_CHECK_EVERY, n_t - 1)", "hi = min(lo + _FINITE_CHECK_EVERY - 1, n_t - 1)"),
+    Mutant("fd_last_time_not_span", FD,
+           "return self.span if j == self.n_t - 1 else j * self.step", "return j * self.step"),
+    Mutant("fd_coupon_at_chunk_row", FD,
+           "cash = inject.get(m, 0.0)", "cash = inject.get(i, 0.0)"),
+    Mutant("coupon_bucketed_one_layer_late", TERMSHEET,
+           "j = bisect.bisect_left(taus, tau_c - _WINDOW_EPS)",
+           "j = bisect.bisect_left(taus, tau_c - _WINDOW_EPS) + 1"),
     # refusals with one owner: the engine's checks behind a zero hedge shock, the
     # spot dtype rule that the engine and fd_profile share, fd_profile's stored-layer
     # bound, and the integer coupon frequency

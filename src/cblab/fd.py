@@ -14,10 +14,14 @@ apply the same contract in the same places; only the discretization differs.
 
 The march holds V and B as one flat state Z = [V_0..V_{n-1}, B_0..B_{n-1}]
 in two preallocated buffers that swap roles every layer, so one five-call
-stencil updates both equations.  Every per-layer input (call and put levels,
-coupon injections, boundary rows) is computed for the whole time grid before
-the march; a layer allocates no buffer but its snapshot, if stored.  Like the
-tree's, its ufunc calls read 0-d arrays (`dt * rc`, `levels[m, ...]` views).
+stencil updates both equations.  The march runs in chunks of
+`_FINITE_CHECK_EVERY` layers, and each chunk's per-layer inputs (call and put
+levels, the conversion window, boundary rows) are computed just before it runs
+from its own layer times; the coupons are one sparse {layer: cash} map.  So no
+vector as long as the time grid exists, and memory is bounded by the spot nodes
+and the stored snapshots whatever the layer count.  A layer allocates no buffer
+but its snapshot, if stored.  Like the tree's, its ufunc calls read 0-d arrays
+(`dt * rc`, `levels[i, ...]` views).
 
 Stability of the explicit march is enforced by construction:
 dt <= dS^2 / (sigma^2 S_max^2 + (r + r_c) dS^2).
@@ -37,8 +41,8 @@ from .termsheet import ConvertibleTerms, MarketParams, Timeline, check_integer, 
 
 __all__ = ["FDGrid", "FDSolution", "solve_tf_fd", "fd_profile", "stable_time_layers"]
 
-_FINITE_CHECK_EVERY = 2000
-MAX_FD_LAYERS = 10**7  # time-layer cap of a march: each per-layer input is an n_t vector
+_FINITE_CHECK_EVERY = 2000  # layers per march chunk; the state is checked for finite values after each
+MAX_FD_LAYERS = 10**7  # time-layer cap of a march: it bounds the run time, not the memory
 MAX_FD_NODES = 10**5  # spot-node cap: a march holds about 30 vectors of n_s or 2 * n_s doubles
 
 
@@ -136,6 +140,34 @@ class FDSolution:
     debt: np.ndarray
 
 
+class _LayerTimes:
+    """The march's layer times, `np.linspace(0, span, n_t)` bit for bit (layer j
+    at j * (span / (n_t - 1)), the last at span), each computed when it is read,
+    so that no n_t vector exists: an ascending sequence that bisects."""
+
+    def __init__(self, span: float, n_t: int):
+        self.span, self.n_t, self.step = span, n_t, span / (n_t - 1)
+
+    def __len__(self) -> int:
+        return self.n_t
+
+    def __getitem__(self, j: int) -> float:
+        return self.span if j == self.n_t - 1 else j * self.step
+
+
+def _chunk_inputs(timeline: Timeline, taus: np.ndarray, risky: float, conv_top: float):
+    """The per-layer inputs of the march layers at times `taus`, one vector each: the
+    call and put levels, whether conversion is allowed, the risky debt, the S=0 row
+    (put-floored risky debt) and whether the S_max row converts (allowed, and
+    beats debt)."""
+    put_levels = timeline.put_dirty(taus)
+    active = timeline.conversion_active(taus)
+    debt_pvs = timeline.risky_cash_pv(taus, risky)
+    floors = np.maximum(put_levels, debt_pvs)
+    top_converts = active & (conv_top > debt_pvs)
+    return timeline.call_dirty(taus), put_levels, active, debt_pvs, floors, top_converts
+
+
 def solve_tf_fd(
     terms: ConvertibleTerms,
     mkt: MarketParams,
@@ -155,7 +187,7 @@ def solve_tf_fd(
 
     n_s, n_t = grid.n_s, grid.n_t
     S = np.linspace(0.0, grid.s_max, n_s)
-    taus = np.linspace(0.0, span, n_t)
+    times = _LayerTimes(span, n_t)
     dt = grid.dt(span)
     ds = grid.ds
     r, rc, sigma = mkt.rate, mkt.credit_spread, mkt.sigma
@@ -170,18 +202,9 @@ def solve_tf_fd(
     cm_v = 1.0 - dt * (2.0 * a + r)
     cm_b = 1.0 - dt * (2.0 * a + risky)
 
-    call_levels = timeline.call_dirty(taus)
-    put_levels = timeline.put_dirty(taus)
-    conv_active = timeline.conversion_active(taus)
     ratio = timeline.ratio
-    inject = timeline.coupon_injections(taus, risky)
-    debt_pvs = timeline.risky_cash_pv(taus, risky)
-
-    # the S=0 row (put-floored risky debt), and whether conversion is allowed
-    # and beats debt at S_max, for every layer at once
-    floors = np.maximum(put_levels, debt_pvs)
+    inject = timeline.coupon_injections(times, risky)
     conv_top = ratio * grid.s_max
-    top_converts = conv_active & (conv_top > debt_pvs)
 
     # state: one flat vector Z = [V_0..V_{n-1}, B_0..B_{n-1}] in two buffers
     # that swap roles every layer.  The stencil runs over Z[1:-1], both
@@ -206,8 +229,9 @@ def solve_tf_fd(
     masks = [np.empty(n_s, dtype=bool) for _ in range(2)]  # decided, converted
     conv_on, conv_off = ratio * S, np.zeros(n_s)
 
-    expire(E, Z[n_s:], Z[:n_s], v_star, conv_on if conv_active[n_t - 1] else conv_off,
-           timeline.redemption, inject[n_t - 1], *masks)
+    expiry_converts = timeline.conversion_active(times[n_t - 1])[0]
+    expire(E, Z[n_s:], Z[:n_s], v_star, conv_on if expiry_converts else conv_off,
+           timeline.redemption, inject.get(n_t - 1, 0.0), *masks)
     np.add(E, Z[n_s:], out=Z[:n_s])
 
     # snapshot bookkeeping
@@ -224,42 +248,52 @@ def solve_tf_fd(
     E_in, v_star_in, conv_on_in, conv_off_in = (x[1:-1] for x in (E, v_star, conv_on, conv_off))
     masks_in = [x[1:-1] for x in masks]
     old, new = views(Z), views(np.empty(2 * n_s))
-    for m in range(n_t - 2, -1, -1):
-        _, up, mid, down, _, B_old = old
-        Z, _, out, _, V_in, B_in = new
-        # (cu*up + cm*mid) + cd*down on both halves, then V less (dt*rc)*B;
-        # the FD digests in the tests pin this evaluation order to the bit
-        np.multiply(cu_z, up, out=out)
-        np.multiply(cm_z, mid, out=tmp)
-        np.add(out, tmp, out=out)
-        np.multiply(cd_z, down, out=tmp)
-        np.add(out, tmp, out=out)
-        np.multiply(dt_rc, B_old, out=tmp_v)
-        np.subtract(V_in, tmp_v, out=V_in)
-        old, new = new, old
+    # the march layers n_t - 2 .. 0 in chunks [lo, hi) of at most _FINITE_CHECK_EVERY
+    # layers, lo a multiple of it: a chunk's inputs (row i is layer lo + i) exist only
+    # while it runs, and the state is checked for finite values at its bottom layer
+    for lo in range((n_t - 2) // _FINITE_CHECK_EVERY * _FINITE_CHECK_EVERY, -1, -_FINITE_CHECK_EVERY):
+        hi = min(lo + _FINITE_CHECK_EVERY, n_t - 1)
+        taus = np.arange(lo, hi) * times.step
+        call_levels, put_levels, active, debt_pvs, floors, top_converts = _chunk_inputs(
+            timeline, taus, risky, conv_top)
+        for m in range(hi - 1, lo - 1, -1):
+            i = m - lo
+            _, up, mid, down, _, B_old = old
+            Z, _, out, _, V_in, B_in = new
+            # (cu*up + cm*mid) + cd*down on both halves, then V less (dt*rc)*B;
+            # the FD digests in the tests pin this evaluation order to the bit
+            np.multiply(cu_z, up, out=out)
+            np.multiply(cm_z, mid, out=tmp)
+            np.add(out, tmp, out=out)
+            np.multiply(cd_z, down, out=tmp)
+            np.add(out, tmp, out=out)
+            np.multiply(dt_rc, B_old, out=tmp_v)
+            np.subtract(V_in, tmp_v, out=V_in)
+            old, new = new, old
 
-        if inject[m] != 0.0:
-            B_in += inject[m, ...]
-            V_in += inject[m, ...]
+            cash = inject.get(m, 0.0)
+            if cash != 0.0:
+                B_in += cash
+                V_in += cash
 
-        # S = 0: equity worthless forever, claim is pure risky debt (put-floored)
-        Z[0] = Z[n_s] = floors[m]
-        # S = S_max: conversion dominates when there is anything to convert into
-        if top_converts[m]:
-            Z[n_s - 1] = conv_top
-            Z[-1] = 0.0
-        else:
-            Z[n_s - 1] = Z[-1] = debt_pvs[m]
+            # S = 0: equity worthless forever, claim is pure risky debt (put-floored)
+            Z[0] = Z[n_s] = floors[i]
+            # S = S_max: conversion dominates when there is anything to convert into
+            if top_converts[i]:
+                Z[n_s - 1] = conv_top
+                Z[-1] = 0.0
+            else:
+                Z[n_s - 1] = Z[-1] = debt_pvs[i]
 
-        np.subtract(V_in, B_in, out=E_in)
-        decide(E_in, B_in, V_in, v_star_in, conv_on_in if conv_active[m] else conv_off_in,
-               call_levels[m, ...], put_levels[m, ...], *masks_in)
-        np.add(E_in, B_in, out=V_in)
+            np.subtract(V_in, B_in, out=E_in)
+            decide(E_in, B_in, V_in, v_star_in, conv_on_in if active[i] else conv_off_in,
+                   call_levels[i, ...], put_levels[i, ...], *masks_in)
+            np.add(E_in, B_in, out=V_in)
 
-        if m % _FINITE_CHECK_EVERY == 0 and not np.isfinite(Z).all():
-            raise NumericalError(f"non-finite values at layer {m} (tau={taus[m]:.6f})")
-        if m in want:
-            stored[m] = Z.copy()
+            if m in want:
+                stored[m] = Z.copy()
+        if not np.isfinite(Z).all():
+            raise NumericalError(f"non-finite values at layer {lo} (tau={taus[0]:.6f})")
 
     idx = sorted(stored)
     value = np.array([stored[i][:n_s] for i in idx])
@@ -269,7 +303,7 @@ def solve_tf_fd(
         grid=grid,
         t0=t0,
         spots=S,
-        layer_taus=taus[idx],
+        layer_taus=np.array([times[i] for i in idx]),
         value=value,
         equity=value - debt,
         debt=debt,

@@ -329,7 +329,9 @@ class _Rollback:
         # the layer loop branches on Python floats and bools from lists, and its ufunc
         # calls read 0-d arrays (views such as call_levels[i, ...]): numpy converts a
         # Python or numpy float operand on every call, a 0-d array it reads as it is
-        self.inject_levels = timeline.coupon_injections(taus, risky)
+        self.inject_levels = np.zeros(N + 1)
+        for i, cash in timeline.coupon_injections(taus, risky).items():
+            self.inject_levels[i] = cash
         self.calls, self.puts, self.active, self.injects = (x.tolist() for x in (
             self.call_levels, self.put_levels, self.conv_active, self.inject_levels))
 

@@ -13,6 +13,7 @@ from an anchor date, and every query takes a whole grid of times.
 
 from __future__ import annotations
 
+import bisect
 import calendar
 import json
 import math
@@ -270,20 +271,23 @@ class Timeline:
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
         return self._in_window(self._conv_window, tau)
 
-    def coupon_injections(self, taus: np.ndarray, risky_rate: float) -> np.ndarray:
-        """Cash coupons bucketed onto an ascending time grid that spans the life.
+    def coupon_injections(self, taus, risky_rate: float) -> dict[int, float]:
+        """Cash coupons bucketed onto an ascending time grid that spans the life,
+        as {grid index: amount}.
 
         Each coupon paid strictly inside (0, maturity) attaches to the first
         grid time at or after its pay date, compounded over the gap at the
         risky rate, so its present value at every earlier grid time is exact.
-        The final coupon is part of the redemption amount.
+        The final coupon is part of the redemption amount.  `taus` is any
+        ascending sequence of the grid's times, an array or one that computes
+        them on demand: each coupon reads only the times its bisection visits.
         """
-        inject = np.zeros(len(taus))
+        inject: dict[int, float] = {}
         for tau_c in self.coupon_taus:
             if tau_c <= _WINDOW_EPS or tau_c >= self.tau_maturity - _WINDOW_EPS:
                 continue
-            j = int(np.searchsorted(taus, tau_c - _WINDOW_EPS, side="left"))
-            inject[j] += self.coupon_amount * math.exp(risky_rate * (taus[j] - tau_c))
+            j = bisect.bisect_left(taus, tau_c - _WINDOW_EPS)
+            inject[j] = inject.get(j, 0.0) + self.coupon_amount * math.exp(risky_rate * (taus[j] - tau_c))
         return inject
 
     def risky_cash_pv(self, taus, risky_rate: float) -> np.ndarray:
@@ -295,12 +299,17 @@ class Timeline:
         """
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
         pv = self.nominal * np.exp(-risky_rate * (self.tau_maturity - taus))
-        # coupon times ascend, so the coupons still to come are a suffix
+        # coupon times ascend, so the coupons still to come are a suffix: the rows
+        # from coupon k on are those with first == k (a loop over the suffixes, since
+        # np.unique would load numpy.ma, a megabyte, on its first call)
+        n = len(self.coupon_taus)
         first = np.searchsorted(self.coupon_taus, taus + _WINDOW_EPS, side="right")
-        for k in np.unique(first[first < len(self.coupon_taus)]):
+        for k in range(first.min(initial=n), n):
             rows = first == k
-            future = self.coupon_taus[k:]
-            pv[rows] += self.coupon_amount * np.exp(-risky_rate * (future - taus[rows, None])).sum(axis=1)
+            if rows.any():  # one (rows, coupons) matrix: the gaps, then their discount factors
+                gaps = self.coupon_taus[k:] - taus[rows, None]
+                np.multiply(-risky_rate, gaps, out=gaps)
+                pv[rows] += self.coupon_amount * np.exp(gaps, out=gaps).sum(axis=1)
         return pv
 
 

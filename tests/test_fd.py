@@ -1,11 +1,16 @@
 """Explicit finite-difference solver: stability, boundary handling, reductions,
 and agreement with the lattice."""
 
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,8 @@ from cblab import (
     FDGrid,
     MarketParams,
     NumericalError,
+    PutTerms,
+    fd,
     fd_profile,
     price_tf_crr,
     solve_tf_fd,
@@ -117,47 +124,57 @@ class TestStraightBondReduction:
             assert np.max(np.abs(sol.equity[i])) < 1e-6 * expected
 
 
+def single_equation_march(terms, t0, n_t):
+    """rc = 0 collapses the pair to one equation: march V alone on the whole-grid
+    inputs (`np.linspace` times, coupons bucketed by `np.searchsorted`) with the
+    solver's stencil and constraints, on 101 spot nodes; returns the t0 layer."""
+    span = year_fraction(t0, terms.maturity)
+    tl = Timeline(terms, t0)
+    n_s = 101
+    S = np.linspace(0.0, 400.0, n_s)
+    taus = np.linspace(0.0, span, n_t)
+    dt = span / (n_t - 1)
+    ds = 400.0 / (n_s - 1)
+    S_int = S[1:-1]
+    a = 0.5 * 0.09 * S_int**2 / ds**2
+    b = 0.05 * S_int / (2 * ds)
+    cu, cd = dt * (a + b), dt * (a - b)
+    cm = 1.0 - dt * (2 * a + 0.05)
+    call = tl.call_dirty(taus)
+    conv_on = tl.conversion_active(taus)
+    inject = np.zeros(n_t)
+    for tc in tl.coupon_taus:
+        if tc <= 1e-12 or tc >= span - 1e-12:
+            continue
+        j = int(np.searchsorted(taus, tc - 1e-12, side="left"))
+        inject[j] += tl.coupon_amount * math.exp(0.05 * (taus[j] - tc))
+    debt = tl.risky_cash_pv(taus, 0.05)
+    conv_T = np.where(conv_on[n_t - 1], S, 0.0)
+    v = np.maximum(conv_T, tl.redemption)
+    for m in range(n_t - 2, -1, -1):
+        v_new = np.empty_like(v)
+        v_new[1:-1] = cu * v[2:] + cm * v[1:-1] + cd * v[:-2]
+        v = v_new
+        if inject[m] != 0.0:
+            v[1:-1] += inject[m]
+        v[0] = max(0.0, debt[m])
+        v[-1] = max(400.0, debt[m])
+        conv = np.where(conv_on[m], S[1:-1], 0.0)
+        v[1:-1] = np.maximum(np.minimum(v[1:-1], call[m]), conv)
+    return v
+
+
+ZERO_SPREAD = MarketParams(rate=0.05, credit_spread=0.0, sigma=0.30)
+
+
 class TestZeroSpreadReduction:
     def test_matches_single_equation_roller(self, table1, jan2004):
         """rc = 0 collapses the pair to one equation; march V alone with the
         same stencil and constraints and compare."""
-        mkt0 = MarketParams(rate=0.05, credit_spread=0.0, sigma=0.30)
         span = year_fraction(jan2004, table1.maturity)
         grid = FDGrid(s_max=400.0, n_s=101, n_t=stable_time_layers(0.30, 0.05, span, 400.0, 101))
-        sol = solve_tf_fd(table1, mkt0, jan2004, grid, snapshot_dates=[jan2004])
-
-        tl = Timeline(table1, jan2004)
-        n_s, n_t = grid.n_s, grid.n_t
-        S = np.linspace(0.0, 400.0, n_s)
-        taus = np.linspace(0.0, span, n_t)
-        dt = span / (n_t - 1)
-        ds = grid.ds
-        S_int = S[1:-1]
-        a = 0.5 * 0.09 * S_int**2 / ds**2
-        b = 0.05 * S_int / (2 * ds)
-        cu, cd = dt * (a + b), dt * (a - b)
-        cm = 1.0 - dt * (2 * a + 0.05)
-        call = tl.call_dirty(taus)
-        conv_on = tl.conversion_active(taus)
-        inject = np.zeros(n_t)
-        for tc in tl.coupon_taus:
-            if tc <= 1e-12 or tc >= span - 1e-12:
-                continue
-            j = int(np.searchsorted(taus, tc - 1e-12, side="left"))
-            inject[j] += tl.coupon_amount * math.exp(0.05 * (taus[j] - tc))
-        debt = tl.risky_cash_pv(taus, 0.05)
-        conv_T = np.where(conv_on[n_t - 1], S, 0.0)
-        v = np.maximum(conv_T, tl.redemption)
-        for m in range(n_t - 2, -1, -1):
-            v_new = np.empty_like(v)
-            v_new[1:-1] = cu * v[2:] + cm * v[1:-1] + cd * v[:-2]
-            v = v_new
-            if inject[m] != 0.0:
-                v[1:-1] += inject[m]
-            v[0] = max(0.0, debt[m])
-            v[-1] = max(400.0, debt[m])
-            conv = np.where(conv_on[m], S[1:-1], 0.0)
-            v[1:-1] = np.maximum(np.minimum(v[1:-1], call[m]), conv)
+        sol = solve_tf_fd(table1, ZERO_SPREAD, jan2004, grid, snapshot_dates=[jan2004])
+        v = single_equation_march(table1, jan2004, grid.n_t)
         # compare the t0 layer
         idx = int(np.argmin(np.abs(sol.layer_taus - 0.0)))
         assert np.max(np.abs(sol.value[idx] - v)) < 1e-8
@@ -215,7 +232,7 @@ class TestSolutionShape:
         assert grid.n_t == n_t
         sol = solve_tf_fd(table1, market, issue, grid)
         taus = np.linspace(0.0, span, n_t)
-        c = Timeline(table1, issue).coupon_injections(taus, market.rate + market.credit_spread)[-1]
+        c = Timeline(table1, issue).coupon_injections(taus, market.rate + market.credit_spread)[n_t - 1]
         assert c == pytest.approx(coupon, abs=5e-3)
         S = sol.spots  # ratio 1, redemption = nominal + final coupon = 102
         assert sol.layer_taus[-1] == span
@@ -372,3 +389,108 @@ class TestMarchGuards:
         assert grid.n_t > 40 * grid.n_s
         # stored layers: the [V | B] copies, then value, debt and equity
         assert peak < 5 * sol.value.nbytes + 8 * 64 * grid.n_s + 8 * 8 * grid.n_t
+
+
+# run in a fresh interpreter: `cblab compare` through cli.main, then the modules it loaded
+COMPARE_MODULES = """
+import json, sys
+from cblab import cli
+assert cli.main(["compare", "--date", "2004-01-02", "--s-min", "105", "--s-max", "112",
+                 "--s-step", "0.5", "--steps", "50", "--fd-nodes", "41", "--out", sys.argv[1]]) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+class TestChunkedMarch:
+    """The march runs in chunks of `fd._FINITE_CHECK_EVERY` layers, each with its own
+    inputs; every input equals the whole time grid's, to the bit."""
+
+    def test_compare_never_imports_numpy_ma(self, tmp_path):
+        """numpy's `np.unique` loads `numpy.ma` on its first call (about 1 MiB);
+        nothing on the FD path calls it."""
+        env = dict(os.environ, PYTHONPATH=str(Path(fd.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", COMPARE_MODULES, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        modules = json.loads(proc.stdout.splitlines()[-1])
+        assert "cblab.fd" in modules and "numpy.ma" not in modules
+
+    def test_memory_flat_in_time_layers(self, table1, market):
+        """Four times the layers, the same peak within eight chunk-long vectors:
+        what grows is each chunk's inputs, and the stored layers, which are as
+        many at both layer counts."""
+        t0 = date(2006, 1, 2)
+        # a first solve, so that nothing loaded once per process counts at either size
+        solve_tf_fd(table1, market, t0, FDGrid.auto(market, year_fraction(t0, table1.maturity), n_s=5))
+        peaks = []
+        for n_t in (2500, 10000):
+            assert n_t > fd._FINITE_CHECK_EVERY
+            grid = FDGrid(s_max=400.0, n_s=101, n_t=n_t)
+            tracemalloc.start()
+            try:
+                solve_tf_fd(table1, market, t0, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 8 * 8 * fd._FINITE_CHECK_EVERY
+
+    def test_layer_taus_are_linspace(self, table1, market, jan2004):
+        """The stored layers' times are `np.linspace(0, span, n_t)` at those layers,
+        bit for bit, on a grid whose last time is not (n_t - 1) * step."""
+        span = year_fraction(jan2004, table1.maturity)
+        n_t = 2704
+        assert (n_t - 1) * (span / (n_t - 1)) != span
+        sol = solve_tf_fd(table1, market, jan2004, FDGrid(s_max=400.0, n_s=41, n_t=n_t))
+        layers = sorted({0, n_t - 1} | {int(round(x)) for x in np.linspace(0, n_t - 1, 41)})
+        assert sol.layer_taus.tobytes() == np.linspace(0.0, span, n_t)[layers].tobytes()
+
+    def test_chunk_inputs_equal_whole_grid_queries(self, monkeypatch, table1, market, issue):
+        """Each chunk's times and inputs equal the whole grid's `Timeline` queries
+        at the same layers, first and last layer of every chunk included, and the
+        chunks run every march layer once, from the top, each starting on a
+        multiple of the chunk length."""
+        terms = replace(table1, put=PutTerms(98.0, date(2003, 1, 2), date(2005, 1, 2)),
+                        conversion=replace(table1.conversion, end=date(2006, 1, 2)))
+        chunks, chunk_inputs = [], fd._chunk_inputs
+
+        def spy(timeline, taus, risky, conv_top):
+            inputs = chunk_inputs(timeline, taus, risky, conv_top)
+            chunks.append((taus.copy(), inputs))
+            return inputs
+
+        monkeypatch.setattr(fd, "_chunk_inputs", spy)
+        span, n_t, s_max = year_fraction(issue, terms.maturity), 5001, 400.0
+        solve_tf_fd(terms, market, issue, FDGrid(s_max=s_max, n_s=41, n_t=n_t))
+        monkeypatch.undo()
+
+        taus = np.linspace(0.0, span, n_t)
+        tl, risky = Timeline(terms, issue), market.rate + market.credit_spread
+        put, debt, active = tl.put_dirty(taus), tl.risky_cash_pv(taus, risky), tl.conversion_active(taus)
+        whole = (tl.call_dirty(taus), put, active, debt, np.maximum(put, debt),
+                 active & (tl.ratio * s_max > debt))
+        assert [len(t) for t, _ in chunks] == [1000, 2000, 2000]
+        lo = n_t - 1
+        for chunk_taus, inputs in chunks:
+            lo -= len(chunk_taus)
+            assert lo % fd._FINITE_CHECK_EVERY == 0
+            rows = slice(lo, lo + len(chunk_taus))
+            assert chunk_taus.tobytes() == taus[rows].tobytes()
+            for got, want in zip(inputs, whole, strict=True):
+                assert got.tobytes() == want[rows].tobytes()
+        assert lo == 0
+        # both rights change state on this grid: the put opens, conversion ends
+        assert not put[0] and put[2000] and not active[-2] and active[0]
+
+    @pytest.mark.parametrize("n_t, layer", [(5986, 1999), (5988, 2000)], ids=["chunk-top", "chunk-bottom"])
+    def test_coupon_bucketed_into_a_chunk_edge(self, table1, jan2004, n_t, layer):
+        """The 2005-01-02 coupon buckets into the top layer of one chunk or the
+        bottom layer of the next: the sparse coupon map equals the whole grid's
+        bucketing, and the march matches the whole-grid single-equation march."""
+        span = year_fraction(jan2004, table1.maturity)
+        tl = Timeline(table1, jan2004)
+        whole = tl.coupon_injections(np.linspace(0.0, span, n_t), 0.05)
+        assert tl.coupon_injections(fd._LayerTimes(span, n_t), 0.05) == whole
+        assert layer in whole
+        sol = solve_tf_fd(table1, ZERO_SPREAD, jan2004, FDGrid(s_max=400.0, n_s=101, n_t=n_t),
+                          snapshot_dates=[jan2004])
+        assert np.max(np.abs(sol.value[0] - single_equation_march(table1, jan2004, n_t))) < 1e-8

@@ -85,7 +85,9 @@ def reference_rollback(terms, mkt, t0, spots, steps, front_layers):
     calls, puts = tl.call_dirty(taus), tl.put_dirty(taus)
     active = tl.conversion_active(taus)
     risky = mkt.rate + mkt.credit_spread
-    inject = tl.coupon_injections(taus, risky)
+    inject = np.zeros(N + 1)
+    for i, cash in tl.coupon_injections(taus, risky).items():
+        inject[i] = cash
     disc_e, disc_b = math.exp(-mkt.rate * lp.dt), math.exp(-risky * lp.dt)
     p, q = lp.p_up, 1.0 - lp.p_up
     rs = (tl.ratio * spots)[:, None]
