@@ -12,7 +12,9 @@ for rows 8 and that batch's rows); the operand kinds: ns per
 `np.multiply(X, p, out=Y)` call on a width-1 band of OPERAND_NODES nodes with
 p a Python float, a numpy float and a 0-d array (numpy converts the first two
 on every call); the pointwise
-`price_tf_crr` at spot 100 and N=500 (the batch-width-1 path); the quote mix:
+`price_tf_crr` at spot 100 and N=500 (the batch-width-1 path); the figures'
+counted price (`cblab price` at 2002-01-02, spot 100, N=500, bind counts on):
+its height H, workspace bytes, tracemalloc peak and ms per call; the quote mix:
 ms per request of `price_tf_crr` (P), `greek_point` (G) and `hedge_increment`
 (H) at N=500 over QUOTE_POINTS seeded (date, spot) points across the bond's
 life, each with the share of its rollback layers below expiry that call
@@ -134,9 +136,9 @@ def floor_share(terms, mkt, t0, spots, steps: int) -> float:
     floor = band = 0
     for lo in range(0, job.rs.size, job.rows):
         rs = job.rs[lo : lo + job.rows]
-        plan = job.plan(rs)
-        floor += rs.size * sum(k for k, *_ in plan)
-        band += rs.size * sum(c for _, _, _, c, _, _ in plan)
+        ks, _, cs, _, _ = job.plan(rs)
+        floor += rs.size * sum(ks)
+        band += rs.size * sum(cs)
     return floor / band
 
 
@@ -245,6 +247,30 @@ def measure_operands(repeats: int) -> dict:
 
         cells[name] = round(1e9 * _best_of(repeats, calls) / OPERAND_CALLS, 1)
     return cells
+
+
+def measure_price_binds(repeats: int) -> dict:
+    """The figures' counted price, `cblab price` at 2002-01-02, spot 100 and
+    N=500 (`rollback_batch` with bind counts): the height H and the workspace
+    bytes of its block, the tracemalloc peak of one call after an untraced
+    one, and ms per call."""
+    terms, mkt = cblab.reference_terms(), cblab.reference_market()
+    t0, spots, steps = date(2002, 1, 2), np.array([100.0]), 500
+    job = cblab.lattice._rollback_job(terms, mkt, t0, spots, steps, binds=True)
+    height, workspace = job.height, sum(b.nbytes for b in job.buffers)
+
+    def call():
+        cblab.rollback_batch(terms, mkt, t0, spots, steps, binds=True)
+
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"N": steps, "height": height, "workspace_bytes": workspace, "peak_bytes": peak,
+            "ms_per_call": round(1e3 * _best_of(repeats, call), 4)}
 
 
 def measure_pointwise(repeats: int) -> dict:
@@ -395,6 +421,7 @@ def main() -> None:
         "band": measure_band(args.repeats),
         "operands": measure_operands(args.repeats),
         "price_tf_crr": measure_pointwise(args.repeats),
+        "price_binds": measure_price_binds(args.repeats),
         "quote_mix": measure_quote_mix(args.repeats),
         "philox_uniforms": measure_philox(args.repeats),
         "ndtri": measure_ndtri(args.repeats),

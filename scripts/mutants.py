@@ -97,7 +97,7 @@ MUTANTS = (
     Mutant("converted_B_not_zeroed", LATTICE,
            "                B[c:top] = ZERO\n", "                pass\n"),
     Mutant("skipped_nodes_not_counted", LATTICE,
-           "binds[0] += N * (N + 1) // 2 - sum(c for _, _, _, c, _, _ in plan)",
+           "binds[0] += N * (N + 1) // 2 - sum(plan[2])",
            "binds[0] += 0"),
     # the sorted blocks and their height H
     Mutant("wrong_inverse_permutation", LATTICE,
@@ -105,8 +105,15 @@ MUTANTS = (
     Mutant("height_one_node_short", LATTICE,
            "int(self.cs[front_layers:].max(initial=front_layers) + 1)",
            "int(self.cs[front_layers:].max(initial=front_layers))"),
-    Mutant("bind_counts_at_height_H", LATTICE,
-           "self.height = N + 1 if binds else int(", "self.height = int("),
+    # the expiry conversions at or above H, which bind counts take from their products
+    Mutant("expiry_above_h_not_counted", LATTICE,
+           "                binds[0] += np.count_nonzero(CB[: N + 1 - j], axis=0)\n",
+           "                pass\n"),
+    Mutant("expiry_above_h_tie_converts", LATTICE,
+           "np.greater(conv, self.redemption, out=CB[: N + 1 - j])",
+           "np.greater_equal(conv, self.redemption, out=CB[: N + 1 - j])"),
+    Mutant("expiry_above_h_conversion_off_ignored", LATTICE,
+           "range(H, N + 1 if self.active[N] else H, H)", "range(H, N + 1, H)"),
     # the conversion window and the expiry layer
     Mutant("conversion_outside_its_window", LATTICE,
            "if active[i] else ZERO", "if True else ZERO"),
@@ -157,10 +164,12 @@ MUTANTS = (
            "K[:N][(b[:N] > self.call_levels[:N]) | (b[:N] < self.put_levels[:N])] = 0",
            "K[:N][b[:N] < self.put_levels[:N]] = 0"),
     Mutant("floor_cone_not_widened", LATTICE,
-           "k = np.minimum.accumulate((K - self.layers)[::-1])[::-1] + self.layers",
-           "k = np.minimum.accumulate(K[::-1])[::-1]"),
+           "k = np.minimum.accumulate((K - self.layers)[::-1])[::-1][:N] + i",
+           "k = np.minimum.accumulate(K[::-1])[::-1][:N]"),
     Mutant("floor_on_front_layers", LATTICE,
-           "            k[: self.front_layers + 1] = 0\n", ""),
+           "        k[: self.front_layers + 1] = 0\n", ""),
+    # the layer loop carries k_{i+1} over from the layer above
+    Mutant("k_up_not_carried", LATTICE, "            k_up = k\n", ""),
     # the FD march: its boundary rows, and the V row that decide borrows
     Mutant("fd_floor_row_without_put", FD,
            "Z[0] = Z[n_s] = floors[i]", "Z[0] = Z[n_s] = debt_pvs[i]"),

@@ -37,7 +37,7 @@ from .termsheet import (
 
 __all__ = ["main", "cmd_price", "cmd_surface", "cmd_greeks", "cmd_hedge_stress", "cmd_var", "cmd_compare"]
 
-MAX_SPOT_POINTS = 10**7  # the largest spot grid a command builds
+MAX_SPOT_POINTS = 10**7  # the largest spot grid, or surface grid of (t, S) points, a command builds
 
 
 def _parse_date(s: str) -> date:
@@ -87,9 +87,8 @@ def cmd_price(args, terms, mkt) -> int:
     return 0
 
 
-def _surface_table(args, terms, mkt, t_grid: list[date]) -> int:
-    """Price, E/B split and Greeks on t_grid x the spot grid, named after the command."""
-    spots = _spot_grid(args)
+def _surface_table(args, terms, mkt, t_grid: list[date], spots: np.ndarray) -> int:
+    """Price, E/B split and Greeks on t_grid x spots, named after the command."""
     srf = sensitivities.surface(terms, mkt, t_grid, spots, args.steps)
     rows = []
     for i, t in enumerate(t_grid):
@@ -107,16 +106,18 @@ def _surface_table(args, terms, mkt, t_grid: list[date]) -> int:
 
 
 def cmd_surface(args, terms, mkt) -> int:
-    if args.t_points < 1:
-        raise ConfigurationError(f"--t-points must be >= 1, got {args.t_points}")
+    spots = _spot_grid(args)
+    if not 1 <= args.t_points <= MAX_SPOT_POINTS // spots.size:  # before the date grid exists
+        raise ConfigurationError(f"--t-points must be from 1 to {MAX_SPOT_POINTS // spots.size:,} "
+                                 f"on {spots.size:,} spot points, got {args.t_points}")
     life_days = (terms.maturity - terms.issue).days
     offsets = [round(i * life_days / args.t_points) for i in range(args.t_points)]
     return _surface_table(args, terms, mkt,
-                          [date.fromordinal(terms.issue.toordinal() + o) for o in offsets])
+                          [date.fromordinal(terms.issue.toordinal() + o) for o in offsets], spots)
 
 
 def cmd_greeks(args, terms, mkt) -> int:
-    return _surface_table(args, terms, mkt, [args.date])
+    return _surface_table(args, terms, mkt, [args.date], _spot_grid(args))
 
 
 def cmd_hedge_stress(args, terms, mkt) -> int:

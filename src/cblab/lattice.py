@@ -57,12 +57,13 @@ tighter frontier from its lowest spot and a longer guessed run and settled
 floor from its highest.  With c_i the frontier of the batch's lowest spot, at
 or above every block's, no layer touches a node at or above the height
 H = max(front_layers, c_i for every layer i >= front_layers) + 1 <= N + 1, so
-the buffers are H nodes tall and the expiry layer runs on [0, H) only.  A
-rollback that counts binds sets H = N + 1 instead, so that `expire`'s own
-conversion mask covers the whole expiry layer.  A block holds
-block_rows(m, N, H) = min(m, BLOCK * (N+1) // H) spots, so the workspace stays
-within BLOCK full-height rows whatever H.  A 500-spot VaR chunk at N=500 has
-H = 254-255 and runs in two blocks of about 250 spots.
+the buffers are H nodes tall and the expiry layer runs on [0, H) only, whether
+or not the rollback counts binds.  Bind counts take the expiry nodes [H, N + 1)
+that convert by `expire`'s rule, rs * pw[2j] > redemption where conversion is
+on (ties continue), from those products.  A block holds min(m, BLOCK * (N+1) // H) spots (`rows`) of a
+batch of m, so the workspace stays within BLOCK full-height rows whatever H.  A
+500-spot VaR chunk at N=500 has H = 254-255 and runs in two blocks of about 250
+spots.
 
 The settled floor.  A node from which no decision can bind before expiry is
 pure risky debt (Tsiveriotis-Fernandes): E = 0 and B = b_i, the risky present
@@ -142,7 +143,7 @@ __all__ = [
 ]
 
 # a block's workspace in full-height rows: BLOCK * (N+1) node-spots, whatever the batch
-# size; a batch of frontier height H runs block_rows(m, N, H) spots per block in it
+# size; a batch of frontier height H runs BLOCK * (N+1) // H spots per block in it
 BLOCK = 128
 # a layer certifies a guessed continuation run only from this many node-spots up,
 # where its reductions cost less than the decisions it skips (BENCH_16.json
@@ -243,13 +244,6 @@ def build_crr_params(sigma: float, rate: float, horizon: float, steps: int) -> L
         raise ConfigurationError(f"risk-neutral probability {p_up:.6g} outside (0,1); "
                                  "dt too large for this sigma/rate")
     return LatticeParams(steps=steps, dt=dt, up=up, down=down, p_up=p_up)
-
-
-def block_rows(m: int, steps: int, height: int) -> int:
-    """Spots per kernel block for a batch of m spots on a `steps`-step tree
-    whose blocks hold `height` nodes: as many as fit BLOCK full-height rows
-    of (steps + 1) nodes, and at most m."""
-    return min(m, BLOCK * (steps + 1) // height)
 
 
 def decide(E, B, V, vs, conv, call, put, ncont, convb) -> None:
@@ -354,12 +348,11 @@ class _Rollback:
         self.front_layers = front_layers
 
         # the lowest spot's frontier is at or above every block's, so no block
-        # reads or writes a node at or above the height H it sets; bind counts
-        # take the whole expiry layer from `expire`, so they need H = N + 1
+        # reads or writes a node at or above the height H it sets
         m = spots.size
         self.cs = self.frontier(self.rs[0])
-        self.height = N + 1 if binds else int(self.cs[front_layers:].max(initial=front_layers) + 1)
-        self.rows = block_rows(m, N, self.height)
+        self.height = int(self.cs[front_layers:].max(initial=front_layers) + 1)
+        self.rows = min(m, BLOCK * (N + 1) // self.height)
         self.buffers = [np.empty((self.height, self.rows), dtype=t)
                         for t in (float,) * 5 + (bool,) * 2]
         self.equity, self.debt = np.empty(m), np.empty(m)
@@ -418,35 +411,33 @@ class _Rollback:
             b[i] = (b[i + 1] * q + b[i + 1] * p) * disc + inject[i]
         return b
 
-    def plan(self, rs: np.ndarray) -> list[tuple[int, int, int, int, int, float]]:
-        """The layer plan of a block whose ascending ratio * spot is `rs`: for
-        each layer i < N, (k_i, k_{i+1}, d_i, c_i, top_i, low_i), the zones
-        of the module docstring and the least held value that certifies the
-        guessed run [k_i, d_i).  A block whose band never reaches BAND_CELLS
-        node-spots gets k = d = 0 and computes neither floor."""
+    def plan(self, rs: np.ndarray) -> tuple[list[int], list[int], list[int], list[int], list]:
+        """The layer plan of a block whose ascending ratio * spot is `rs`: the
+        lists k, d, c, top and low over the layers i < N, the zones of the
+        module docstring and the least held value that certifies the guessed
+        run [k_i, d_i).  A block whose band never reaches BAND_CELLS node-spots
+        gets k = d = 0 and computes neither floor."""
         N, rows, i = self.N, rs.size, self.layers[: self.N]
         # the first block holds the batch's lowest spot, whose frontier is known
         c = self.cs if rs[0] == self.rs[0] else self.frontier(rs[0])
         # nodes layer i must hold: all of a front, else [0, c_{i-1}] for the next layer
         top = np.where(i <= self.front_layers, i + 1, np.maximum(c, np.append(0, c[:-1] + 1)))
-        k, d, low = np.zeros(N + 1, dtype=int), np.zeros(N, dtype=int), np.zeros(N)
-        if c.max() * rows >= BAND_CELLS:  # k_i <= c_i: a smaller band has no zone to skip
-            prod = rs[-1] * self.pw_ceil  # non-decreasing, and >= every spot's conv at and below
-            d = np.minimum(self.nodes(prod, self.held_floor * (1.0 - 1e-9), "left"), c)
-            b = np.array(self.settled)
-            # the expiry layer's test is the redemption, not b_N
-            K = self.nodes(prod, np.append(b[:N], self.redemption), "right")
-            K[:N][(b[:N] > self.call_levels[:N]) | (b[:N] < self.put_levels[:N])] = 0
-            k = np.minimum.accumulate((K - self.layers)[::-1])[::-1] + self.layers
-            k[: self.front_layers + 1] = 0
-            k[N] = 0
-            for x in (k, d):
-                x[x * rows < BAND_CELLS] = 0
-            # the run's top conversion value, at node d_i - 1 (any node where d_i = 0)
-            top_conv = np.where(self.conv_active[:N], prod[np.maximum(N - i + 2 * d - 2, 0)], 0.0)
-            low = np.maximum(self.put_levels[:N], top_conv)
-        return list(zip(k[:N].tolist(), k[1:].tolist(), d.tolist(), c.tolist(), top.tolist(),
-                        low.tolist()))
+        if c.max() * rows < BAND_CELLS:  # k_i <= c_i: a smaller band has no zone to skip
+            return [0] * N, [0] * N, c.tolist(), top.tolist(), [0] * N
+        prod = rs[-1] * self.pw_ceil  # non-decreasing, and >= every spot's conv at and below
+        d = np.minimum(self.nodes(prod, self.held_floor * (1.0 - 1e-9), "left"), c)
+        b = np.array(self.settled)
+        # the expiry layer's test is the redemption, not b_N
+        K = self.nodes(prod, np.append(b[:N], self.redemption), "right")
+        K[:N][(b[:N] > self.call_levels[:N]) | (b[:N] < self.put_levels[:N])] = 0
+        k = np.minimum.accumulate((K - self.layers)[::-1])[::-1][:N] + i
+        k[: self.front_layers + 1] = 0
+        for x in (k, d):
+            x[x * rows < BAND_CELLS] = 0
+        # the run's top conversion value, at node d_i - 1 (any node where d_i = 0)
+        top_conv = np.where(self.conv_active[:N], prod[np.maximum(N - i + 2 * d - 2, 0)], 0.0)
+        low = np.maximum(self.put_levels[:N], top_conv)
+        return k.tolist(), d.tolist(), c.tolist(), top.tolist(), low.tolist()
 
     @staticmethod
     def continues(E, B, V, call: float, low: float) -> bool:
@@ -487,16 +478,22 @@ class _Rollback:
         expire(E, B, V, VS, C, self.redemption, self.injects[N], NC, CB)
         if binds is not None:
             binds[0] += np.count_nonzero(CB, axis=0)
+            # the expiry nodes [H, N + 1) by `expire`'s rule, up to H at a time in C and CB
+            for j in range(H, N + 1 if self.active[N] else H, H):
+                conv = np.multiply(rs, pw[2 * j : 2 * (j + H) : 2], out=C[: N + 1 - j])
+                np.greater(conv, self.redemption, out=CB[: N + 1 - j])
+                binds[0] += np.count_nonzero(CB[: N + 1 - j], axis=0)
         if self.front_layers >= N:
             np.add(E, B, out=fronts[N])
 
         plan = self.plan(rs)
         calls, puts, injects, active = self.calls, self.puts, self.injects, self.active
-        for i in range(N - 1, -1, -1):
-            k, k_up, d, c, top, low = plan[i]
+        k_up = 0  # k_{i+1}, the previous layer's k: k_N = 0, as `expire` wrote the whole layer
+        for i, k, d, c, top, low in zip(range(N - 1, -1, -1), *map(reversed, plan)):
             if k < k_up:
                 # the settled rows this layer reads: E is still expire's +0
                 B[k:k_up] = self.settled[i + 1]
+            k_up = k
             Ec, Bc, Vc = E[k:c], B[k:c], V[k:c]
             # in-place rollback: X <- disc * (p * X_up + q * X_down), V as scratch
             for X, Xc, disc in ((E, Ec, disc_E), (B, Bc, disc_B)):
@@ -548,7 +545,7 @@ class _Rollback:
                 np.add(E[: i + 1], B[: i + 1], out=fronts[i])
 
         if binds is not None:  # the skipped nodes [c_i, i + 1), all converted
-            binds[0] += N * (N + 1) // 2 - sum(c for _, _, _, c, _, _ in plan)
+            binds[0] += N * (N + 1) // 2 - sum(plan[2])
         self.equity[lo:hi] = E[0]
         self.debt[lo:hi] = B[0]
 
@@ -593,7 +590,7 @@ def rollback_batch(
     `front_layers` > 0 additionally records the constrained node values V of
     the first few layers (needed for lattice delta/gamma); `binds` counts the
     nodes decided by conversion, call and put.  Spots run serially, in
-    ascending order, in blocks of `block_rows` spots; every spot gets its own
+    ascending order, in blocks of `rows` spots (`_Rollback`); every spot gets its own
     full tree, so results do not depend on the batch, its order or the
     blocking, and they come back in the order of `spots`.
     """

@@ -167,6 +167,17 @@ class TestGridValidation:
         assert "--t-points" in capsys.readouterr().err
         assert not (tmp_path / "surface.csv").exists()
 
+    def test_oversized_time_grid_exits_2(self, tmp_path, capsys, monkeypatch):
+        """--t-points times the spot points may reach MAX_SPOT_POINTS and not
+        pass it; the refusal comes before the date grid exists."""
+        monkeypatch.setattr(cli, "MAX_SPOT_POINTS", 4)
+        grid = ["--s-min", 100, "--s-max", 101, "--s-step", 1, "--steps", 20]
+        assert run(["surface", "--t-points", 2, "--out", tmp_path / "ok"] + grid) == 0
+        capsys.readouterr()
+        assert run(["surface", "--t-points", 3, "--out", tmp_path / "big"] + grid) == 2
+        assert "--t-points must be from 1 to 2 on 2 spot points, got 3" in capsys.readouterr().err
+        assert not (tmp_path / "big").exists()
+
     @pytest.mark.parametrize("grid", [
         ["--fd-nodes", 1],
         ["--fd-s-max", 0],

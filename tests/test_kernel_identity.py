@@ -17,6 +17,7 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from test_reference_roller import assert_one_geometry, block_width
 
 from cblab import (
     FDGrid,
@@ -121,14 +122,20 @@ def sweeps():
 
 @pytest.mark.parametrize("name", sorted(REFERENCE))
 def test_matches_previous_kernel(sweeps, name):
-    """Both buffer layouts match: the frontier-height blocks of a rollback
-    without bind counts, and the full-height blocks of one with them."""
+    """A rollback without bind counts and one with them match, in the
+    blocks that both run."""
     terms, t0, spots, steps, front_layers = sweeps[name]
     plain = rollback_batch(terms, MARKET, t0, spots, steps, front_layers=front_layers)
     counted = rollback_batch(terms, MARKET, t0, spots, steps, front_layers=front_layers,
                              binds=True)
     assert _digests(plain) == {k: v for k, v in REFERENCE[name].items() if k != "binds"}
     assert _digests(counted) == REFERENCE[name]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_counted_rollback_runs_the_plain_geometry(sweeps, name):
+    terms, t0, spots, steps, front_layers = sweeps[name]
+    assert_one_geometry((terms, t0, MARKET), spots, steps, front_layers)
 
 
 # solve_tf_fd on a 101-node auto grid, default snapshots (41 stored layers)
@@ -200,27 +207,18 @@ def _assert_same(a, b):
     assert all(np.array_equal(x, y) for x, y in zip(a.fronts, b.fronts))
 
 
-def block_width(terms, t0, lowest, steps, front_layers):
-    """The kernel's spots per block for a batch too wide for one block whose
-    lowest spot is `lowest`, without bind counts: `lattice.block_rows` at the
-    frontier height that spot sets."""
-    height = lattice._rollback_job(terms, MARKET, t0, [lowest], steps, front_layers).height
-    return lattice.block_rows(lattice.BLOCK * (steps + 1), steps, height)
-
-
 # the block edges, as (blocks, tail) of the kernel's own block width
 EDGES = {"rows-1": (1, -1), "rows": (1, 0), "rows+1": (1, 1), "2rows+1": (2, 1)}
 
 
 @pytest.mark.parametrize("m", [1, 127, 128, 129, 257, 500, *EDGES])
 def test_chunked_equals_unchunked(monkeypatch, m):
-    """Fixed batch sizes and the batch sizes at the kernel's block edges, with
-    and without bind counts: the fixed sizes are block edges of the
-    full-height blocks that count binds, and `block_width` is the width of
-    the frontier-height blocks that do not."""
+    """Fixed batch sizes and the batch sizes at the kernel's block edges
+    (`block_width`), with and without bind counts, which run the same
+    blocks."""
     if m in EDGES:
         blocks, tail = EDGES[m]
-        m = blocks * block_width(TABLE1, JAN2004, 80.0, 60, 2) + tail
+        m = blocks * block_width((TABLE1, JAN2004, MARKET), 80.0, 60, 2) + tail
     spots = np.linspace(80.0, 140.0, m)
 
     def run(binds):
@@ -239,7 +237,7 @@ def test_node_major_blocks_equal_pointwise(sweeps, tail):
     transposed view) and bind counts on, each spot's outputs equal its own
     one-spot rollback, with bind counts off as well."""
     terms, t0, steps = sweeps["putable"][0], JAN2004, 12
-    spots = np.linspace(40.0, 200.0, block_width(terms, t0, 40.0, steps, steps) + tail)
+    spots = np.linspace(40.0, 200.0, block_width((terms, t0, MARKET), 40.0, steps, steps) + tail)
     for binds in (False, True):
         res = rollback_batch(terms, MARKET, t0, spots, steps, front_layers=steps, binds=binds)
         assert not binds or np.all(res.binds.sum(axis=1) > 0)
@@ -268,7 +266,8 @@ def test_memory_bounded_by_blocks_not_batch():
     float and two bool buffers, not O(m * (N+1)): the whole-batch buffers
     would need 6 * 2000 * 201 doubles (19 MB).  A second workspace would
     break the 512 KiB allowance for the O(m) outputs and O(N) tables.  Bind
-    counts run full-height blocks of BLOCK spots, in the same bound."""
+    counts run the same blocks and count the expiry nodes above them in the
+    same buffers, in the same bound."""
     m, n = 2000, 200
     workspace = (5 * 8 + 2) * lattice.BLOCK * (n + 1)
     spots = np.linspace(50.0, 200.0, m)
@@ -353,7 +352,7 @@ def test_settled_floor_is_rolled_rows(sweeps, monkeypatch):
     """The settled floor changes no bit: with the plan's k all zeros every
     layer rolls back its whole band again, and equity, debt, bind counts and
     every front are the same as with the floor, for every sweep and the VaR
-    chunk, in both buffer layouts."""
+    chunk, with and without bind counts."""
     t0, spots = _var_chunk()
     cases = dict(sweeps, var_chunk=(TABLE1, t0, spots, 500, 0))
 
@@ -366,7 +365,7 @@ def test_settled_floor_is_rolled_rows(sweeps, monkeypatch):
                for binds in (False, True)}
     plan = lattice._Rollback.plan
     monkeypatch.setattr(lattice._Rollback, "plan",
-                        lambda self, rs: [(0, 0, *layer[2:]) for layer in plan(self, rs)])
+                        lambda self, rs: ([0] * self.N, *plan(self, rs)[1:]))
     for (name, binds), res in floored.items():
         _assert_same(res, run(cases[name], binds))
 
@@ -382,9 +381,9 @@ def test_floor_skips_most_of_the_band(sweeps, monkeypatch):
     cells = {"floor": 0, "band": 0}
 
     def plan_spy(self, rs):
-        layers = plan(self, rs)
-        cells["floor"] += rs.size * sum(k for k, *_ in layers)
-        cells["band"] += rs.size * sum(c for _, _, _, c, _, _ in layers)
+        ks, _, cs, _, _ = layers = plan(self, rs)
+        cells["floor"] += rs.size * sum(ks)
+        cells["band"] += rs.size * sum(cs)
         return layers
 
     monkeypatch.setattr(lattice._Rollback, "plan", plan_spy)
@@ -399,10 +398,10 @@ def test_floor_skips_most_of_the_band(sweeps, monkeypatch):
 
             def spy(rs, job=job):
                 layers = plan(job, rs)
-                seen.append([k for k, *_ in layers] + [layers[-1][1]])
+                seen.append(layers[0])
                 return layers
 
             monkeypatch.setattr(job, "plan", spy)
             job._roll_block(0, width)
-            assert seen == [[0] * 501]
+            assert seen == [[0] * 500]
             assert "settled" not in vars(job) and "held_floor" not in vars(job)

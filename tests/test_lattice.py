@@ -646,7 +646,7 @@ class TestConversionFrontier:
 
 
 class TestLayerPlan:
-    """A block's layer plan, (k_i, k_{i+1}, d_i, c_i, top_i, low_i) per layer,
+    """A block's layer plan, the lists k, d, c, top and low over the layers,
     against brute force on the kernel's own conversion products over the
     block's rows: every node of the settled rows [0, k_i), in every row,
     continues at every later layer it reaches (its conversion value is at most
@@ -684,11 +684,10 @@ class TestLayerPlan:
         N, rs = job.N, job.rs[: job.rows]
         rows, plan, b = rs.size, job.plan(rs), job.settled
         levels = [*b[:N], job.redemption]  # a settled node continues at expiry iff conv <= this
-        assert len(plan) == N and plan[-1][1] == 0
-        for i, (k, k_up, d, c, top, low) in enumerate(plan):
+        assert len(plan) == 5 and all(len(column) == N for column in plan)
+        for i, (k, d, c, top, low) in enumerate(zip(*plan)):
             TestConversionFrontier.check_layer(job, i, c)
-            assert top == (i + 1 if i <= job.front_layers else max(c, plan[i - 1][3] + 1))
-            assert i + 1 == N or k_up == plan[i + 1][0]
+            assert top == (i + 1 if i <= job.front_layers else max(c, plan[2][i - 1] + 1))
             if k:
                 for later in range(i, N + 1):
                     reach = min(k + later - i, later + 1)
@@ -707,9 +706,9 @@ class TestLayerPlan:
     def test_matches_brute_force(self, table1, market, sheet):
         terms, front_layers = self.SHEETS[sheet]
         job = self.job(terms(table1), market, np.linspace(130.0, 40.0, 200), front_layers)
-        plan = self.check_plan(job)
-        assert any(k > 0 for k, *_ in plan)  # the settled floor is not empty
-        assert any(d > k for k, _, d, *_ in plan)  # nor is the guessed run above it
+        ks, ds, *_ = self.check_plan(job)
+        assert any(k > 0 for k in ks)  # the settled floor is not empty
+        assert any(d > k for k, d in zip(ks, ds))  # nor is the guessed run above it
         if sheet == "conversion_ends":
             assert not all(job.conv_active[: job.N])
 
@@ -727,8 +726,8 @@ class TestLayerPlan:
             assert held * (1.0 - 1e-9) < top < held
         else:
             assert top == held * (1.0 - 1e-9)
-        plan = self.check_plan(job)
-        assert plan[i][2] == j < plan[i][3] - 1  # node j + 1 is still below the frontier
+        _, ds, cs, _, _ = self.check_plan(job)
+        assert ds[i] == j < cs[i] - 1  # node j + 1 is still below the frontier
 
     def test_held_floor_takes_a_put_above_the_call(self, table1, market):
         """Where the put binds above the call at layer i + 1, the held floor is

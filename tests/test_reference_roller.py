@@ -163,11 +163,25 @@ def instruments(draw, live=False):
 
 def block_width(instrument, lowest, steps, front_layers):
     """The kernel's spots per block for a batch too wide for one block whose
-    lowest spot is `lowest`: `lattice.block_rows` at the frontier height that
-    spot sets."""
+    lowest spot is `lowest`: BLOCK full-height rows over the frontier height
+    that spot sets."""
     terms, t0, mkt = instrument
     height = lattice._rollback_job(terms, mkt, t0, [lowest], steps, front_layers).height
-    return lattice.block_rows(lattice.BLOCK * (steps + 1), steps, height)
+    return lattice.BLOCK * (steps + 1) // height
+
+
+def assert_one_geometry(instrument, spots, steps, front_layers):
+    """A rollback that counts binds runs the height, the blocks and each
+    block's layer plan of one that does not."""
+    terms, t0, mkt = instrument
+    plain, counted = (lattice._rollback_job(terms, mkt, t0, spots, steps, front_layers, binds)
+                      for binds in (False, True))
+    assert (counted.height, counted.rows) == (plain.height, plain.rows)
+
+    def plans(job):
+        return [job.plan(job.rs[lo : lo + job.rows]) for lo in range(0, job.rs.size, job.rows)]
+
+    assert plans(counted) == plans(plain)
 
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -204,8 +218,8 @@ def rollbacks(draw):
 
 
 REF_SHEET = (REF, JAN2004, REF_MKT)
-# every expiry node at or above the height H converts: a rollback that counts
-# binds runs this batch in full-height blocks, and one that does not skips them
+# every expiry node at or above the height H converts: no layer holds them, and
+# a rollback that counts binds counts them from their conversion values
 ABOVE_H = (REF_SHEET, np.array([105.0, 100.0, 110.0]), 60, 0)
 # conversion ends 2006-01-02: no node of the last layers is skipped, so H = N + 1
 ENDS_2006 = ((replace(REF, conversion=replace(REF.conversion, end=date(2006, 1, 2))), JAN2004,
@@ -213,6 +227,14 @@ ENDS_2006 = ((replace(REF, conversion=replace(REF.conversion, end=date(2006, 1, 
 # a call of 90 under the redemption of 102: some expiry nodes above H redeem
 CALL_UNDER_REDEMPTION = ((replace(REF, call=CallTerms(90.0, ISSUE, REF.maturity)), JAN2004,
                           LOW_CALL[2]), np.array([95.0, 80.0, 110.0]), 120, 1)
+# the same sheet, one spot of 102 on a 40-step tree: expiry node 20, the first at or
+# above H, has the power u^0 and a conversion value equal to the redemption (it redeems)
+TIE_AT_H = (CALL_UNDER_REDEMPTION[0], np.array([102.0]), 40, 0)
+# conversion ends 2006-12-01, between the last two layers of a 12-step tree: expiry
+# nodes above H would convert if it were on
+CONVERSION_OFF_AT_EXPIRY = ((replace(REF, conversion=replace(REF.conversion,
+                                                               end=date(2006, 12, 1))),
+                             JAN2004, REF_MKT), np.array([150.0, 120.0, 200.0]), 12, 0)
 # the settled floor, nodes [0, k_i) from which no decision binds before expiry, on
 # at least BAND_CELLS node-spots (k_i * rows), ended by each rule in turn: a put of
 # 105 above the floor's level b_i from 2005-01-02 to 2006-04-02
@@ -252,19 +274,22 @@ DEEP_FRONTS = (REF_SHEET, np.linspace(5.0, 10.0, 200), 60, 30)
 @example(ABOVE_H)
 @example(ENDS_2006)
 @example(CALL_UNDER_REDEMPTION)
+@example(TIE_AT_H)
+@example(CONVERSION_OFF_AT_EXPIRY)
 @example(PUT_OVER_FLOOR)
 @example(CALL_UNDER_FLOOR)
 @example(COUPON_AT_EXPIRY)
 @example(DEEP_FRONTS)
 def test_kernel_matches_reference_roller(case):
     (terms, t0, mkt), spots, steps, front_layers = case
+    assert_one_geometry((terms, t0, mkt), spots, steps, front_layers)
     res = lattice.rollback_batch(terms, mkt, t0, spots, steps, front_layers, binds=True)
     plain = lattice.rollback_batch(terms, mkt, t0, spots, steps, front_layers)
     doubled = lattice.rollback_batch(terms.with_nominal_scaled(2.0), mkt, t0, spots, steps)
     equity, debt, binds, fronts = reference_rollback(terms, mkt, t0, spots, steps, front_layers)
 
     assert np.array_equal(res.binds, binds)
-    # the full-height blocks of bind counting and the frontier-height ones without
+    # with bind counts and without: the same blocks, the same bits
     for run in (res, plain):
         assert np.array_equal(run.equity, equity)
         assert np.array_equal(run.debt, debt)
@@ -286,17 +311,22 @@ def test_kernel_matches_reference_roller(case):
 
 
 @pytest.mark.parametrize("case, above", [(ABOVE_H, "converts"), (ENDS_2006, "nothing"),
-                                         (CALL_UNDER_REDEMPTION, "partly redeems")],
-                         ids=["above_h", "ends_2006", "call_under_redemption"])
+                                         (CALL_UNDER_REDEMPTION, "partly redeems"),
+                                         (TIE_AT_H, "ties"),
+                                         (CONVERSION_OFF_AT_EXPIRY, "conversion off")],
+                         ids=["above_h", "ends_2006", "call_under_redemption", "tie_at_h",
+                              "conversion_off_at_expiry"])
 def test_pinned_heights(case, above):
     """The pinned examples reach what they are pinned for: the expiry nodes
     at or above the blocks' height H all convert, there are none (H = N + 1),
-    or some of them redeem.  A rollback that counts binds runs each of them
-    at full height, so that `expire` counts every expiry conversion."""
+    some of them redeem, one has a conversion value equal to the redemption,
+    or conversion is off at expiry and would convert some of them.  A
+    rollback that counts binds runs each of them at the same height H, and
+    counts the expiry conversions above it from their conversion values."""
     (terms, t0, mkt), spots, steps, front_layers = case
     job = lattice._rollback_job(terms, mkt, t0, spots, steps, front_layers)
     counted = lattice._rollback_job(terms, mkt, t0, spots, steps, front_layers, binds=True)
-    assert counted.height == steps + 1
+    assert counted.height == job.height
     tl = Timeline(terms, t0)
     # expiry node j of each spot: ratio * spot * u^(2j - N), from the kernel's power table
     conv = (tl.ratio * np.sort(spots))[:, None] * job.pw[0::2][job.height:]
@@ -305,6 +335,10 @@ def test_pinned_heights(case, above):
         assert job.height == steps + 1
     elif above == "converts":
         assert job.height < steps + 1 and converts.all()
+    elif above == "ties":
+        assert np.any(conv == tl.redemption)
+    elif above == "conversion off":
+        assert not tl.conversion_active(tl.tau_maturity)[0] and converts.any()
     else:
         assert converts.any() and not converts.all()
 
@@ -325,8 +359,7 @@ def test_pinned_floors(case, end):
     def first_block(front_layers):
         job = lattice._rollback_job(terms, mkt, t0, spots, steps, front_layers)
         rows = min(job.rows, spots.size)
-        layers = job.plan(job.rs[:rows])
-        return job, job.rs[rows - 1], [k for k, *_ in layers] + [layers[-1][1]], rows
+        return job, job.rs[rows - 1], job.plan(job.rs[:rows])[0] + [0], rows  # k_N = 0
 
     job, rs_max, ks, rows = first_block(front_layers)
     assert max(ks) * rows >= lattice.BAND_CELLS
