@@ -1,9 +1,13 @@
 """Time the batch rollback kernel: ms per spot for batch widths m in {1, 2, 32,
-128, 500, 1000} at N=500 and m in {1, 500} at N=100; the VaR chunk: 500 spots in
-the order `simulate_stock` draws them (the reference VaR config, seed 0) at
-N=500, with the height H and the spots per block the kernel runs them in, the
-bytes of its block buffers and the settled floor's share of the band below the
-conversion frontier (sum k_i * rows over sum c_i * rows, all blocks); the decision kernel `lattice.decide` alone on
+128, 500, 1000} at N=500 and m in {1, 500} at N=100; the VaR batches
+(VAR_BATCHES), spots in the order `simulate_stock` draws them (the reference
+VaR config, seed 0): a 500-spot chunk at N=500 and at N=100 and 10,000 spots at
+N=500, each with the height H, the spots per block (rows) and the blocks the
+kernel runs them in, the bytes of its block buffers and the settled floor's
+share of the band below the conversion frontier (sum k_i * rows over sum
+c_i * rows, all blocks); the share of that band that `decide` runs on, on the
+two reference sweeps whose blocks span the widest spot ranges
+(`measure_band_decided`); the decision kernel `lattice.decide` alone on
 one node-major (H, rows) block, the layout the kernel runs a 500-spot batch
 over 60-160 in; the continuation
 band's crossover (per layer, what the conversion values and `decide` cost on a
@@ -63,6 +67,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -72,6 +77,7 @@ import cblab
 from cblab import cli
 
 CELLS = tuple((m, 500) for m in (1, 2, 32, 128, 500, 1000)) + tuple((m, 100) for m in (1, 500))
+VAR_BATCHES = {"var_chunk": (500, 500), "var_chunk_n100": (500, 100), "var_10k": (10_000, 500)}
 BAND_RUNS = (256, 512, 1024, 2048, 4096)  # node-spots in one layer's continuation run
 T0 = date(2004, 1, 2)
 QUOTE_POINTS = 20  # seeded (date, spot) points per request kind in the quote mix
@@ -152,9 +158,9 @@ def measure(repeats: int) -> list[dict]:
     return cells
 
 
-def measure_var_chunk(repeats: int) -> dict:
+def measure_var_batch(repeats: int, scenarios: int, steps: int) -> dict:
     terms, mkt = cblab.reference_terms(), cblab.reference_market()
-    spec = cblab.VaRSpec(eval_date=T0, spot=100.0, n_scenarios=500, seed=0, steps=500)
+    spec = cblab.VaRSpec(eval_date=T0, spot=100.0, n_scenarios=scenarios, seed=0, steps=steps)
     spots = cblab.simulate_stock(spec)
     height, rows, workspace = kernel_block(terms, mkt, spec.horizon_date, spots, spec.steps)
     best = _best_of(repeats, lambda: cblab.rollback_batch(terms, mkt, spec.horizon_date, spots,
@@ -164,6 +170,31 @@ def measure_var_chunk(repeats: int) -> dict:
             "floor_share": round(floor_share(terms, mkt, spec.horizon_date, spots, spec.steps), 4),
             "ms": round(1e3 * best, 4),
             "ms_per_spot": round(1e3 * best / spots.size, 4)}
+
+
+def measure_band_decided() -> dict:
+    """The share of the band below the conversion frontier, in node-spots
+    (sum c_i * rows over every block and layer i < N), that `decide` runs on
+    below the expiry layer (`expire` runs `decide` on the whole layer), with
+    the blocks the batch runs in: on the c3 sweep (301 spots over 50-200 at
+    issue, N=500, one front layer) and the putable sweep (a 98 put over
+    2003-2005, 161 spots over 40-200 at T0, N=300, two front layers) of
+    tests/test_kernel_identity.py."""
+    terms, mkt = cblab.reference_terms(), cblab.reference_market()
+    putable = replace(terms, put=cblab.PutTerms(98.0, date(2003, 1, 2), date(2005, 1, 2)))
+    sweeps = {"c3_base": (terms, date(2002, 1, 2), np.arange(50.0, 200.0 + 1e-9, 0.5), 500, 1),
+              "putable": (putable, T0, np.arange(40.0, 200.0 + 1e-9, 1.0), 300, 2)}
+    cells = {}
+    for name, args in sweeps.items():
+        sheet, t0, spots, steps, front_layers = args
+        job = cblab.lattice._rollback_job(sheet, mkt, t0, spots, steps, front_layers)
+        blocks = [job.rs[lo : lo + job.rows] for lo in range(0, job.rs.size, job.rows)]
+        band = sum(rs.size * sum(job.plan(rs)[2]) for rs in blocks)
+        counts = _decisions(lambda: cblab.rollback_batch(sheet, mkt, *args[1:]))
+        cells[name] = {"m": spots.size, "N": steps, "height": job.height, "rows": job.rows,
+                       "blocks": len(blocks),
+                       "decide_share": round((counts["decide"][1] - counts["expire"][1]) / band, 4)}
+    return cells
 
 
 def wide_block(terms, mkt, steps: int) -> tuple[int, int]:
@@ -223,6 +254,8 @@ def measure_band(repeats: int) -> dict:
         one = _best_of(repeats, lambda: decided(1))
         for cells in BAND_RUNS:
             d = cells // rows
+            if d == 0:  # under one node row: the kernel certifies no empty run
+                continue
             saved = _best_of(repeats, lambda: decided(d + 1)) - one
             cost = _best_of(repeats, lambda: certified(d))
             runs.append({"rows": rows, "cells": d * rows, "decide_us": round(1e6 * saved / loops, 3),
@@ -279,18 +312,17 @@ def measure_pointwise(repeats: int) -> dict:
     return {"N": 500, "ms_per_call": round(1e3 * best, 4)}
 
 
-def _decide_share(call, steps: int) -> float:
-    """The share of the rollback layers below expiry on which `call`, whose
-    trees all have `steps` steps, runs `lattice.decide`: every block's expiry
-    layer runs `expire`, which runs `decide` once, and rolls back `steps`
-    layers under it."""
-    lattice, counts = cblab.lattice, {"decide": 0, "expire": 0}
+def _decisions(call) -> dict:
+    """{name: [calls, cells]} of `lattice.decide` and `lattice.expire` while
+    `call` runs, the cells being the nodes of E they are given."""
+    lattice, counts = cblab.lattice, {"decide": [0, 0], "expire": [0, 0]}
     decide, expire = lattice.decide, lattice.expire
 
     def counting(name, fn):
-        def wrapped(*args):
-            counts[name] += 1
-            fn(*args)
+        def wrapped(E, *args):
+            counts[name][0] += 1
+            counts[name][1] += E.size
+            fn(E, *args)
         return wrapped
 
     lattice.decide, lattice.expire = counting("decide", decide), counting("expire", expire)
@@ -298,7 +330,16 @@ def _decide_share(call, steps: int) -> float:
         call()
     finally:
         lattice.decide, lattice.expire = decide, expire
-    return (counts["decide"] - counts["expire"]) / (counts["expire"] * steps)
+    return counts
+
+
+def _decide_share(call, steps: int) -> float:
+    """The share of the rollback layers below expiry on which `call`, whose
+    trees all have `steps` steps, runs `lattice.decide`: every block's expiry
+    layer runs `expire`, which runs `decide` once, and rolls back `steps`
+    layers under it."""
+    counts = _decisions(call)
+    return (counts["decide"][0] - counts["expire"][0]) / (counts["expire"][0] * steps)
 
 
 def measure_quote_mix(repeats: int) -> dict:
@@ -416,7 +457,8 @@ def main() -> None:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cells": measure(args.repeats),
-        "var_chunk": measure_var_chunk(args.repeats),
+        **{name: measure_var_batch(args.repeats, *batch) for name, batch in VAR_BATCHES.items()},
+        "band_decided": measure_band_decided(),
         "decide": measure_decide(args.repeats),
         "band": measure_band(args.repeats),
         "operands": measure_operands(args.repeats),

@@ -134,17 +134,25 @@ MUTANTS = (
            "call_levels[i, ...], put_levels[i, ...]", "put_levels[i, ...], put_levels[i, ...]"),
     # the two certificates that let a layer skip decide
     Mutant("continues_strict_call", LATTICE,
-           "return V.max() <= call and", "return V.max() < call and"),
-    # the guessed run: its held floor, its margin and search, and the top conversion
-    # value that its certificate reads (the certificate is exact, so these move no bit)
+           "V.max() <= call)", "V.max() < call)"),
+    # the run certificate's put: checked where it is above the guess level, on
+    # layers with and without a call in force
+    Mutant("run_put_never_checked", LATTICE,
+           "np.where(self.put_levels[:N] > level,", "np.where(False,"),
+    Mutant("run_put_checked_at_the_level", LATTICE,
+           "np.where(self.put_levels[:N] > level,", "np.where(self.put_levels[:N] >= level,"),
+    Mutant("run_without_call_ignores_put", LATTICE,
+           "if call == math.inf and put == 0.0:", "if call == math.inf:"),
+    # the guessed run: its held floor, its margin and search, and the least floor
+    # that the margin covers
+    Mutant("run_on_a_tiny_floor", LATTICE,
+           "np.where(self.held_floor >= 2.0**-800,", "np.where(self.held_floor >= 0.0,"),
     Mutant("held_floor_without_put", LATTICE,
            "floor = max(puts[i], min(held[i], calls[i]))", "floor = min(held[i], calls[i])"),
     Mutant("guess_without_margin", LATTICE,
            "self.held_floor * (1.0 - 1e-9)", "self.held_floor"),
     Mutant("guess_side_flipped", LATTICE,
-           'self.held_floor * (1.0 - 1e-9), "left")', 'self.held_floor * (1.0 - 1e-9), "right")'),
-    Mutant("low_at_node_d", LATTICE,
-           "prod[np.maximum(N - i + 2 * d - 2, 0)]", "prod[np.maximum(N - i + 2 * d, 0)]"),
+           'self.nodes(prod, level, "left")', 'self.nodes(prod, level, "right")'),
     Mutant("keeps_without_put", LATTICE,
            "            held &= V >= put\n", "            pass\n"),
     # the settled floor: the rows it writes, its level and where it may reach

@@ -256,6 +256,10 @@ def solve_tf_fd(
         taus = np.arange(lo, hi) * times.step
         call_levels, put_levels, active, debt_pvs, floors, top_converts = _chunk_inputs(
             timeline, taus, risky, conv_top)
+        # the layer loop branches on and writes single nodes from Python scalars, and
+        # its ufunc calls read 0-d array views, as the tree's layer loop does
+        active, debt_pvs, floors, top_converts = (
+            x.tolist() for x in (active, debt_pvs, floors, top_converts))
         for m in range(hi - 1, lo - 1, -1):
             i = m - lo
             _, up, mid, down, _, B_old = old

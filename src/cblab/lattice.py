@@ -60,10 +60,10 @@ H = max(front_layers, c_i for every layer i >= front_layers) + 1 <= N + 1, so
 the buffers are H nodes tall and the expiry layer runs on [0, H) only, whether
 or not the rollback counts binds.  Bind counts take the expiry nodes [H, N + 1)
 that convert by `expire`'s rule, rs * pw[2j] > redemption where conversion is
-on (ties continue), from those products.  A block holds min(m, BLOCK * (N+1) // H) spots (`rows`) of a
-batch of m, so the workspace stays within BLOCK full-height rows whatever H.  A
-500-spot VaR chunk at N=500 has H = 254-255 and runs in two blocks of about 250
-spots.
+on (ties continue), from those products.  A block holds min(m, BLOCK_CELLS // H)
+spots (`rows`) of a batch of m, so its seven buffers (five float, two bool)
+take at most 42 * BLOCK_CELLS bytes whatever N and H.  A 500-spot VaR chunk at
+N=500 has H = 254-255 and runs in one block.
 
 The settled floor.  A node from which no decision can bind before expiry is
 pure risky debt (Tsiveriotis-Fernandes): E = 0 and B = b_i, the risky present
@@ -82,7 +82,7 @@ expiry, and the settled rows [k_i, k_{i+1}) that layer i reads are still as
 `expire` wrote them, E = +0 included.  The layer writes b_{i+1} into their B,
 then rolls back, certifies and decides only [k_i, c_i).  k_i = 0 on a front
 layer (a front reads its whole layer) and at expiry (`expire` writes it
-whole).  On a 500-spot VaR chunk at N=500 the floor holds 49% of the band's
+whole).  On a 500-spot VaR chunk at N=500 the floor holds 48% of the band's
 node-spots (k_i is about i - 249).
 
 The guessed run:
@@ -90,19 +90,41 @@ The guessed run:
   disc_B), L_N = redemption + the expiry coupon and L_i = max(put_i, min(H_i,
   call_i)).  In exact arithmetic L_i is under every decided value V* and H_i
   under every held value V; L_i is not under V where a put binds.
-- guess: d_i is the smaller of c_i and the "left" mapping of H_i less a 1e-9
-  relative margin on the highest products: the largest conversion values of
-  [0, d_i) are below that.
-- certificate: with V = E + B on [k_i, d_i), max V <= call_i and min V >=
-  low_i, the larger of put_i and the run's top conversion value (node
-  d_i - 1).  Then `decide` would keep every node of the run, so skipping it
-  changes no bit; otherwise the whole band [k_i, c_i) is decided.  The floor
-  is only a guess; the certificate is exact.
+- guess: d_i is the smaller of c_i and the "left" mapping of the level
+  H_i * (1 - 1e-9) on the highest products: every conversion value of
+  [0, d_i) is below the level.
+- certificate: with V = E + B on [k_i, d_i), max V <= call_i where the call
+  is finite, and min V >= put_i where the put is above the level (`low_i`,
+  else 0: no check).  Then `decide` would keep every node of the run, so
+  skipping it changes no bit; otherwise the whole band [k_i, c_i) is decided.
+  With neither check the run is kept at no cost.
+- why the level needs no check: every held value V of layer i, as the kernel
+  computes it, is above the level, and so above every conversion value of
+  the run and every put at or under the level.  Every operation of the
+  rollback and of the floor's recursion is a product or a sum of numbers >= 0
+  (E, B, p, q, the discounts and the coupons), or a min or a max, which is
+  exact; a rounded product or sum is at least (1 - u) times the exact one
+  (u = 2^-53), and p + q, q = 1 - p rounded, is at least 1 - u.  So by
+  induction from expiry the decided values E + B of layer i + 1 are at least
+  (1 - u)^(8(N - i - 1) + 2) * L_{i+1}, with L as computed, and the held
+  values of layer i at least (1 - u)^(8(N - i) + 2) * H_i: eight roundings a
+  layer (three deep in the rollback of each part, the coupon added to B,
+  V = E + B, p + q, and H_i's product and sum) and two at expiry.  For
+  N <= MAX_TREE_STEPS that is above (1 - 1e-11) * H_i, and the rounded level
+  is at most (1 - 1e-9)(1 + u)^2 * H_i.  The values stay finite, since the
+  job refuses a tree whose top conversion value overflows.  A product that
+  underflows (E far below conversion) errs by up to 2^-1075 absolute
+  instead: six such errors a layer, carried down with weights p and q and
+  grown by at most max(1, disc_E, disc_B)^N, under 2^200 unless a negative
+  rate or spread times the maturity is above 138: 6N * 2^-1075 * 2^200 <
+  2^-859 in all, far under the margin, over 2^-830 for an H_i of 2^-800.
+  Where H_i is smaller the level is 0, which guesses no run where
+  conversion is on.
 
 One threshold, BAND_CELLS node-spots, gates both zones.  The floor saves
 element work, not numpy calls, at a row write per layer and O(N) tables per
-block, and the certificate's two reductions and one add cost less than the
-decisions they skip only on a long run.  So k_i = 0 where k_i * rows is under
+block, and the certificate's reduction and add cost less than the decisions
+they skip only on a long run.  So k_i = 0 where k_i * rows is under
 BAND_CELLS, and so is d_i where d_i * rows is; a block whose band never
 reaches it (c_i * rows; every block of one or two spots at N=500) computes
 neither `held_floor` nor `settled`, since k_i <= c_i (a settled node's
@@ -142,14 +164,16 @@ __all__ = [
     "rollback_batch",
 ]
 
-# a block's workspace in full-height rows: BLOCK * (N+1) node-spots, whatever the batch
-# size; a batch of frontier height H runs BLOCK * (N+1) // H spots per block in it
-BLOCK = 128
+# a block's workspace in node-spots, whatever the batch size and the tree: a batch of
+# frontier height H runs BLOCK_CELLS // H spots per block, in at most 42 * BLOCK_CELLS
+# bytes of buffers (5.5 MB); the fastest of 2^16, 2^17 and 2^18 on VaR batches (BENCH_31.json)
+BLOCK_CELLS = 2**17
 # a layer certifies a guessed continuation run only from this many node-spots up,
 # where its reductions cost less than the decisions it skips (BENCH_16.json
 # crossover); a smaller band is certified whole, node by node
 BAND_CELLS = 2048
-# the largest tree: a block's buffers take at most (N+1) * BLOCK * 42 bytes, 53.8 MB at the cap
+# the largest tree: H <= N + 1 leaves a block at least BLOCK_CELLS // (N + 1) spots, 13 at
+# the cap, and the run certificate's rounding bound holds up to it (module docstring)
 MAX_TREE_STEPS = 10**4
 # the zero that the layer loops' ufunc calls read: a 0-d array, read-only since every call shares it
 ZERO = np.zeros(())
@@ -352,7 +376,7 @@ class _Rollback:
         m = spots.size
         self.cs = self.frontier(self.rs[0])
         self.height = int(self.cs[front_layers:].max(initial=front_layers) + 1)
-        self.rows = min(m, BLOCK * (N + 1) // self.height)
+        self.rows = min(m, BLOCK_CELLS // self.height)
         self.buffers = [np.empty((self.height, self.rows), dtype=t)
                         for t in (float,) * 5 + (bool,) * 2]
         self.equity, self.debt = np.empty(m), np.empty(m)
@@ -414,9 +438,9 @@ class _Rollback:
     def plan(self, rs: np.ndarray) -> tuple[list[int], list[int], list[int], list[int], list]:
         """The layer plan of a block whose ascending ratio * spot is `rs`: the
         lists k, d, c, top and low over the layers i < N, the zones of the
-        module docstring and the least held value that certifies the guessed
-        run [k_i, d_i).  A block whose band never reaches BAND_CELLS node-spots
-        gets k = d = 0 and computes neither floor."""
+        module docstring and the put that the guessed run's certificate checks
+        (0: none).  A block whose band never reaches BAND_CELLS node-spots gets
+        k = d = 0 and computes neither floor."""
         N, rows, i = self.N, rs.size, self.layers[: self.N]
         # the first block holds the batch's lowest spot, whose frontier is known
         c = self.cs if rs[0] == self.rs[0] else self.frontier(rs[0])
@@ -425,7 +449,10 @@ class _Rollback:
         if c.max() * rows < BAND_CELLS:  # k_i <= c_i: a smaller band has no zone to skip
             return [0] * N, [0] * N, c.tolist(), top.tolist(), [0] * N
         prod = rs[-1] * self.pw_ceil  # non-decreasing, and >= every spot's conv at and below
-        d = np.minimum(self.nodes(prod, self.held_floor * (1.0 - 1e-9), "left"), c)
+        # under every held value of the layer; 0, no guessed run where conversion is on,
+        # where H_i is too small for the margin to cover underflow (module docstring)
+        level = np.where(self.held_floor >= 2.0**-800, self.held_floor * (1.0 - 1e-9), 0.0)
+        d = np.minimum(self.nodes(prod, level, "left"), c)
         b = np.array(self.settled)
         # the expiry layer's test is the redemption, not b_N
         K = self.nodes(prod, np.append(b[:N], self.redemption), "right")
@@ -434,19 +461,23 @@ class _Rollback:
         k[: self.front_layers + 1] = 0
         for x in (k, d):
             x[x * rows < BAND_CELLS] = 0
-        # the run's top conversion value, at node d_i - 1 (any node where d_i = 0)
-        top_conv = np.where(self.conv_active[:N], prod[np.maximum(N - i + 2 * d - 2, 0)], 0.0)
-        low = np.maximum(self.put_levels[:N], top_conv)
+        # the put the run certificate checks: none (0) where the level is at or above it
+        low = np.where(self.put_levels[:N] > level, self.put_levels[:N], 0.0)
         return k.tolist(), d.tolist(), c.tolist(), top.tolist(), low.tolist()
 
     @staticmethod
-    def continues(E, B, V, call: float, low: float) -> bool:
+    def continues(E, B, V, call: float, put: float) -> bool:
         """The certificate of a guessed run: `decide` leaves every node of it
-        as it is iff each held value V = E + B (written into V) is at most the
-        call and at least `low`, the larger of the put and the run's top
-        conversion value."""
+        as it is iff each held value V = E + B is at most the call, at least
+        the put and at least its conversion value.  Every held value is above
+        the run's conversion values (module docstring), and `put` is 0, no
+        check, where it is above the put too; so V (written into V) is checked
+        against the call where it is finite and the put where it is positive,
+        and with neither nothing is computed."""
+        if call == math.inf and put == 0.0:
+            return True
         np.add(E, B, out=V)
-        return V.max() <= call and V.min() >= low
+        return (call == math.inf or V.max() <= call) and (put == 0.0 or V.min() >= put)
 
     @staticmethod
     def keeps(E, B, V, conv, call: float, put: float) -> bool:

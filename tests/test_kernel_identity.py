@@ -17,7 +17,12 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from test_reference_roller import assert_one_geometry, block_width
+from test_reference_roller import (
+    assert_one_geometry,
+    block_width,
+    certificate_verdicts,
+    small_budget,
+)
 
 from cblab import (
     FDGrid,
@@ -207,15 +212,16 @@ def _assert_same(a, b):
     assert all(np.array_equal(x, y) for x, y in zip(a.fronts, b.fronts))
 
 
-# the block edges, as (blocks, tail) of the kernel's own block width
+# the block edges, as (blocks, tail) of the block width at the small budget
 EDGES = {"rows-1": (1, -1), "rows": (1, 0), "rows+1": (1, 1), "2rows+1": (2, 1)}
 
 
 @pytest.mark.parametrize("m", [1, 127, 128, 129, 257, 500, *EDGES])
 def test_chunked_equals_unchunked(monkeypatch, m):
-    """Fixed batch sizes and the batch sizes at the kernel's block edges
+    """Fixed batch sizes and the batch sizes at the block edges
     (`block_width`), with and without bind counts, which run the same
-    blocks."""
+    blocks: blocks at the small budget (`small_budget`) equal one block of
+    the whole batch."""
     if m in EDGES:
         blocks, tail = EDGES[m]
         m = blocks * block_width((TABLE1, JAN2004, MARKET), 80.0, 60, 2) + tail
@@ -224,19 +230,22 @@ def test_chunked_equals_unchunked(monkeypatch, m):
     def run(binds):
         return rollback_batch(TABLE1, MARKET, JAN2004, spots, 60, front_layers=2, binds=binds)
 
+    monkeypatch.setattr(lattice, "BLOCK_CELLS", small_budget(60))
     chunked = [run(False), run(True)]
-    monkeypatch.setattr(lattice, "BLOCK", m)
+    monkeypatch.setattr(lattice, "BLOCK_CELLS", m * 61)  # at most 61 nodes tall: one block
     for binds, res in zip((False, True), chunked):
         _assert_same(res, run(binds))
 
 
 @pytest.mark.parametrize("tail", [1, 2])
-def test_node_major_blocks_equal_pointwise(sweeps, tail):
-    """A block's width plus `tail` spots leave a last block of `tail` rows;
-    with every layer a front (the expiry layer included, written through the
-    transposed view) and bind counts on, each spot's outputs equal its own
-    one-spot rollback, with bind counts off as well."""
+def test_node_major_blocks_equal_pointwise(sweeps, monkeypatch, tail):
+    """At the small budget, a block's width plus `tail` spots leave a last
+    block of `tail` rows; with every layer a front (the expiry layer
+    included, written through the transposed view) and bind counts on, each
+    spot's outputs equal its own one-spot rollback, with bind counts off as
+    well."""
     terms, t0, steps = sweeps["putable"][0], JAN2004, 12
+    monkeypatch.setattr(lattice, "BLOCK_CELLS", small_budget(steps))
     spots = np.linspace(40.0, 200.0, block_width((terms, t0, MARKET), 40.0, steps, steps) + tail)
     for binds in (False, True):
         res = rollback_batch(terms, MARKET, t0, spots, steps, front_layers=steps, binds=binds)
@@ -261,38 +270,74 @@ def _peak_bytes(t0, spots, steps, binds=False) -> int:
     return peak
 
 
+# a block's workspace: five float and two bool buffers of at most BLOCK_CELLS node-spots
+WORKSPACE = (5 * 8 + 2) * lattice.BLOCK_CELLS
+
+
 def test_memory_bounded_by_blocks_not_batch():
-    """A 2,000-spot, N=200 rollback holds one BLOCK * (N+1) workspace of five
-    float and two bool buffers, not O(m * (N+1)): the whole-batch buffers
-    would need 6 * 2000 * 201 doubles (19 MB).  A second workspace would
-    break the 512 KiB allowance for the O(m) outputs and O(N) tables.  Bind
-    counts run the same blocks and count the expiry nodes above them in the
-    same buffers, in the same bound."""
+    """A 2,000-spot, N=200 rollback holds one workspace of at most
+    BLOCK_CELLS node-spots, not O(m * (N+1)): the whole-batch buffers would
+    need 6 * 2000 * 201 doubles (19 MB).  A second workspace would break the
+    512 KiB allowance for the O(m) outputs and O(N) tables.  Bind counts run
+    the same blocks and count the expiry nodes above them in the same
+    buffers, in the same bound."""
     m, n = 2000, 200
-    workspace = (5 * 8 + 2) * lattice.BLOCK * (n + 1)
     spots = np.linspace(50.0, 200.0, m)
     for binds in (False, True):
         peak = _peak_bytes(JAN2004, spots, n, binds)
-        assert peak < workspace + 2**19
+        assert peak < WORKSPACE + 2**19
         assert peak < 8 * 6 * m * (n + 1) / 2
 
 
 def test_memory_bounded_at_the_var_chunk():
     """The VaR chunk's shape, 500 spots in 95-105 at N=500 on 2004-01-03,
-    runs in blocks of about 250 spots in buffers about half as tall as the
-    tree, and peaks under the same one-workspace bound."""
+    runs in one block in buffers about half as tall as the tree, and peaks
+    under the same one-workspace bound."""
     n = 500
     spots = np.linspace(95.0, 105.0, 500)
-    assert lattice._rollback_job(TABLE1, MARKET, date(2004, 1, 3), spots, n).rows > lattice.BLOCK
-    workspace = (5 * 8 + 2) * lattice.BLOCK * (n + 1)
-    assert _peak_bytes(date(2004, 1, 3), spots, n) < workspace + 2**19
+    assert lattice._rollback_job(TABLE1, MARKET, date(2004, 1, 3), spots, n).rows == spots.size
+    assert _peak_bytes(date(2004, 1, 3), spots, n) < WORKSPACE + 2**19
+
+
+def test_memory_bounded_on_a_large_tree():
+    """At N=2,000 a batch of twice a block's spots adds at most the same
+    bound, which does not grow with N, to the peak of a one-spot rollback of
+    the same tree.  That peak is the tree's O(N) tables and plan lists, 0.6 MB
+    here; the blocks of the rule they replaced, BLOCK * (N+1) // H spots,
+    held 10.7 MB."""
+    n, t0 = 2000, date(2006, 1, 2)
+    job = lattice._rollback_job(TABLE1, MARKET, t0, [120.0], n)
+    spots = np.linspace(120.0, 130.0, 2 * (lattice.BLOCK_CELLS // job.height))
+    one_spot = _peak_bytes(t0, spots[:1], n)
+    assert _peak_bytes(t0, spots, n) < one_spot + WORKSPACE + 2**19
+
+
+@pytest.mark.parametrize("steps", [1, 10, 500, 2000, lattice.MAX_TREE_STEPS])
+def test_workspace_within_the_budget(steps):
+    """At every tree size a block holds at least one spot, and a batch wider
+    than a block fills at most BLOCK_CELLS node-spots of buffers."""
+    spots = np.linspace(50.0, 200.0, lattice.BLOCK_CELLS)
+    job = lattice._rollback_job(TABLE1, MARKET, JAN2004, spots, steps)
+    assert 1 <= job.rows < spots.size
+    assert sum(b.nbytes for b in job.buffers) <= WORKSPACE
+
+
+@pytest.mark.parametrize("name", list(REFERENCE))
+def test_run_certificate_is_the_exact_test(sweeps, name):
+    """On every reference sweep the certificate of each guessed run, which
+    checks only the call and a put over the held floor's level, gives the
+    verdict of the exact test that it replaces (`certificate_verdicts`); the
+    sweeps reach guessed runs."""
+    terms, t0, spots, steps, front_layers = sweeps[name]
+    verdicts = certificate_verdicts((terms, t0, MARKET), spots, steps, front_layers)
+    assert any(ok for _, _, ok in verdicts)
 
 
 def test_band_skips_most_decisions(sweeps, monkeypatch):
     """On the VaR scenarios almost every node below the conversion frontier
     continues, and the certified run keeps `decide` off all but a few
     percent of them.  Without the run (`BAND_CELLS` out of reach) every layer
-    certifies its whole band instead, and on these blocks of about 250 spots
+    certifies its whole band instead, and on these blocks of about 500 spots
     nearly every layer has a node that binds, so `decide` sees nearly all of
     them."""
     terms, t0, spots, steps, _ = sweeps["c4_scenarios"]
@@ -372,7 +417,7 @@ def test_settled_floor_is_rolled_rows(sweeps, monkeypatch):
 
 def test_floor_skips_most_of_the_band(sweeps, monkeypatch):
     """On the VaR scenarios the settled floor holds at least 40% of the band
-    below the conversion frontier, in node-spots (48.8% measured on a 500-spot
+    below the conversion frontier, in node-spots (48.4% measured on a 500-spot
     chunk).  At batch widths 1 and 2 (a price and a hedge increment) at N=500
     no floor reaches BAND_CELLS: the plan's k is all zero, and neither
     `settled` nor `held_floor` is ever computed."""

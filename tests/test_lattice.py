@@ -10,10 +10,11 @@ import inspect
 import math
 import re
 from dataclasses import replace
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from test_reference_roller import small_budget
 
 from cblab import (
     ConfigurationError,
@@ -526,11 +527,13 @@ class TestProfile:
             price_tf_crr(table1, wider, issue, 100.0, 10)
 
     @pytest.mark.parametrize("order", ["reversed", "shuffled"])
-    def test_grid_order_only_permutes_outputs(self, table1, market, jan2004, order):
+    def test_grid_order_only_permutes_outputs(self, table1, market, jan2004, monkeypatch, order):
         """No computation reads the order of a spot grid: over two kernel
-        blocks (the kernel runs the spots sorted), a permuted grid gives the
-        permuted profile, bind counts, front layers, surface and stress
-        increments bit for bit, and a reversed date grid the reversed rows."""
+        blocks at the tests' small budget (the kernel runs the spots sorted),
+        a permuted grid gives the permuted profile, bind counts, front layers,
+        surface and stress increments bit for bit, and a reversed date grid
+        the reversed rows."""
+        monkeypatch.setattr(lattice, "BLOCK_CELLS", small_budget(60))
         grid = np.round(np.arange(50.0, 200.0, 0.5), 6)  # 300 spots
         perm = (np.arange(grid.size)[::-1] if order == "reversed"
                 else np.random.default_rng(3).permutation(grid.size))
@@ -653,8 +656,8 @@ class TestLayerPlan:
     b_i', the redemption at expiry, and b_i' lies between the put and the
     call); the guessed run [0, d_i) stops at c_i and below the held floor H_i
     less its 1e-9 margin, on the block's top row, and is exactly as long as
-    that allows unless BAND_CELLS zeroes it; low_i is the larger of the put and
-    the top row's conversion value at node d_i - 1; c_i is the frontier
+    that allows unless BAND_CELLS zeroes it; low_i is the put where it is
+    above that level, else 0 (no check); c_i is the frontier
     (`TestConversionFrontier`) and top_i the nodes the next layer reads."""
 
     SHEETS = {
@@ -693,13 +696,13 @@ class TestLayerPlan:
                     reach = min(k + later - i, later + 1)
                     assert np.all(self.conv(job, rs, later)[:, :reach] <= levels[later])
                     assert later == N or job.puts[later] <= b[later] <= job.calls[later]
-            guess = job.held_floor[i] * (1.0 - 1e-9)
+            guess = job.held_floor[i] * (1.0 - 1e-9) if job.held_floor[i] >= 2.0**-800 else 0.0
             top_row = self.conv(job, rs, i)[-1]
             n = min(int(np.argmax(np.append(top_row >= guess, True))), c)
             assert d <= c and np.all(top_row[:d] < guess)
             assert d == (n if n * rows >= lattice.BAND_CELLS else 0)
             if d:
-                assert low == max(job.puts[i], top_row[d - 1])
+                assert low == (job.puts[i] if job.puts[i] > guess else 0.0)
         return plan
 
     @pytest.mark.parametrize("sheet", list(SHEETS))
@@ -728,6 +731,37 @@ class TestLayerPlan:
             assert top == held * (1.0 - 1e-9)
         _, ds, cs, _, _ = self.check_plan(job)
         assert ds[i] == j < cs[i] - 1  # node j + 1 is still below the frontier
+
+    def test_put_at_the_level_is_not_checked(self, table1, market):
+        """A put exactly at the level H_i * (1 - 1e-9) of a layer with a
+        guessed run is under every held value, so low_i is 0 there; one ulp
+        above the level it is the put.  The put's window ends between layers
+        i and i + 1, so the floor above layer i does not see it."""
+        t0, i = date(2004, 1, 2), 60
+        job = self.job(table1, market, [100.0])
+        level = job.held_floor[i] * (1.0 - 1e-9)
+        tau = Timeline(table1, t0).tau_maturity * i / job.N  # layer i's time, as the kernel's
+        end = t0 + timedelta(days=math.floor(tau * 365.0) + 3)  # before layer i + 1, 11 days on
+        accrued = Timeline(table1, t0).accrued(tau)[0]
+        for target in (level, np.nextafter(level, np.inf)):
+            clean = next(x for x in (target - accrued, np.nextafter(target - accrued, 0.0),
+                                     np.nextafter(target - accrued, np.inf))
+                         if x + accrued == target)
+            terms = replace(table1, put=PutTerms(float(clean), t0, end))
+            job = self.job(terms, market, np.linspace(130.0, 40.0, 200))
+            assert job.puts[i] == target and job.puts[i + 1] == 0.0
+            assert job.held_floor[i] * (1.0 - 1e-9) == level
+            _, ds, _, _, lows = self.check_plan(job)
+            assert ds[i] > 0 and lows[i] == (0.0 if target == level else target)
+
+    def test_no_run_on_a_tiny_floor(self, table1, market):
+        """Scaled by 1e-250, the reference sheet's held floor is under 2^-800,
+        where underflowing products could outgrow the margin: the plan guesses
+        no run.  The settled floor does not rest on the margin and stays."""
+        job = self.job(table1.with_nominal_scaled(1e-250), market, np.linspace(130.0, 40.0, 200))
+        assert job.held_floor.max() < 2.0**-800
+        ks, ds, *_ = self.check_plan(job)
+        assert not any(ds) and any(ks)
 
     def test_held_floor_takes_a_put_above_the_call(self, table1, market):
         """Where the put binds above the call at layer i + 1, the held floor is

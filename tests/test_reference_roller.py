@@ -7,7 +7,9 @@ put and conversion windows that open and close inside the tree, puts above the
 call, zero coupons, trees coarse enough that a coupon lands in the expiry
 layer), the spot batches (block edges included) and the front layers, and
 `rollback_batch` must match the reference bit for bit.  The same draws check
-value invariants that hold for every sheet.
+value invariants that hold for every sheet.  The draws run at a small block
+budget (`small_budget`), a few hundred spots per block, since the kernel's own
+budget holds any batch of these trees in one block.
 
 The kernel skips the nodes that the block's lowest spot shows to convert
 whatever their held value.  That needs conversion and a call in force and a
@@ -29,7 +31,10 @@ that path on every layer, and so does a wider one on its narrow layers.  A
 property test holds the check to `decide` itself on small arrays with exact
 ties, and a pinned single spot reaches the fallback: the call binds at node
 c_i - 1, the last node below the frontier.  A second property test holds the
-guessed run's certificate to `decide` on the same arrays.
+guessed run's certificate to `decide` on the same arrays, and on every draw
+the certificate's verdict at every guessed run is the exact test that it
+replaces (`certificate_verdicts`).  A put over the held floor where no call is
+in force pins the certificate's put check on layers without a call.
 
 The kernel also leaves unrolled the settled floor, the nodes [0, k_i) from
 which no decision binds before expiry, whose E is +0 and whose B is one level
@@ -43,6 +48,7 @@ would show only in the bind counts, which the reference roller checks too.
 
 import math
 import tempfile
+from contextlib import contextmanager
 from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
@@ -161,13 +167,34 @@ def instruments(draw, live=False):
     return terms, t0, mkt
 
 
+BLOCK_ROWS = 128  # full-height rows per block at the tests' small budget
+
+
+def small_budget(steps):
+    """A block budget of BLOCK_ROWS full-height rows of an N-step tree, in
+    node-spots: blocks of BLOCK_ROWS * (N + 1) // H spots, at most a few
+    hundred on these trees, where `lattice.BLOCK_CELLS` holds thousands."""
+    return BLOCK_ROWS * (steps + 1)
+
+
+@contextmanager
+def block_budget(cells):
+    """The kernel with a block budget of `cells` node-spots."""
+    saved = lattice.BLOCK_CELLS
+    lattice.BLOCK_CELLS = cells
+    try:
+        yield
+    finally:
+        lattice.BLOCK_CELLS = saved
+
+
 def block_width(instrument, lowest, steps, front_layers):
-    """The kernel's spots per block for a batch too wide for one block whose
-    lowest spot is `lowest`: BLOCK full-height rows over the frontier height
-    that spot sets."""
+    """The spots per block, at the small budget, of a batch too wide for one
+    block whose lowest spot is `lowest`: BLOCK_ROWS full-height rows over the
+    frontier height that spot sets."""
     terms, t0, mkt = instrument
     height = lattice._rollback_job(terms, mkt, t0, [lowest], steps, front_layers).height
-    return lattice.BLOCK * (steps + 1) // height
+    return small_budget(steps) // height
 
 
 def assert_one_geometry(instrument, spots, steps, front_layers):
@@ -184,8 +211,45 @@ def assert_one_geometry(instrument, spots, steps, front_layers):
     assert plans(counted) == plans(plain)
 
 
+def certificate_verdicts(instrument, spots, steps, front_layers):
+    """Roll the batch back and return (call, put, verdict) of the run
+    certificate at every guessed run [k_i, d_i) of every block, the verdict
+    asserted equal to the exact
+    test that it replaces: every held value of the run at most the call and
+    at least the larger of the put and the run's top conversion value, the
+    block's top product at node d_i - 1 (0 where conversion is off)."""
+    terms, t0, mkt = instrument
+    job = lattice._rollback_job(terms, mkt, t0, spots, steps, front_layers)
+    N, plan, continues = job.N, job.plan, job.continues
+    runs, verdicts = [], []  # runs: (layer, exact low) of the block's runs, the top layer last
+
+    def planned(rs):
+        assert not runs  # the last block certified each of its runs
+        ks, ds, *_ = layers = plan(rs)
+        prod = rs[-1] * job.pw_ceil
+        runs.extend((i, max(job.puts[i], prod[max(N - i + 2 * ds[i] - 2, 0)]
+                            if job.active[i] else 0.0))
+                    for i in range(N) if ds[i] > ks[i])
+        return layers
+
+    def certified(E, B, V, call, put):
+        i, low = runs.pop()
+        held = E + B
+        verdict = continues(E, B, V, call, put)
+        assert call == job.calls[i]
+        assert verdict == (held.max() <= call and held.min() >= low)
+        verdicts.append((call, put, verdict))
+        return verdict
+
+    job.plan, job.continues = planned, certified
+    for lo in range(0, job.rs.size, job.rows):
+        job._roll_block(lo, min(lo + job.rows, job.rs.size))
+    assert not runs
+    return verdicts
+
+
 SEEDS = st.integers(0, 2**32 - 1)
-EDGE_MAX = 3 * lattice.BLOCK  # wider blocks cost the reference roller too much per example
+EDGE_MAX = 3 * BLOCK_ROWS  # wider blocks cost the reference roller too much per example
 
 
 @st.composite
@@ -193,8 +257,8 @@ def rollbacks(draw):
     """(instrument, spots, steps, front_layers).  The spots are a batch in
     [1, 400], unordered, or a band [lo, lo * (1 + width)] with lo in [1, 400]
     and width <= 10%, sorted or not.  A batch holds up to 200 spots or sits on
-    a block edge: the kernel's block width for the drawn sheet, tree and lowest
-    spot, less one, equal or plus one (a width over EDGE_MAX draws a size up
+    a block edge: the block width at the small budget for the drawn sheet, tree
+    and lowest spot, less one, equal or plus one (a width over EDGE_MAX draws a size up
     to 200 instead)."""
     instrument = draw(st.one_of(instruments(), instruments(live=True)))
     steps = draw(st.one_of(st.integers(3, 12), st.integers(3, 120)))
@@ -250,6 +314,10 @@ COUPON_AT_EXPIRY = ((replace(REF, coupon_frequency=12), ISSUE, REF_MKT),
                     np.linspace(50.0, 68.75, 200), 50, 0)
 # front layers where the floor would reach without them: each front is rolled whole
 DEEP_FRONTS = (REF_SHEET, np.linspace(5.0, 10.0, 200), 60, 30)
+# a put of 115 over the held floor from 2002-06-02 to 2003-06-02, before the call
+# opens in 2004: the guessed runs there fail on the put alone
+PUT_WITHOUT_CALL = ((replace(REF, put=PutTerms(115.0, date(2002, 6, 2), date(2003, 6, 2))), ISSUE,
+                     REF_MKT), np.linspace(20.0, 30.0, 200), 60, 0)
 
 
 # print_blob: a failure prints the @reproduce_failure line that replays it exactly
@@ -280,12 +348,15 @@ DEEP_FRONTS = (REF_SHEET, np.linspace(5.0, 10.0, 200), 60, 30)
 @example(CALL_UNDER_FLOOR)
 @example(COUPON_AT_EXPIRY)
 @example(DEEP_FRONTS)
+@example(PUT_WITHOUT_CALL)
 def test_kernel_matches_reference_roller(case):
     (terms, t0, mkt), spots, steps, front_layers = case
-    assert_one_geometry((terms, t0, mkt), spots, steps, front_layers)
-    res = lattice.rollback_batch(terms, mkt, t0, spots, steps, front_layers, binds=True)
-    plain = lattice.rollback_batch(terms, mkt, t0, spots, steps, front_layers)
-    doubled = lattice.rollback_batch(terms.with_nominal_scaled(2.0), mkt, t0, spots, steps)
+    with block_budget(small_budget(steps)):
+        assert_one_geometry((terms, t0, mkt), spots, steps, front_layers)
+        certificate_verdicts((terms, t0, mkt), spots, steps, front_layers)
+        res = lattice.rollback_batch(terms, mkt, t0, spots, steps, front_layers, binds=True)
+        plain = lattice.rollback_batch(terms, mkt, t0, spots, steps, front_layers)
+        doubled = lattice.rollback_batch(terms.with_nominal_scaled(2.0), mkt, t0, spots, steps)
     equity, debt, binds, fronts = reference_rollback(terms, mkt, t0, spots, steps, front_layers)
 
     assert np.array_equal(res.binds, binds)
@@ -357,7 +428,8 @@ def test_pinned_floors(case, end):
     (terms, t0, mkt), spots, steps, front_layers = case
 
     def first_block(front_layers):
-        job = lattice._rollback_job(terms, mkt, t0, spots, steps, front_layers)
+        with block_budget(small_budget(steps)):  # as the reference roller runs it
+            job = lattice._rollback_job(terms, mkt, t0, spots, steps, front_layers)
         rows = min(job.rows, spots.size)
         return job, job.rs[rows - 1], job.plan(job.rs[:rows])[0] + [0], rows  # k_N = 0
 
@@ -374,6 +446,16 @@ def test_pinned_floors(case, end):
     else:
         assert max(ks[: front_layers + 1]) == 0
         assert max(first_block(0)[2][: front_layers + 1]) > 0
+
+
+def test_put_without_call_fails_its_run():
+    """PUT_WITHOUT_CALL reaches what it is pinned for: a guessed run on a
+    layer with no call in force whose certificate checks the put and fails on
+    it, at the reference roller's budget."""
+    instrument, spots, steps, front_layers = PUT_WITHOUT_CALL
+    with block_budget(small_budget(steps)):
+        verdicts = certificate_verdicts(instrument, spots, steps, front_layers)
+    assert any(call == math.inf and put > 0.0 and not ok for call, put, ok in verdicts)
 
 
 @pytest.mark.parametrize("instrument, spots, outcome", [
@@ -468,17 +550,23 @@ def test_small_band_certificate_is_decide(band):
 @settings(derandomize=True, database=None, deadline=None, max_examples=400, print_blob=True)
 @given(small_bands().filter(lambda band: band[0].size > 0))
 def test_run_certificate_is_decide(band):
-    """The guessed run's certificate, with `low` the larger of the put and the
-    run's top conversion value, holds exactly when `decide` decides no node
-    of a run whose every conversion value is that top value: held values
-    equal to the call or to `low` continue in both."""
-    E, B, conv, call, put = band
-    V = np.empty_like(E)
-    top = conv.max()
-    certified = lattice._Rollback.continues(E, B, V, call, max(put, top))
-    assert np.array_equal(V, E + B)
-
+    """The guessed run's certificate holds exactly when `decide` decides no
+    node of a run whose conversion values are at most every held value, as
+    the held floor makes them (here each equals the least held value, a tie,
+    which continues): held values equal to the call or to the put continue in
+    both.  A put at most every held value may also be passed as 0, no check,
+    as `plan` passes a put at or under the level; where neither check
+    remains nothing is computed, else V holds E + B."""
+    E, B, _, call, put = band
+    held = E + B
     ncont, convb = (np.empty(E.shape, dtype=bool) for _ in range(2))
-    lattice.decide(E.copy(), B.copy(), np.empty_like(E), np.empty_like(E), np.full_like(E, top),
-                   call, put, ncont, convb)
-    assert certified == (not ncont.any())
+    lattice.decide(E.copy(), B.copy(), np.empty_like(E), np.empty_like(E),
+                   np.full_like(E, held.min()), call, put, ncont, convb)
+    for checked in (put, 0.0) if put <= held.min() else (put,):
+        V = np.full_like(E, np.nan)
+        certified = lattice._Rollback.continues(E, B, V, call, checked)
+        assert certified == (not ncont.any())
+        if call == math.inf and checked == 0.0:
+            assert np.isnan(V).all()
+        else:
+            assert np.array_equal(V, held)
